@@ -18,8 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .groups import (
     GroupSpec,
     Relation,
@@ -354,16 +352,43 @@ def _coeff_mod_p(c: GaussianRational, p: int) -> int:
     return num % p * pow(den, -1, p) % p
 
 
-def _poly_mod_p(poly: MultiPoly, p: int, values: dict[str, np.ndarray], npoints: int):
-    total = np.zeros(npoints, dtype=np.int64)
+def _terms_mod_p(
+    poly: MultiPoly, p: int, position: dict[str, int], fixed: dict[str, int]
+) -> tuple[int, list]:
+    """Reduce ``poly`` mod p to ``(stage, terms)`` for the staged scan.
+
+    Each term is ``(coefficient mod p, ((position, degree), ...))`` over the
+    scanned unknowns, with the ``fixed`` values folded into the coefficient;
+    ``stage`` is the position of the last scanned unknown that occurs, or -1
+    when the reduced polynomial is a constant.
+    """
     vars_ = poly.ring.vars
+    reduced: dict[tuple[tuple[int, int], ...], int] = {}
     for exp, c in poly.terms.items():
-        term = np.full(npoints, _coeff_mod_p(c, p), dtype=np.int64)
+        coeff = _coeff_mod_p(c, p)
+        mono = []
         for k, d in enumerate(exp):
             if d:
-                term = term * (values[vars_[k]] ** d % p) % p
-        total = (total + term) % p
-    return total
+                name = vars_[k]
+                if name in fixed:
+                    coeff = coeff * pow(fixed[name], d, p) % p
+                else:
+                    mono.append((position[name], d))
+        key = tuple(mono)
+        reduced[key] = (reduced.get(key, 0) + coeff) % p
+    terms = [(c, mono) for mono, c in reduced.items() if c]
+    stage = max((pos for _c, mono in terms for pos, _d in mono), default=-1)
+    return stage, terms
+
+
+def _value_mod_p(terms: list, point: list[int], p: int) -> int:
+    total = 0
+    for c, mono in terms:
+        term = c
+        for pos, d in mono:
+            term *= point[pos] ** d
+        total += term
+    return total % p
 
 
 def enumerate_solutions_mod_p(
@@ -375,39 +400,63 @@ def enumerate_solutions_mod_p(
     """Exhaustively solve the system over F_p, desk scale.
 
     ``invertibility`` lists polynomials required nonzero (e.g. block
-    determinants); ``fixed`` pre-binds some unknowns so a bucket of a bigger
-    system can be scanned without blowing up the grid.
+    determinants); ``fixed`` pre-binds some of the system's unknowns (those
+    of the equations or of ``invertibility``) so a bucket of a bigger system
+    can be scanned on its own.
+
+    The scan is staged and depth-first over plain ints: the remaining
+    unknowns are bound one at a time in ring order, every polynomial is
+    reduced mod p once and tested at the stage where its last unknown is
+    bound, and a partial point is dropped as soon as one test there fails.
+    Live memory is the current point plus the solution list, and solutions
+    come out in lexicographic order of the scanned unknowns.
     """
     if p < 3 or p > 13 or any(p % q == 0 for q in range(2, p)):
         raise ValueError("p must be an odd prime at desk scale (3..13)")
-    fixed = {k: v % p for k, v in (fixed or {}).items()}
     needed: set[str] = set()
     for poly in list(system.equations) + list(invertibility):
         needed.update(poly.variables())
+    fixed = {k: v % p for k, v in (fixed or {}).items()}
+    stray = [k for k in fixed if k not in needed]
+    if stray:
+        valid = [v for v in system.ring.vars if v in needed]
+        raise ValueError(
+            f"fixed name {stray[0]!r} is not an unknown of the system; "
+            f"valid names: {', '.join(valid)}"
+        )
     scan_vars = tuple(v for v in system.ring.vars if v in needed and v not in fixed)
     if p ** len(scan_vars) > 20_000_000:
         raise ValueError(
             f"scan of {len(scan_vars)} unknowns mod {p} exceeds desk scale"
         )
-    if scan_vars:
-        grid = np.indices((p,) * len(scan_vars), dtype=np.int64).reshape(
-            len(scan_vars), -1
-        )
-    else:
-        grid = np.zeros((0, 1), dtype=np.int64)
-    npoints = grid.shape[1]
-    values: dict[str, np.ndarray] = {
-        v: grid[i] for i, v in enumerate(scan_vars)
-    }
-    for v, x in fixed.items():
-        values[v] = np.full(npoints, x, dtype=np.int64)
-    mask = np.ones(npoints, dtype=bool)
-    for poly in system.equations:
-        mask &= _poly_mod_p(poly, p, values, npoints) == 0
-    for poly in invertibility:
-        mask &= _poly_mod_p(poly, p, values, npoints) != 0
-    cols = grid[:, mask].T
-    solutions = [dict(zip(scan_vars, map(int, col))) | fixed for col in cols]
+    position = {v: i for i, v in enumerate(scan_vars)}
+    # tests[stage]: (terms, must the value be zero?) of every polynomial
+    # whose last scanned unknown is bound at that stage
+    tests: list[list] = [[] for _ in scan_vars]
+    consistent = True
+    for poly, want_zero in [(eq, True) for eq in system.equations] + [
+        (poly, False) for poly in invertibility
+    ]:
+        stage, terms = _terms_mod_p(poly, p, position, fixed)
+        if stage >= 0:
+            tests[stage].append((terms, want_zero))
+        elif (not terms) != want_zero:
+            consistent = False
+    solutions: list[dict[str, int]] = []
+    point = [0] * len(scan_vars)
+
+    def descend(stage: int) -> None:
+        if stage == len(scan_vars):
+            solutions.append(dict(zip(scan_vars, point)) | fixed)
+            return
+        here = tests[stage]
+        for x in range(p):
+            point[stage] = x
+            if all((not _value_mod_p(t, point, p)) == z for t, z in here):
+                descend(stage + 1)
+
+    if consistent:
+        descend(0)
     return ModPScan(p=p, unknowns=scan_vars, fixed=fixed, solutions=solutions)
 
 

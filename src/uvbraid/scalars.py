@@ -140,6 +140,10 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # a real value equals the int/Fraction it coerces from, so it must
+        # hash like one
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __repr__(self):

@@ -1,10 +1,13 @@
 """Verification engines: relation reports, constraint systems, finite-field
 enumeration, span/irreducibility machinery, quotient factoring."""
 
+import functools
+import itertools
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uvbraid.analysis import (
@@ -244,6 +247,102 @@ class TestModP:
             enumerate_solutions_mod_p(system, 17)
         with pytest.raises(ValueError, match="desk scale"):
             enumerate_solutions_mod_p(system, 13)  # 13^8 grid points
+
+
+# (group, c, rho_form) of the small k=2 systems the solver is checked on
+_MOD_P_SYSTEMS = [
+    ("uv", 1, "generic"), ("uv", 2, "generic"), ("uw", 1, "antidiagonal"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _mod_p_system(group, c, rho_form, tags):
+    return generate_constraints(2, make_spec(group, 3, c), list(tags), rho_form)
+
+
+@st.composite
+def _mod_p_instances(draw):
+    """A small scan: a random tag subset of a k=2 system, p in {3, 5},
+    optional block determinants as invertibility, up to 3 fixed unknowns."""
+    group, c, rho_form = draw(st.sampled_from(_MOD_P_SYSTEMS))
+    spec = make_spec(group, 3, c)
+    tags = draw(st.lists(
+        st.sampled_from([r.tag for r in relations(spec)]), min_size=1, unique=True
+    ))
+    system = _mod_p_system(group, c, rho_form, tuple(tags))
+    gen = generic_rep(2, spec, rho_form)
+    blocks = [gen.sigma_blocks[t] for t in sorted(gen.sigma_blocks)]
+    if rho_form == "generic":
+        blocks.insert(0, gen.rho_block)
+    chosen = draw(st.lists(st.sampled_from(range(len(blocks))), unique=True))
+    invertibility = [blocks[b].det().num for b in sorted(chosen)]
+    p = draw(st.sampled_from((3, 5)))
+    needed = set(system.unknowns)
+    for poly in invertibility:
+        needed.update(poly.variables())
+    names = [v for v in system.ring.vars if v in needed]
+    pinned = (
+        draw(st.lists(st.sampled_from(names), max_size=3, unique=True))
+        if names else []
+    )
+    fixed = {v: draw(st.integers(-p, 2 * p)) for v in pinned}
+    assume(p ** (len(names) - len(fixed)) <= 3 ** 8)
+    return system, p, invertibility, fixed
+
+
+def _brute_force_mod_p(system, p, invertibility, fixed):
+    """Reference scan: every point of F_p^u in lexicographic order, each
+    polynomial evaluated exactly over Q(i) and only then reduced mod p.
+    Values are memoized per polynomial on the unknowns it involves."""
+    tests = [(eq, True) for eq in system.equations]
+    tests += [(poly, False) for poly in invertibility]
+    occurs = [poly.variables() for poly, _ in tests]
+    seen: list[dict] = [{} for _ in tests]
+
+    def passes(i, point):
+        key = tuple(point[v] for v in occurs[i])
+        if key not in seen[i]:
+            poly, want_zero = tests[i]
+            value = poly.evaluate(point)
+            assert not value.im and value.re.denominator % p
+            seen[i][key] = (value.re.numerator % p == 0) == want_zero
+        return seen[i][key]
+
+    needed = {v for names in occurs for v in names}
+    scanned = tuple(v for v in system.ring.vars if v in needed and v not in fixed)
+    fixed_mod_p = {k: v % p for k, v in fixed.items()}
+    solutions = []
+    for values in itertools.product(range(p), repeat=len(scanned)):
+        point = dict(zip(scanned, values)) | fixed
+        if all(passes(i, point) for i in range(len(tests))):
+            solutions.append(dict(zip(scanned, values)) | fixed_mod_p)
+    return scanned, fixed_mod_p, solutions
+
+
+class TestModPAgainstBruteForce:
+    @given(_mod_p_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_staged_scan_matches_reference(self, instance):
+        system, p, invertibility, fixed = instance
+        scan = enumerate_solutions_mod_p(system, p, invertibility, fixed)
+        unknowns, fixed_mod_p, solutions = _brute_force_mod_p(
+            system, p, invertibility, fixed
+        )
+        assert scan.unknowns == unknowns
+        assert scan.fixed == fixed_mod_p
+        assert scan.solutions == solutions
+
+    def test_dense_p7_system_stays_small_in_memory(self):
+        system = generate_constraints(2, make_spec("uv", 3, 1))
+        tracemalloc.start()
+        try:
+            scan = enumerate_solutions_mod_p(system, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scan.count == 1 + 6 * 7 ** 4
+        # a dense grid of all 7^8 points would take hundreds of MB
+        assert peak < 16 * 2 ** 20
 
 
 def _images(rep):

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, stable JSON, and the bundled suites."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uvbraid
 from uvbraid.cli import main
 
 
@@ -126,6 +131,16 @@ class TestEnumerateCommand:
     def test_composite_modulus_is_usage_error(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "3", "--mod", "9")
         assert code == 2 and "odd prime" in err
+
+    @pytest.mark.parametrize("name", ["q", "s1"])
+    def test_fixed_name_outside_the_system_is_usage_error(self, capsys, name):
+        code, out, err = run(
+            capsys, "enumerate", "--n", "3", "--c", "1", "--mod", "5",
+            "--fixed", f"{name}=2", "--json",
+        )
+        assert code == 2 and out == ""
+        assert f"{name!r} is not an unknown" in err
+        assert "r1, r2, r3, r4, s1_1, s2_1, s3_1, s4_1" in err
 
 
 class TestIrreducibilityCommand:
@@ -252,3 +267,17 @@ class TestJsonStability:
         code, out, _ = run(capsys, "--json", "word", "--word", "r1", "--n", "3")
         assert code == 0
         assert json.loads(out)["reduced"] == "r1"
+
+
+def test_import_leaves_numpy_unloaded():
+    """The package and its CLI are pure Python: importing them pulls in no
+    numpy (the benchmark under bench/ may use it on its own)."""
+    src = str(Path(uvbraid.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, uvbraid, uvbraid.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uvbraid.scalars import (
@@ -22,6 +22,13 @@ from uvbraid.scalars import (
 
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
+tiny_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+# small domains so that equal values across the three types are drawn often
+mixed_scalars = st.one_of(
+    st.integers(-2, 2),
+    tiny_fractions,
+    st.builds(GaussianRational, tiny_fractions, st.sampled_from([0, 0, 1])),
+)
 
 
 class TestGaussianRational:
@@ -58,6 +65,14 @@ class TestGaussianRational:
         assert (a + b) * c == a * c + b * c
         assert a + G_ZERO == a
         assert a * G_ONE == a
+
+    @given(mixed_scalars, mixed_scalars)
+    @example(3, GaussianRational(3))
+    @example(Fraction(-1, 2), GaussianRational(Fraction(-1, 2)))
+    def test_equal_values_hash_alike(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
 
     def test_pow(self):
         a = GaussianRational(1, 1)
