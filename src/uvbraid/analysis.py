@@ -8,9 +8,9 @@ a sampled one, a derived constraint system against a finite-field scan.  The
 pairs are kept separate so that one route can catch a bug in the other.
 
 Exactness policy: everything symbolic runs over rational functions; the
-oracles (Burnside dimension, spin, RREF ranks) run over Q(i) after
-specialization.  Rank over Q(i) equals rank over C for the same matrices,
-so deciding complex irreducibility with exact arithmetic is sound.
+oracles (Burnside dimension, spin) run over Q(i) after specialization.
+Rank over Q(i) equals rank over C for the same matrices, so deciding
+complex irreducibility with exact arithmetic is sound.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .groups import (
     sigma,
     word,
 )
-from .matrices import Matrix
+from .matrices import Echelon, Matrix
 from .reps import LocalRep, build_local_rep, canonical_family, eval_word, specialize
 from .scalars import (
     G_ONE,
@@ -474,122 +474,81 @@ def classify_virtual_point(sol: dict[str, int], p: int) -> str:
 # span engines over Q(i)
 
 
-def _const_rows(mat: Matrix) -> list[list[GaussianRational]]:
-    return mat.constant_entries()
-
-
-def _matmul_g(a, b):
-    n, mid, m = len(a), len(b), len(b[0])
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = G_ZERO
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
+def _left_mul(cols: list, vec: list[GaussianRational], width: int) -> list:
+    """A generator, given by the nonzero ``(row, entry)`` pairs of each of
+    its columns, times the m x ``width`` matrix ``vec`` flattened row-major;
+    zero entries on either side are skipped."""
+    out = [G_ZERO] * len(vec)
+    for k, x in enumerate(vec):
+        if x:
+            r, c = divmod(k, width)
+            for i, a in cols[r]:
+                out[i * width + c] = out[i * width + c] + a * x
     return out
 
 
-def _matvec_g(a, v):
-    out = []
-    for row in a:
-        acc = G_ZERO
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
-    return out
+def _closure(
+    mats: list[Matrix], seeds: list[list[list[GaussianRational]]], width: int
+) -> Echelon:
+    """Echelon basis of the smallest space of m x ``width`` matrices
+    (flattened row-major) that contains ``seeds`` and is closed under left
+    multiplication by every matrix of ``mats``.
 
-
-class _Echelon:
-    """Incremental row-echelon basis over Q(i) (pivot-normalized rows)."""
-
-    def __init__(self):
-        self.rows: dict[int, list[GaussianRational]] = {}
-
-    def __len__(self):
-        return len(self.rows)
-
-    def insert(self, vec: list[GaussianRational]) -> list[GaussianRational] | None:
-        """Reduce against the basis; add and return the reduced row if new."""
-        v = list(vec)
-        for piv in sorted(self.rows):
-            c = v[piv]
-            if c:
-                row = self.rows[piv]
-                v = [a - c * b for a, b in zip(v, row)]
-        piv = next((i for i, a in enumerate(v) if a), None)
-        if piv is None:
-            return None
-        inv = v[piv].inverse()
-        v = [a * inv for a in v]
-        self.rows[piv] = v
-        return v
+    Each newly reduced row is multiplied by every generator, wave by wave.
+    The reduced rows span the same space as the raw products, so the result
+    is the closure; it stops when a wave adds nothing or the basis fills
+    all m * ``width`` coordinates.
+    """
+    if not mats:
+        raise ValueError("need at least one matrix")
+    consts = [g.constant_entries() for g in mats]
+    m = len(consts[0])
+    if any(len(g) != m or any(len(r) != m for r in g) for g in consts):
+        raise ValueError("matrices must be square and of equal size")
+    gens = [
+        [[(i, a) for i, a in enumerate(col) if a] for col in zip(*g)]
+        for g in consts
+    ]
+    basis = Echelon()
+    wave = []
+    for s in seeds:
+        if len(s) != m or any(len(r) != width for r in s):
+            raise ValueError(f"seed does not have shape {(m, width)}")
+        r = basis.insert([x for row in s for x in row])
+        if r is not None:
+            wave.append(r)
+    while wave and len(basis) < m * width:
+        nxt = []
+        for v in wave:
+            for cols in gens:
+                r = basis.insert(_left_mul(cols, v, width))
+                if r is not None:
+                    nxt.append(r)
+        wave = nxt
+    return basis
 
 
 def burnside_dim(mats: list[Matrix]) -> int:
     """Dimension of the unital algebra spanned by all products of ``mats``.
 
-    Closure is breadth-first by word length with rank-based deduplication
-    per wave; it stops when a wave adds no new dimension or the full matrix
-    algebra (dimension m^2) is reached.  The matrices act irreducibly on
-    C^m iff the result is m^2 (Burnside), and since every invertible
-    generator's inverse is a polynomial in the generator (Cayley-Hamilton),
-    positive products suffice.
+    The closure of the identity under left multiplication by the
+    generators.  The matrices act irreducibly on C^m iff the result is m^2
+    (Burnside), and since every invertible generator's inverse is a
+    polynomial in the generator (Cayley-Hamilton), positive products
+    suffice.
     """
-    if not mats:
-        raise ValueError("need at least one matrix")
-    consts = [_const_rows(m) for m in mats]
-    m = len(consts[0])
-    if any(len(c) != m or len(c[0]) != m for c in consts):
-        raise ValueError("matrices must be square and of equal size")
-    basis = _Echelon()
+    m = mats[0].nrows if mats else 0
     ident = [[G_ONE if i == j else G_ZERO for j in range(m)] for i in range(m)]
-    basis.insert([x for row in ident for x in row])
-    wave = [ident]
-    while wave and len(basis) < m * m:
-        nxt = []
-        for prod in wave:
-            for gen in consts:
-                cand = _matmul_g(gen, prod)
-                if basis.insert([x for row in cand for x in row]) is not None:
-                    nxt.append(cand)
-        wave = nxt
-    return len(basis)
+    return len(_closure(mats, [ident], m))
 
 
 def spin(mats: list[Matrix], seeds: list[Matrix]) -> list[Matrix]:
     """Basis of the smallest subspace containing ``seeds`` and invariant
     under every matrix (the 'spin' of the seeds).  Seeds and result are
     column vectors."""
-    if not mats:
-        raise ValueError("need at least one matrix")
+    basis = _closure(mats, [s.constant_entries() for s in seeds], 1)
     ring = mats[0].ring
-    consts = [_const_rows(m) for m in mats]
-    m = len(consts[0])
-    basis = _Echelon()
-    frontier = []
-    for s in seeds:
-        if s.shape != (m, 1):
-            raise ValueError(f"seed shape {s.shape} does not match size {m}")
-        v = [row[0] for row in s.constant_entries()]
-        r = basis.insert(v)
-        if r is not None:
-            frontier.append(r)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for gen in consts:
-                r = basis.insert(_matvec_g(gen, v))
-                if r is not None:
-                    nxt.append(r)
-        frontier = nxt
-    vectors = [basis.rows[piv] for piv in sorted(basis.rows)]
-    return [Matrix.column(ring, vec) for vec in vectors]
+    return [Matrix.column(ring, basis.rows[piv]) for piv in sorted(basis.rows)]
 
 
 def invariant_check(mats: list[Matrix], vec: Matrix, side: str) -> bool:

@@ -316,7 +316,9 @@ def _is_involutive(g: Generator, spec: GroupSpec) -> bool:
 def free_reduce(w: Word, spec: GroupSpec) -> Word:
     """Cancel adjacent g g^-1, folding involutive letters (rho, flagged sigma)
     to exponent +1 first so that g g also cancels for them.  Confluent, hence
-    idempotent and length-non-increasing."""
+    idempotent and length-non-increasing.  For uv at n = 2, where the group
+    is F_c * Z_2, it is a normal form: two words are equal in the group iff
+    they reduce to the same word."""
     stack: list[tuple[Generator, int]] = []
     for g, e in w.letters:
         if _is_involutive(g, spec):
@@ -328,20 +330,6 @@ def free_reduce(w: Word, spec: GroupSpec) -> Word:
                 continue
         stack.append((g, e))
     return Word(tuple(stack))
-
-
-def normal_form_n2(w: Word, spec: GroupSpec) -> Word:
-    """Normal form for n = 2, where the group is F_c * Z_2.
-
-    The single rho_1 has order two and the sigma_{1,t} generate a free
-    factor, so the stack reduction above is already confluent onto the
-    alternating normal form: maximal freely-reduced sigma syllables
-    separated by single rho letters.  Words are equal in the group iff
-    their normal forms coincide.
-    """
-    if spec.n != 2:
-        raise ValueError(f"normal form only defined for n = 2, got n = {spec.n}")
-    return free_reduce(w, spec)
 
 
 class Permutation:

@@ -10,9 +10,15 @@ clarity over asymptotics:
   functions from snowballing);
 * inverses use Gauss-Jordan over the function field (a pivot only needs to
   be nonzero *as a rational function*, so no case analysis on parameters);
-* reduced row echelon form, rank and kernel are defined only for matrices
-  of constants: the rank of a symbolic matrix genuinely depends on where
-  the parameters sit, so asking for it raises instead of guessing.
+* rank and kernel are defined only for matrices of constants: the rank of
+  a symbolic matrix genuinely depends on where the parameters sit, so
+  asking for it raises instead of guessing.
+
+:class:`Echelon` is the one Q(i) elimination kernel: an incremental,
+pivot-normalized row-echelon basis.  ``const_rref`` (and through it
+``Matrix.rank`` and ``Matrix.kernel``) back-substitutes its rows, and the
+span engines of :mod:`uvbraid.analysis` (``burnside_dim`` and ``spin``)
+grow their closures in one.
 
 ``block_embed`` realizes the local pattern  I_(i-1) (+) B (+) I_(m-i-k+1)
 used throughout: a k x k block acting on strands i..i+k-1 of an m-strand
@@ -273,11 +279,6 @@ class Matrix:
             out.append(row)
         return out
 
-    def rref(self) -> Matrix:
-        """Reduced row echelon form (constants only)."""
-        rows, _ = const_rref(self.constant_entries())
-        return Matrix.from_rows(self.ring, rows)
-
     def rank(self) -> int:
         _, pivots = const_rref(self.constant_entries())
         return len(pivots)
@@ -310,9 +311,6 @@ class Matrix:
             ),
         )
 
-    def to_strings(self) -> list[list[str]]:
-        return [[str(a) for a in r] for r in self.rows]
-
     def __str__(self):
         body = "; ".join(", ".join(str(a) for a in r) for r in self.rows)
         return f"[{body}]"
@@ -321,31 +319,65 @@ class Matrix:
         return f"<Matrix {self.nrows}x{self.ncols} {self}>"
 
 
+def _eliminate(
+    v: list[GaussianRational], piv: int, row: list[GaussianRational]
+) -> list[GaussianRational]:
+    """``v`` minus the multiple of ``row`` (1 at ``piv``) that zeroes v[piv]."""
+    c = v[piv]
+    if not c:
+        return v
+    return [a - c * b if b else a for a, b in zip(v, row)]
+
+
+class Echelon:
+    """Incremental row-echelon basis over Q(i), keyed by pivot column.
+
+    Every stored row is zero before its pivot, has a 1 there, and is zero
+    at the pivots of the rows stored before it.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, list[GaussianRational]] = {}
+
+    def __len__(self):
+        return len(self.rows)
+
+    def insert(self, vec: list[GaussianRational]) -> list[GaussianRational] | None:
+        """Reduce against the basis; add and return the reduced row if new."""
+        v = list(vec)
+        for piv in sorted(self.rows):
+            v = _eliminate(v, piv, self.rows[piv])
+        piv = next((i for i, a in enumerate(v) if a), None)
+        if piv is None:
+            return None
+        inv = v[piv].inverse()
+        v = [a * inv for a in v]
+        self.rows[piv] = v
+        return v
+
+    def reduced(self) -> list[list[GaussianRational]]:
+        """The rows in pivot order, back-substituted (last pivot first) into
+        reduced row echelon form; the basis itself is left as it is."""
+        pivots = sorted(self.rows)
+        out = [self.rows[p] for p in pivots]
+        for k in range(len(pivots) - 1, 0, -1):
+            for j in range(k):
+                out[j] = _eliminate(out[j], pivots[k], out[k])
+        return out
+
+
 def const_rref(
     rows: list[list[GaussianRational]],
 ) -> tuple[list[list[GaussianRational]], list[int]]:
-    """RREF of a matrix of Q(i) scalars; returns (rows, pivot column indices)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][col]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][col].inverse()
-        m[r] = [a * inv for a in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    """RREF of a matrix of Q(i) scalars; returns (rows, pivot column indices),
+    with the zero rows last."""
+    basis = Echelon()
+    for r in rows:
+        basis.insert(r)
+    reduced = basis.reduced()
+    ncols = len(rows[0]) if rows else 0
+    zero_rows = [[G_ZERO] * ncols for _ in range(len(rows) - len(reduced))]
+    return reduced + zero_rows, sorted(basis.rows)
 
 
 def block_embed(block: Matrix, pos: int, m: int) -> Matrix:

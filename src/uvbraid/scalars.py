@@ -439,9 +439,6 @@ class MultiPoly:
             return NotImplemented
         return self.terms == self.ring.const(g).terms
 
-    def __hash__(self):
-        return hash((self.ring.vars, self.key()))
-
     # -- evaluation and substitution ---------------------------------
 
     def evaluate(self, point: dict) -> GaussianRational:
@@ -701,10 +698,6 @@ class RatFunc:
         if self.den.terms == other.den.terms:
             return self.num.terms == other.num.terms
         return (self.num * other.den).terms == (other.num * self.den).terms
-
-    def __hash__(self):
-        # normalization is canonical enough only when den is one; play safe
-        return hash((self.ring.vars, self.num.key(), self.den.key()))
 
     # -- evaluation ---------------------------------------------------
 

@@ -377,6 +377,44 @@ class TestSpanEngines:
         with pytest.raises(ValueError):
             burnside_dim([Matrix.identity(ring, 2), Matrix.identity(ring, 3)])
 
+    def test_spin_input_validation(self):
+        ring = PolyRing(("t",))
+        e1 = Matrix.column(ring, [1, 0])
+        with pytest.raises(ValueError, match="at least one matrix"):
+            spin([], [e1])
+        with pytest.raises(ValueError):
+            spin([Matrix.identity(ring, 2), Matrix.identity(ring, 3)], [e1])
+        with pytest.raises(ValueError):
+            spin([Matrix.from_rows(ring, [[1, 0, 0], [0, 1, 0]])], [e1])
+        with pytest.raises(ValueError):
+            spin([Matrix.identity(ring, 2)], [Matrix.row_vector(ring, [1, 0])])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_burnside_dim_is_invariant_under_transposition(self, seed):
+        # A -> A^T is an anti-isomorphism of the generated algebras; seeds
+        # 0..5 sit on each family's reducibility locus, 6..11 off it
+        rng = random.Random(seed)
+        family = ("upsilon-prime", "omega1p", "omega2p", "omega3p")[seed % 4]
+        on = seed < 6
+        nz = [x for x in range(-5, 6) if x]
+        r2, a, b = (GaussianRational(rng.choice(nz)) for _ in range(3))
+        if family == "upsilon-prime":
+            spec = make_spec("uv", rng.choice((3, 4)), 1)
+            if on:  # row sums 1
+                s2, s3, s4 = 1 - a, b, 1 - b
+            else:  # row sums 2a + 1, column sums 3a + 1, determinant -1
+                s2, s3, s4 = a + 1, 2 * a + 1, 2 * a + 3
+            point = {"s1_1": a, "s2_1": s2, "s3_1": s3, "s4_1": s4}
+        elif family == "omega1p":
+            spec = make_spec("uw", 4, 1)
+            point = {"r2": r2, "s2_1": r2 if on else r2 + 1, "s3_1": 1 / r2}
+        else:
+            spec = make_spec("uw", 4, 1)
+            key = "s4_1" if family == "omega2p" else "s1_1"
+            point = {"r2": r2, "s2_1": a, key: (1 if on else 2) - a / r2}
+        gens = _images(build_local_rep(family, spec, point))
+        assert burnside_dim([g.transpose() for g in gens]) == burnside_dim(gens)
+
     def test_spin_of_all_ones_under_permutations(self):
         spec = make_spec("uv", 4, 1)
         rep = build_local_rep(

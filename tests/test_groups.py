@@ -14,7 +14,6 @@ from uvbraid.groups import (
     abelianize,
     free_reduce,
     make_spec,
-    normal_form_n2,
     parse_word,
     perm_image,
     phi,
@@ -157,16 +156,8 @@ class TestRewriting:
         spec = make_spec("uv", 2, 2)
         w = parse_word("s1,1 r1 r1 s1,2", spec)
         assert str(free_reduce(w, spec)) == "s1,1 s1,2"
-
-    def test_normal_form_examples(self):
-        spec = make_spec("uv", 2, 2)
-        assert str(normal_form_n2(parse_word("r1 s1,1 r1", spec), spec)) == "r1 s1,1 r1"
-        assert str(normal_form_n2(parse_word("s1,1 r1 r1 s1,2", spec), spec)) == "s1,1 s1,2"
-
-    def test_normal_form_requires_two_strands(self):
-        spec = make_spec("uv", 3, 1)
-        with pytest.raises(ValueError):
-            normal_form_n2(parse_word("r1", spec), spec)
+        w = parse_word("r1 s1,1 r1", spec)
+        assert str(free_reduce(w, spec)) == "r1 s1,1 r1"
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=80)
@@ -183,7 +174,7 @@ class TestRewriting:
         spec = make_spec("uv", 2, 2)
         rng = random.Random(seed)
         w, v = random_word(spec, rng), random_word(spec, rng)
-        same = normal_form_n2(w, spec) == normal_form_n2(v, spec)
+        same = free_reduce(w, spec) == free_reduce(v, spec)
         cancels = free_reduce(w * v.inverse(), spec) == Word()
         assert same == cancels
 

@@ -11,6 +11,27 @@ from uvbraid.matrices import Matrix, block_embed, const_rref
 from uvbraid.scalars import G_ONE, G_ZERO, GaussianRational, PolyRing
 
 
+# Q(i) entries with nonzero imaginary parts drawn often; a matrix is a
+# product through an inner dimension, so rank deficiency is common
+qi_entries = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.integers(-2, 2),
+)
+
+
+@st.composite
+def qi_matrices(draw):
+    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    inner = draw(st.integers(0, 5))
+    a = [[draw(qi_entries) for _ in range(inner)] for _ in range(nr)]
+    b = [[draw(qi_entries) for _ in range(nc)] for _ in range(inner)]
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(inner)), G_ZERO) for j in range(nc)]
+        for i in range(nr)
+    ]
+
+
 @pytest.fixture
 def ring():
     return PolyRing(("a", "b"))
@@ -147,6 +168,29 @@ class TestRankKernel:
         assert pivots == [0, 1]
         assert reduced[0] == [G_ONE, G_ZERO]
         assert reduced[1] == [G_ZERO, G_ONE]
+
+    @settings(max_examples=60, deadline=None)
+    @given(qi_matrices())
+    def test_rank_of_transpose_over_gaussian_rationals(self, rows):
+        m = Matrix.from_rows(PolyRing(("a",)), rows)
+        assert m.rank() == m.transpose().rank()
+
+    @settings(max_examples=60, deadline=None)
+    @given(qi_matrices())
+    def test_const_rref_is_reduced_echelon_of_the_same_row_space(self, rows):
+        reduced, pivots = const_rref(rows)
+        assert len(reduced) == len(rows)
+        assert pivots == sorted(set(pivots))
+        for r, p in enumerate(pivots):
+            assert all(not x for x in reduced[r][:p])
+            assert [row[p] for row in reduced] == [
+                G_ONE if i == r else G_ZERO for i in range(len(reduced))
+            ]
+        assert all(not x for row in reduced[len(pivots):] for x in row)
+        ring = PolyRing(("a",))
+        rank = Matrix.from_rows(ring, rows).rank()
+        assert rank == len(pivots)
+        assert Matrix.from_rows(ring, rows + reduced).rank() == rank
 
     def test_rank_requires_constant_entries(self, ring):
         m = Matrix.from_rows(ring, [[ring.rf("a"), 1], [0, 1]])

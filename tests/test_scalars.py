@@ -201,6 +201,14 @@ class TestRatFunc:
             Fraction(an, ad) + Fraction(bn, bd)
         )
 
+    def test_polynomials_and_rational_functions_are_unhashable(self, ring):
+        # ring.const(3) == 3 and (x^2 - 1)/(x - 1) == x + 1 hold, and the
+        # removed hashes told each pair apart
+        x = ring.rf("x")
+        for value in (ring.const(3), (x * x - 1) / (x - 1)):
+            with pytest.raises(TypeError):
+                hash(value)
+
     def test_inverse_roundtrip(self, ring):
         x, y = ring.rf("x"), ring.rf("y")
         f = (x + y) / (x - y)
