@@ -156,8 +156,11 @@ class TestRewriting:
         spec = make_spec("uv", 2, 2)
         w = parse_word("s1,1 r1 r1 s1,2", spec)
         assert str(free_reduce(w, spec)) == "s1,1 s1,2"
-        w = parse_word("r1 s1,1 r1", spec)
-        assert str(free_reduce(w, spec)) == "r1 s1,1 r1"
+
+    def test_normal_form_examples(self):
+        spec = make_spec("uv", 2, 2)
+        assert str(free_reduce(parse_word("r1 s1,1 r1", spec), spec)) == "r1 s1,1 r1"
+        assert str(free_reduce(parse_word("s1,1 r1 r1 s1,2", spec), spec)) == "s1,1 s1,2"
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=80)
