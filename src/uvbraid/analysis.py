@@ -51,6 +51,9 @@ class RelationOutcome:
     status: str  # "pass" | "fail" | "skipped"
     detail: str = ""
     residue: Matrix | None = None
+    # how a checked relation was discharged: "window", "class of <tag>" or
+    # "disjoint supports"; not part of ``to_dict``
+    how: str = ""
 
 
 @dataclass
@@ -131,6 +134,39 @@ def sample_point(rep: LocalRep, rng: random.Random, tries: int = 500) -> dict:
     raise RuntimeError(f"could not sample a valid point for {rep.name}")
 
 
+def _window(rel: Relation, k: int) -> tuple | None:
+    """Where ``rel`` acts under a k-local homogeneous representation.
+
+    ``None`` for a commutation xy = yx whose two letters sit k or more
+    strands apart: their images are block-diagonal on disjoint coordinates,
+    so they commute identically.  Otherwise ``(key, start, size)``: both
+    sides map to I (+) W (+) I with W on the coordinates start ..
+    start+size-1 (lowest strand index to highest plus k-1), and W depends
+    only on ``key``, the relation shifted to start at strand 1.
+    """
+    lhs, rhs = rel.lhs.letters, rel.rhs.letters
+    if (
+        len(lhs) == 2
+        and rhs == lhs[::-1]
+        and abs(lhs[0][0].index - lhs[1][0].index) >= k
+    ):
+        return None
+    indices = [g.index for g, _e in lhs + rhs]
+    lo, hi = min(indices), max(indices)
+    key = tuple(
+        tuple((g.kind, g.index - lo, g.type, e) for g, e in side)
+        for side in (lhs, rhs)
+    )
+    return key, lo, hi - lo + k
+
+
+def _residue(
+    rep: LocalRep, rel: Relation, start: int = 1, size: int | None = None
+) -> Matrix:
+    """eval(lhs) - eval(rhs) on a window (default: at full degree)."""
+    return eval_word(rep, rel.lhs, start, size) - eval_word(rep, rel.rhs, start, size)
+
+
 def verify_relations(
     rep: LocalRep,
     spec: GroupSpec | None = None,
@@ -140,11 +176,18 @@ def verify_relations(
 ) -> VerificationReport:
     """Check every relation of ``spec`` (default: the rep's own group).
 
-    Symbolic mode expands each residue fully over the parameter ring and is
+    Symbolic mode expands residues exactly over the parameter ring and is
     a proof.  Sampled mode evaluates at ``samples`` random integer points
     avoiding side-condition zeros; it is advisory only.  Relations touching
     a generator the family does not represent (e.g. rho under Burau) are
     reported as skipped, not checked.
+
+    Locality does the rest (see ``_window``): a commutation of letters k or
+    more strands apart passes on disjoint supports with no arithmetic, and
+    every other relation is checked on its window, once per translation
+    class; a later member of a class takes its verdict.  The residue is
+    zero outside the window, so a failure's entry and its full-degree
+    ``residue`` (computed only then) are those of the full products.
     """
     spec = spec or rep.spec
     if spec.n != rep.spec.n:
@@ -160,28 +203,44 @@ def verify_relations(
         reps = [specialize(rep, sample_point(rep, rng)) for _ in range(samples)]
     else:
         reps = [rep]
+    # class key -> (tag of its first member, the first rep it fails at or None)
+    verdicts: dict[tuple, tuple[str, LocalRep | None]] = {}
     outcomes = []
     for rel in rels:
         gap = _letters_covered(rel, rep)
         if gap is not None:
             outcomes.append(RelationOutcome(rel.tag, "skipped", gap))
             continue
-        outcome = RelationOutcome(rel.tag, "pass")
-        for r in reps:
-            residue = eval_word(r, rel.lhs) - eval_word(r, rel.rhs)
-            if not residue.is_zero():
-                bad = next(
-                    (i, j)
-                    for i in range(residue.nrows)
-                    for j in range(residue.ncols)
-                    if not residue.rows[i][j].is_zero()
-                )
-                detail = f"entry {bad}: {residue.rows[bad[0]][bad[1]]}"
-                if r.assignment is not None and rep.assignment is None:
-                    detail += f" at {_point_str(r.assignment)}"
-                outcome = RelationOutcome(rel.tag, "fail", detail, residue)
-                break
-        outcomes.append(outcome)
+        window = _window(rel, rep.block_size)
+        if window is None:
+            outcomes.append(RelationOutcome(rel.tag, "pass", how="disjoint supports"))
+            continue
+        cls, start, size = window
+        verdict = verdicts.get(cls)
+        if verdict is None:
+            failing = next(
+                (r for r in reps if not _residue(r, rel, start, size).is_zero()),
+                None,
+            )
+            verdict = verdicts[cls] = (rel.tag, failing)
+            how = "window"
+        else:
+            how = f"class of {verdict[0]}"
+        r = verdict[1]
+        if r is None:
+            outcomes.append(RelationOutcome(rel.tag, "pass", how=how))
+            continue
+        residue = _residue(r, rel)
+        bad = next(
+            (i, j)
+            for i in range(residue.nrows)
+            for j in range(residue.ncols)
+            if not residue.rows[i][j].is_zero()
+        )
+        detail = f"entry {bad}: {residue.rows[bad[0]][bad[1]]}"
+        if r.assignment is not None and rep.assignment is None:
+            detail += f" at {_point_str(r.assignment)}"
+        outcomes.append(RelationOutcome(rel.tag, "fail", detail, residue, how))
     return VerificationReport(
         rep=rep.describe(),
         spec=spec,
@@ -285,6 +344,9 @@ def generate_constraints(
     polynomial (denominators are monomials in the invertible entries, so
     clearing them loses no solutions).  Equations are deduplicated up to
     nonzero scalar multiples; provenance keeps every contributing tag.
+    Residues are expanded on windows, once per translation class, exactly
+    as ``verify_relations`` checks them; entries outside a window are zero
+    and contribute nothing.
     """
     rep = generic_rep(block_size, spec, rho_form)
     all_rels = {r.tag: r for r in relations(spec)}
@@ -298,21 +360,30 @@ def generate_constraints(
     equations: list[MultiPoly] = []
     provenance: list[list[str]] = []
     seen: dict = {}
+    classes: dict[tuple, list[MultiPoly]] = {}  # window key -> its equations
     for rel in chosen:
-        residue = eval_word(rep, rel.lhs) - eval_word(rep, rel.rhs)
-        for row in residue.rows:
-            for entry in row:
-                if entry.is_zero():
-                    continue
-                eq = entry.num.monic()
-                key = eq.key()
-                idx = seen.get(key)
-                if idx is None:
-                    seen[key] = len(equations)
-                    equations.append(eq)
-                    provenance.append([rel.tag])
-                elif rel.tag not in provenance[idx]:
-                    provenance[idx].append(rel.tag)
+        window = _window(rel, block_size)
+        if window is None:
+            continue
+        cls, start, size = window
+        found = classes.get(cls)
+        if found is None:
+            residue = _residue(rep, rel, start, size)
+            found = classes[cls] = [
+                entry.num.monic()
+                for row in residue.rows
+                for entry in row
+                if not entry.is_zero()
+            ]
+        for eq in found:
+            key = eq.key()
+            idx = seen.get(key)
+            if idx is None:
+                seen[key] = len(equations)
+                equations.append(eq)
+                provenance.append([rel.tag])
+            elif rel.tag not in provenance[idx]:
+                provenance[idx].append(rel.tag)
     appearing: set[str] = set()
     for eq in equations:
         appearing.update(eq.variables())

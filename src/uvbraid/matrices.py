@@ -15,14 +15,17 @@ clarity over asymptotics:
   asking for it raises instead of guessing.
 
 :class:`Echelon` is the one Q(i) elimination kernel: an incremental,
-pivot-normalized row-echelon basis.  ``const_rref`` (and through it
-``Matrix.rank`` and ``Matrix.kernel``) back-substitutes its rows, and the
-span engines of :mod:`uvbraid.analysis` (``burnside_dim`` and ``spin``)
-grow their closures in one.
+pivot-normalized row-echelon basis.  ``Matrix.rank`` counts its pivots,
+``const_rref`` (and through it ``Matrix.kernel``) back-substitutes its
+rows, and the span engines of :mod:`uvbraid.analysis` (``burnside_dim``
+and ``spin``) grow their closures in one.
 
 ``block_embed`` realizes the local pattern  I_(i-1) (+) B (+) I_(m-i-k+1)
 used throughout: a k x k block acting on strands i..i+k-1 of an m-strand
-space, identity elsewhere.
+space, identity elsewhere.  It builds the generator images that the span
+engines and criteria take.  Word images are not products of such
+matrices: :func:`uvbraid.reps.eval_word` applies each letter as an update
+of the k columns its block covers.
 """
 
 from __future__ import annotations
@@ -157,9 +160,6 @@ class Matrix:
             a == b for r1, r2 in zip(self.rows, other.rows) for a, b in zip(r1, r2)
         )
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols))
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
@@ -280,8 +280,11 @@ class Matrix:
         return out
 
     def rank(self) -> int:
-        _, pivots = const_rref(self.constant_entries())
-        return len(pivots)
+        """Number of pivots of an echelon basis of the rows (constants only)."""
+        basis = Echelon()
+        for r in self.constant_entries():
+            basis.insert(r)
+        return len(basis)
 
     def kernel(self) -> list[Matrix]:
         """Basis of the right kernel, as column matrices (constants only)."""

@@ -28,6 +28,12 @@ sits at the row-major position 6 resp. 5 of the generic 3 x 3 block (for
 block: words containing rho letters cannot be evaluated there, and the
 relation verifier reports rho-relations as skipped rather than checked.
 
+Word images come from :func:`eval_word`, the one word-product routine.  It
+applies each letter's block (or its cached inverse, ``LocalRep.letter_block``)
+as an update of the k columns the block covers, on the whole degree or on a
+diagonal window of it; embedded degree-m generator matrices
+(``LocalRep.matrix``) are built only for the engines that take them whole.
+
 Conjugation equivalence is searched over geometric diagonal matrices
 Q = diag(1, q, q^2, ...) -- exactly the shape that relates each family to
 its primed form -- and returns the witness Q together with the parameter
@@ -107,26 +113,25 @@ class LocalRep:
             return self.rho_block is not None
         return g.type in self.sigma_blocks
 
-    def matrix(self, g: Generator, exp: int = 1) -> Matrix:
-        """Embedded degree-m image of g or g^-1, cached."""
+    def letter_block(self, g: Generator, exp: int = 1) -> Matrix:
+        """The k x k block of g, or of g^-1 when ``exp`` < 0 (cached)."""
         if not 1 <= g.index <= self.spec.n - 1:
             raise ValueError(f"strand index {g.index} out of range for {self.spec}")
-        key = (g.kind, g.type, g.index, exp >= 0)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        blk = self.block(g)
-        if exp < 0:
-            blk = self._block_inverse(g)
-        m = block_embed(blk, g.index, self.degree)
-        self._cache[key] = m
-        return m
-
-    def _block_inverse(self, g: Generator) -> Matrix:
+        if exp >= 0:
+            return self.block(g)
         key = ("inv", g.kind, g.type)
         hit = self._cache.get(key)
         if hit is None:
             hit = self.block(g).inverse()
+            self._cache[key] = hit
+        return hit
+
+    def matrix(self, g: Generator, exp: int = 1) -> Matrix:
+        """Embedded degree-m image of g or g^-1, cached."""
+        key = (g.kind, g.type, g.index, exp >= 0)
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = block_embed(self.letter_block(g, exp), g.index, self.degree)
             self._cache[key] = hit
         return hit
 
@@ -411,12 +416,48 @@ def _as_gauss(v) -> GaussianRational:
     return GaussianRational(v)
 
 
-def eval_word(rep: LocalRep, w: Word) -> Matrix:
-    """Image of a word: the product of embedded generator matrices in order."""
-    out = Matrix.identity(rep.ring, rep.degree)
+def eval_word(
+    rep: LocalRep, w: Word, start: int = 1, size: int | None = None
+) -> Matrix:
+    """Image of a word on the diagonal window of coordinates
+    ``start .. start+size-1`` (default: all ``rep.degree`` of them).
+
+    Every letter's image is I (+) B (+) I, so right-multiplying by it
+    rewrites only the k columns its block covers, each as a combination of
+    those same k columns.  The sums run in the order, and skip the zeros,
+    of a full product with the embedded matrix, so every entry is the very
+    representative that product would give.  A word whose letters all fit
+    in the window maps to I (+) W (+) I, with W the returned matrix; a
+    letter that does not fit raises ``ValueError``.
+    """
+    if size is None:
+        size = rep.degree - start + 1
+    if start < 1 or size < 0 or start + size - 1 > rep.degree:
+        raise ValueError(
+            f"window {start}..{start + size - 1} outside degree {rep.degree}"
+        )
+    zero = rep.ring._rf_zero
+    out = [list(r) for r in Matrix.identity(rep.ring, size).rows]
     for g, e in w.letters:
-        out = out * rep.matrix(g, e)
-    return out
+        blk = rep.letter_block(g, e)
+        k = blk.nrows
+        p = g.index - start
+        if p < 0 or p + k > size:
+            raise ValueError(
+                f"{g} does not fit in the window {start}..{start + size - 1}"
+            )
+        cols = list(zip(*blk.rows))
+        for row in out:
+            seg = row[p : p + k]
+            if all(x.is_zero() for x in seg):
+                continue
+            for b, col in enumerate(cols):
+                acc = zero
+                for x, y in zip(seg, col):
+                    if not (x.is_zero() or y.is_zero()):
+                        acc = acc + x * y
+                row[p + b] = acc
+    return Matrix(rep.ring, tuple(tuple(r) for r in out))
 
 
 @dataclass

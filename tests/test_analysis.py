@@ -4,12 +4,14 @@ enumeration, span/irreducibility machinery, quotient factoring."""
 import functools
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import uvbraid.analysis
 from uvbraid.analysis import (
     burnside_dim,
     classify_virtual_point,
@@ -20,12 +22,13 @@ from uvbraid.analysis import (
     generic_rep,
     invariant_check,
     reducibility_criterion,
+    sample_point,
     spin,
     verify_relations,
 )
 from uvbraid.groups import Word, make_spec, relations, rho, sigma, word
 from uvbraid.matrices import Matrix
-from uvbraid.reps import build_local_rep
+from uvbraid.reps import build_local_rep, eval_word, specialize
 from uvbraid.scalars import GaussianRational, PolyRing
 
 
@@ -87,6 +90,202 @@ class TestVerifyRelations:
         rep = build_local_rep("upsilon", make_spec("uv", 3, 1))
         with pytest.raises(ValueError):
             verify_relations(rep, mode="fuzzy")
+
+
+def _full_degree_residue(rep, rel):
+    """lhs minus rhs, each a product of embedded generator matrices."""
+
+    def image(w):
+        out = Matrix.identity(rep.ring, rep.degree)
+        for g, e in w.letters:
+            out = out * rep.matrix(g, e)
+        return out
+
+    return image(rel.lhs) - image(rel.rhs)
+
+
+def _full_degree_outcomes(rep, spec, mode, seed):
+    """Reference ``(tag, status, detail, residue)`` per relation of ``spec``,
+    with every relation expanded at full degree at every sample."""
+    reps = [rep]
+    if mode == "sampled":
+        rng = random.Random(seed)
+        reps = [specialize(rep, sample_point(rep, rng)) for _ in range(3)]
+    out = []
+    for rel in relations(spec):
+        letters = [g for w in (rel.lhs, rel.rhs) for g, _e in w.letters]
+        gap = next((g for g in letters if not rep.has_block(g)), None)
+        if gap is not None:
+            detail = f"family {rep.name!r} has no block for {gap}"
+            out.append((rel.tag, "skipped", detail, None))
+            continue
+        for r in reps:
+            residue = _full_degree_residue(r, rel)
+            bad = [
+                (i, j)
+                for i in range(rep.degree)
+                for j in range(rep.degree)
+                if not residue[i, j].is_zero()
+            ]
+            if bad:
+                detail = f"entry {bad[0]}: {residue[bad[0]]}"
+                if r is not rep:
+                    point = sorted(r.assignment.items())
+                    detail += " at {" + ", ".join(f"{k}={v}" for k, v in point) + "}"
+                out.append((rel.tag, "fail", detail, residue))
+                break
+        else:
+            out.append((rel.tag, "pass", "", None))
+    return out
+
+
+def _full_degree_constraints(k, spec, rho_form):
+    """Reference ``ConstraintSystem.to_dict()``: every relation's residue at
+    full degree, deduplicated in order."""
+    rep = generic_rep(k, spec, rho_form)
+    equations, provenance, seen = [], [], {}
+    for rel in relations(spec):
+        residue = _full_degree_residue(rep, rel)
+        for entry in (x for row in residue.rows for x in row if not x.is_zero()):
+            eq = entry.num.monic()
+            idx = seen.setdefault(eq.key(), len(equations))
+            if idx == len(equations):
+                equations.append(eq)
+                provenance.append([rel.tag])
+            elif rel.tag not in provenance[idx]:
+                provenance[idx].append(rel.tag)
+    appearing = set().union(*(eq.variables() for eq in equations))
+    return {
+        "block_size": k,
+        "unknowns": [v for v in rep.ring.vars if v in appearing],
+        "equations": [str(eq) for eq in equations],
+        "provenance": provenance,
+    }
+
+
+_FAMILY_GROUPS = [
+    ("upsilon", "uv", 2),
+    ("upsilon-prime", "uv", 2),
+    *((f"epsilon{j}", "uv", 2) for j in (1, 2, 3, 4)),
+    *((f"omega{j}{p}", "uw", 1) for j in (1, 2, 3) for p in ("", "p")),
+    ("burau", "vb", None),
+    ("f-rep", "vb", None),
+]
+# (family, group of the rep, group whose relations are checked)
+_FAILING_PAIRINGS = [
+    ("upsilon", ("vt", 3, None), ("vt", 3, None)),
+    ("upsilon", ("uw", 3, 1), ("uw", 3, 1)),
+    ("epsilon1", ("uv", 4, 2), ("uw", 4, 2)),
+    ("epsilon3", ("uv", 4, 2), ("uw", 4, 2)),
+    ("burau", ("vb", 4, None), ("vt", 4, None)),
+    ("f-rep", ("vb", 4, None), ("vt", 4, None)),
+]
+# pairings whose relations pass or are skipped (no virtual block)
+_SKIPPING_PAIRINGS = [
+    ("burau", ("wb", 4, None), ("wb", 4, None)),
+    ("f-rep", ("vsg", 4, None), ("vsg", 4, None)),
+]
+_AGREEMENT_CASES = [
+    (fam, (flavor, n, c), (flavor, n, c))
+    for fam, flavor, c in _FAMILY_GROUPS
+    for n in range(2, 7)
+] + _FAILING_PAIRINGS + _SKIPPING_PAIRINGS
+
+
+def _case_id(value):
+    if isinstance(value, tuple):
+        return "-".join(str(x) for x in value if x is not None)
+    return value
+
+
+class TestLocalityAgainstFullDegree:
+    """Window and class checks against full-degree products of every
+    relation (the reference lives here, not behind an option)."""
+
+    @pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+    @pytest.mark.parametrize("fam,group,checked", _AGREEMENT_CASES, ids=_case_id)
+    def test_verify_agrees_with_full_degree_products(self, fam, group, checked, mode):
+        rep = build_local_rep(fam, make_spec(*group))
+        spec = make_spec(*checked)
+        report = verify_relations(rep, spec=spec, mode=mode, seed=spec.n)
+        reference = _full_degree_outcomes(rep, spec, mode, seed=spec.n)
+        assert [(o.tag, o.status, o.detail) for o in report.outcomes] == [
+            ref[:3] for ref in reference
+        ]
+        for o, (_t, status, _d, residue) in zip(report.outcomes, reference):
+            if status == "fail":
+                assert o.residue == residue
+            else:
+                assert o.residue is None
+
+    @pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+    def test_pairings_fail_or_skip_as_listed(self, mode):
+        for pairings, failing in (
+            (_FAILING_PAIRINGS, True),
+            (_SKIPPING_PAIRINGS, False),
+        ):
+            for fam, group, checked in pairings:
+                rep = build_local_rep(fam, make_spec(*group))
+                report = verify_relations(rep, spec=make_spec(*checked), mode=mode)
+                assert bool(report.failed) == failing, fam
+                assert failing or report.skipped
+
+    def test_a_class_fails_at_its_first_failing_sample(self, monkeypatch):
+        # INV holds at the first point (an involutive crossing block) and
+        # fails at the second, for every member of the class
+        on_locus = {"r2": 2, "s1_1": 0, "s2_1": 1, "s3_1": 1, "s4_1": 0}
+        off_locus = {"r2": 3, "s1_1": 1, "s2_1": 2, "s3_1": -1, "s4_1": 5}
+        points = iter([on_locus, off_locus, on_locus])
+        def sample(rep, rng):
+            return {k: GaussianRational(v) for k, v in next(points).items()}
+
+        monkeypatch.setattr(uvbraid.analysis, "sample_point", sample)
+        rep = build_local_rep("upsilon", make_spec("vt", 4))
+        report = verify_relations(rep, mode="sampled")
+        at = " at {" + ", ".join(f"{k}={v}" for k, v in sorted(off_locus.items()))
+        assert [o.tag for o in report.failed] == [f"INV[i={i},t=1]" for i in (1, 2, 3)]
+        assert all(o.detail.endswith(at + "}") for o in report.failed)
+
+    @pytest.mark.parametrize(
+        "k,flavor,n,c,rho_form",
+        [(2, "uv", n, c, "generic") for n in (3, 4, 5) for c in (1, 2)]
+        + [
+            (2, "uw", 4, 1, "antidiagonal"),
+            (3, "uv", 4, 2, "generic"),
+            (3, "uw", 4, 1, "generic"),
+        ],
+    )
+    def test_constraints_agree_with_full_degree_products(
+        self, k, flavor, n, c, rho_form
+    ):
+        spec = make_spec(flavor, n, c)
+        system = generate_constraints(k, spec, rho_form=rho_form)
+        assert system.to_dict() == _full_degree_constraints(k, spec, rho_form)
+
+    def test_window_checks_do_not_grow_with_n(self, monkeypatch):
+        windows = []
+
+        def counting(rep, w, start=1, size=None):
+            windows.append((start, size))
+            return eval_word(rep, w, start, size)
+
+        monkeypatch.setattr(uvbraid.analysis, "eval_word", counting)
+        for n in (6, 12):
+            windows.clear()
+            rep = build_local_rep("upsilon", make_spec("uv", n, 3))
+            report = verify_relations(rep)
+            assert report.all_passed
+            # both sides of PR1, PR3 and MR2 for each of the three types, on
+            # windows of span + 1 strands, whatever n is
+            assert len(windows) == 2 * 5
+            assert all(size <= 3 for _start, size in windows)
+            for o in report.outcomes:
+                if o.tag.startswith(("PR2", "CR", "MR1")):
+                    assert o.how == "disjoint supports", o.tag
+                else:
+                    first = re.sub(r"i=\d+", "i=1", o.tag)
+                    want = "window" if o.tag == first else f"class of {first}"
+                    assert o.how == want, o.tag
 
 
 class TestGenerateConstraints:

@@ -4,7 +4,7 @@ word evaluation, and diagonal conjugation equivalences."""
 import pytest
 
 from uvbraid.groups import make_spec, parse_word, rho, sigma
-from uvbraid.matrices import Matrix
+from uvbraid.matrices import Matrix, block_embed
 from uvbraid.reps import (
     FAMILY_NAMES,
     build_local_rep,
@@ -146,6 +146,26 @@ class TestEmbeddingAndEvaluation:
         rep = build_local_rep("upsilon", spec)
         w = parse_word("r1 s2,1", spec)
         assert eval_word(rep, w) == rep.matrix(rho(1)) * rep.matrix(sigma(2, 1))
+
+    def test_eval_word_on_a_window_is_the_diagonal_block_of_the_full_image(self):
+        spec = make_spec("uv", 5, 2)
+        rep = build_local_rep("epsilon3", spec)  # k = 3, degree 6
+        w = parse_word("r2 s3,1^-1 r3 s2,2 r2", spec)
+        full = eval_word(rep, w)
+        product = Matrix.identity(rep.ring, rep.degree)
+        for g, e in w.letters:
+            product = product * rep.matrix(g, e)
+        # the column updates give the very representatives of the product
+        assert _entry_strings(full) == _entry_strings(product)
+        window = eval_word(rep, w, start=2, size=4)
+        assert _entry_strings(window) == [row[1:5] for row in _entry_strings(full)[1:5]]
+        assert full == block_embed(window, 2, rep.degree)
+        with pytest.raises(ValueError, match="does not fit"):
+            eval_word(rep, w, start=3, size=4)
+        with pytest.raises(ValueError, match="outside degree"):
+            eval_word(rep, w, start=2, size=6)
+        with pytest.raises(ValueError, match="out of range"):
+            eval_word(rep, parse_word("r5", make_spec("uv", 6, 2)))
 
     def test_generator_images_cover_all_generators(self):
         spec = make_spec("uv", 4, 2)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uvbraid.matrices import Matrix
 from uvbraid.scalars import (
     G_I,
     G_ONE,
@@ -208,6 +209,11 @@ class TestRatFunc:
         for value in (ring.const(3), (x * x - 1) / (x - 1)):
             with pytest.raises(TypeError):
                 hash(value)
+
+    def test_matrices_are_unhashable(self, ring):
+        # a hash of the shape alone made every same-shape matrix collide
+        with pytest.raises(TypeError):
+            hash(Matrix.identity(ring, 2))
 
     def test_inverse_roundtrip(self, ring):
         x, y = ring.rf("x"), ring.rf("y")
