@@ -29,7 +29,7 @@ from .groups import (
     sigma,
     word,
 )
-from .matrices import Echelon, Matrix
+from .matrices import Echelon, Matrix, place
 from .reps import LocalRep, build_local_rep, canonical_family, eval_word, specialize
 from .scalars import (
     G_ONE,
@@ -160,10 +160,8 @@ def _window(rel: Relation, k: int) -> tuple | None:
     return key, lo, hi - lo + k
 
 
-def _residue(
-    rep: LocalRep, rel: Relation, start: int = 1, size: int | None = None
-) -> Matrix:
-    """eval(lhs) - eval(rhs) on a window (default: at full degree)."""
+def _residue(rep: LocalRep, rel: Relation, start: int, size: int) -> Matrix:
+    """eval(lhs) - eval(rhs) on the window start .. start+size-1."""
     return eval_word(rep, rel.lhs, start, size) - eval_word(rep, rel.rhs, start, size)
 
 
@@ -186,8 +184,9 @@ def verify_relations(
     more strands apart passes on disjoint supports with no arithmetic, and
     every other relation is checked on its window, once per translation
     class; a later member of a class takes its verdict.  The residue is
-    zero outside the window, so a failure's entry and its full-degree
-    ``residue`` (computed only then) are those of the full products.
+    zero outside the window, so a failing member's full-degree ``residue``
+    is its class's window residue placed at the member's offset, and its
+    entry is that of the full products.
     """
     spec = spec or rep.spec
     if spec.n != rep.spec.n:
@@ -196,6 +195,8 @@ def verify_relations(
         raise ValueError("requested spec has more crossing types than the rep")
     if mode not in ("symbolic", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"sampled mode needs at least one sample; got {samples}")
     rels = relations(spec)
     reps: list[LocalRep]
     if mode == "sampled" and rep.assignment is None:
@@ -203,8 +204,10 @@ def verify_relations(
         reps = [specialize(rep, sample_point(rep, rng)) for _ in range(samples)]
     else:
         reps = [rep]
-    # class key -> (tag of its first member, the first rep it fails at or None)
-    verdicts: dict[tuple, tuple[str, LocalRep | None]] = {}
+    zeros = Matrix.zeros(rep.ring, rep.degree, rep.degree)
+    # class key -> (tag of its first member, None or the first rep it fails
+    # at with its window residue there)
+    verdicts: dict[tuple, tuple[str, tuple[LocalRep, Matrix] | None]] = {}
     outcomes = []
     for rel in rels:
         gap = _letters_covered(rel, rep)
@@ -218,19 +221,17 @@ def verify_relations(
         cls, start, size = window
         verdict = verdicts.get(cls)
         if verdict is None:
-            failing = next(
-                (r for r in reps if not _residue(r, rel, start, size).is_zero()),
-                None,
-            )
+            residues = ((r, _residue(r, rel, start, size)) for r in reps)
+            failing = next(((r, w) for r, w in residues if not w.is_zero()), None)
             verdict = verdicts[cls] = (rel.tag, failing)
             how = "window"
         else:
             how = f"class of {verdict[0]}"
-        r = verdict[1]
-        if r is None:
+        if verdict[1] is None:
             outcomes.append(RelationOutcome(rel.tag, "pass", how=how))
             continue
-        residue = _residue(r, rel)
+        r, window_residue = verdict[1]
+        residue = place(window_residue, start, zeros)
         bad = next(
             (i, j)
             for i in range(residue.nrows)

@@ -65,13 +65,16 @@ def _spec_from(args) -> GroupSpec:
     return make_spec(args.group, args.n, args.c)
 
 
-def _params_from(args) -> dict:
+def _bindings(items: list[str] | None, flag: str, parse) -> dict:
+    """NAME=VALUE items of a repeatable flag; a repeated NAME is refused."""
     out = {}
-    for item in args.param or []:
-        name, _, value = item.partition("=")
-        if not _:
-            raise ValueError(f"bad --param {item!r}; want name=value")
-        out[name] = parse_gaussian(value)
+    for item in items or []:
+        name, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"bad {flag} {item!r}; want name=value")
+        if name in out:
+            raise ValueError(f"{flag} {name} given more than once")
+        out[name] = parse(value)
     return out
 
 
@@ -98,7 +101,7 @@ def _emit(payload: dict, as_json: bool) -> int:
 def cmd_verify(args) -> int:
     spec = _spec_from(args)
     rep = build_local_rep(args.family, spec)
-    params = _params_from(args)
+    params = _bindings(args.param, "--param", parse_gaussian)
     if params:
         rep = specialize(rep, params)
     report = verify_relations(
@@ -145,12 +148,7 @@ def cmd_enumerate(args) -> int:
             invertible.append(gen.rho_block.det().num)
         for t in sorted(gen.sigma_blocks):
             invertible.append(gen.sigma_blocks[t].det().num)
-    fixed = {}
-    for item in args.fixed or []:
-        name, _, value = item.partition("=")
-        if not _:
-            raise ValueError(f"bad --fixed {item!r}; want name=int")
-        fixed[name] = int(value)
+    fixed = _bindings(args.fixed, "--fixed", int)
     scan = enumerate_solutions_mod_p(system, args.mod, invertible, fixed or None)
     payload = {
         "command": "enumerate",
@@ -182,7 +180,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_irreducibility(args) -> int:
     spec = _spec_from(args)
-    params = _params_from(args)
+    params = _bindings(args.param, "--param", parse_gaussian)
     rep = build_local_rep(args.family, spec, params)
     gens = [mat for _g, mat in rep.generator_images()]
     dim = burnside_dim(gens)
@@ -498,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_flags(p)
     p.add_argument("--family", required=True, help=f"one of {', '.join(FAMILY_NAMES)}")
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
-                   help="specialize a parameter (repeatable)")
+                   help="bind a parameter; repeat to bind every one")
     p.add_argument("--sampled", action="store_true",
                    help="advisory check at random points instead of a symbolic proof")
     p.add_argument("--seed", type=int, default=0)

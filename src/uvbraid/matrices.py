@@ -1,43 +1,33 @@
 """Exact dense matrices over a rational-function field, plus block embedding.
 
-Matrices are small here (the largest that ever occurs is degree n+1 for
-modest n), so the representation is a plain tuple of tuples of
-:class:`~uvbraid.scalars.RatFunc` and the algorithms favour exactness and
-clarity over asymptotics:
+Matrices are small here: the paper's representations are k-local with
+k <= 3, so every matrix an engine builds is a k x k block, a word image on
+a window, or a generator image for the Q(i) span closures.  The
+representation is a plain tuple of tuples of
+:class:`~uvbraid.scalars.RatFunc`, and the algorithms favour exactness and
+clarity over asymptotics.  There is one elimination per field:
 
-* determinants use fraction-free Bareiss elimination after clearing each
-  row to a common polynomial denominator (keeps intermediate rational
-  functions from snowballing);
-* inverses use Gauss-Jordan over the function field (a pivot only needs to
-  be nonzero *as a rational function*, so no case analysis on parameters);
-* rank and kernel are defined only for matrices of constants: the rank of
-  a symbolic matrix genuinely depends on where the parameters sit, so
-  asking for it raises instead of guessing.
+* over the function field, fraction-free Bareiss elimination gives
+  determinants (after clearing each row to a common polynomial
+  denominator, which keeps intermediate rational functions from
+  snowballing); inverses are the adjugate over that determinant, so a
+  polynomial matrix's inverse has no denominator but the determinant;
+* over Q(i), :class:`Echelon` is an incremental, pivot-normalized
+  row-echelon basis; the span engines of :mod:`uvbraid.analysis`
+  (``burnside_dim`` and ``spin``) grow their closures in one.
 
-:class:`Echelon` is the one Q(i) elimination kernel: an incremental,
-pivot-normalized row-echelon basis.  ``Matrix.rank`` counts its pivots,
-``const_rref`` (and through it ``Matrix.kernel``) back-substitutes its
-rows, and the span engines of :mod:`uvbraid.analysis` (``burnside_dim``
-and ``spin``) grow their closures in one.
-
-``block_embed`` realizes the local pattern  I_(i-1) (+) B (+) I_(m-i-k+1)
-used throughout: a k x k block acting on strands i..i+k-1 of an m-strand
-space, identity elsewhere.  It builds the generator images that the span
-engines and criteria take.  Word images are not products of such
-matrices: :func:`uvbraid.reps.eval_word` applies each letter as an update
-of the k columns its block covers.
+``place`` writes a block over a diagonal window of a larger matrix.
+``block_embed`` uses it to realize the local pattern
+I_(i-1) (+) B (+) I_(m-i-k+1): a k x k block acting on strands
+i..i+k-1 of an m-strand space, identity elsewhere.  It builds the
+generator images that the span engines and criteria take.  Word images are
+not products of such matrices: :func:`uvbraid.reps.eval_word` applies each
+letter as an update of the k columns its block covers.
 """
 
 from __future__ import annotations
 
-from .scalars import (
-    G_ONE,
-    G_ZERO,
-    GaussianRational,
-    MultiPoly,
-    PolyRing,
-    RatFunc,
-)
+from .scalars import GaussianRational, MultiPoly, PolyRing, RatFunc
 
 
 class Matrix:
@@ -138,16 +128,6 @@ class Matrix:
         c = self.ring.rf(c)
         return Matrix(self.ring, tuple(tuple(a * c for a in r) for r in self.rows))
 
-    def __pow__(self, k: int) -> Matrix:
-        if self.nrows != self.ncols:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Matrix.identity(self.ring, self.nrows)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def transpose(self) -> Matrix:
         return Matrix(self.ring, tuple(zip(*self.rows)))
 
@@ -234,34 +214,34 @@ class Matrix:
         return RatFunc(d, scale)
 
     def inverse(self) -> Matrix:
-        """Inverse over the rational-function field (Gauss-Jordan).
+        """Inverse over the rational-function field: the adjugate over det.
 
-        Pivots only need to be nonzero rational functions; the result is valid
-        wherever no denominator vanishes.  Raises ValueError when the matrix is
-        singular as a matrix of functions.
+        Entry (i, j) is (-1)^(i+j) det(minor(j, i)) / det, valid wherever
+        det does not vanish.  Raises ValueError when the matrix is singular
+        as a matrix of functions.
         """
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
+        d = self.det()
+        if d.is_zero():
+            raise ValueError("matrix is singular over the function field")
         n = self.nrows
-        ident = Matrix.identity(self.ring, n)
-        aug = [list(r) + list(ir) for r, ir in zip(self.rows, ident.rows)]
-        for col in range(n):
-            pivot_row = None
-            for i in range(col, n):
-                if not aug[i][col].is_zero():
-                    pivot_row = i
-                    if aug[i][col].is_constant():
-                        break  # cheapest pivot available
-            if pivot_row is None:
-                raise ValueError("matrix is singular over the function field")
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [a * inv for a in aug[col]]
-            for i in range(n):
-                if i != col and not aug[i][col].is_zero():
-                    f = aug[i][col]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-        return Matrix(self.ring, tuple(tuple(row[n:]) for row in aug))
+
+        def cofactor(i: int, j: int) -> RatFunc:
+            minor = tuple(
+                r[:j] + r[j + 1 :] for a, r in enumerate(self.rows) if a != i
+            )
+            c = Matrix(self.ring, minor).det()
+            return -c if (i + j) % 2 else c
+
+        # a cofactor equal to det divides to det/det, a 1 that RatFunc's
+        # normalization cannot see; write it as 1
+        one = self.ring._rf_one
+        quotients = ((cofactor(j, i) / d for j in range(n)) for i in range(n))
+        return Matrix(
+            self.ring,
+            tuple(tuple(one if x.is_one() else x for x in row) for row in quotients),
+        )
 
     # -- constant-matrix operations --------------------------------------
 
@@ -278,29 +258,6 @@ class Matrix:
                 row.append(a.constant_value())
             out.append(row)
         return out
-
-    def rank(self) -> int:
-        """Number of pivots of an echelon basis of the rows (constants only)."""
-        basis = Echelon()
-        for r in self.constant_entries():
-            basis.insert(r)
-        return len(basis)
-
-    def kernel(self) -> list[Matrix]:
-        """Basis of the right kernel, as column matrices (constants only)."""
-        rows, pivots = const_rref(self.constant_entries())
-        n = self.ncols
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(n):
-            if free in pivot_set:
-                continue
-            vec = [G_ZERO] * n
-            vec[free] = G_ONE
-            for r, p in enumerate(pivots):
-                vec[p] = -rows[r][free]
-            basis.append(Matrix.column(self.ring, vec))
-        return basis
 
     # -- evaluation and rendering ----------------------------------------
 
@@ -322,16 +279,6 @@ class Matrix:
         return f"<Matrix {self.nrows}x{self.ncols} {self}>"
 
 
-def _eliminate(
-    v: list[GaussianRational], piv: int, row: list[GaussianRational]
-) -> list[GaussianRational]:
-    """``v`` minus the multiple of ``row`` (1 at ``piv``) that zeroes v[piv]."""
-    c = v[piv]
-    if not c:
-        return v
-    return [a - c * b if b else a for a, b in zip(v, row)]
-
-
 class Echelon:
     """Incremental row-echelon basis over Q(i), keyed by pivot column.
 
@@ -348,8 +295,10 @@ class Echelon:
     def insert(self, vec: list[GaussianRational]) -> list[GaussianRational] | None:
         """Reduce against the basis; add and return the reduced row if new."""
         v = list(vec)
-        for piv in sorted(self.rows):
-            v = _eliminate(v, piv, self.rows[piv])
+        for piv, row in sorted(self.rows.items()):
+            c = v[piv]
+            if c:
+                v = [a - c * b if b else a for a, b in zip(v, row)]
         piv = next((i for i, a in enumerate(v) if a), None)
         if piv is None:
             return None
@@ -358,45 +307,23 @@ class Echelon:
         self.rows[piv] = v
         return v
 
-    def reduced(self) -> list[list[GaussianRational]]:
-        """The rows in pivot order, back-substituted (last pivot first) into
-        reduced row echelon form; the basis itself is left as it is."""
-        pivots = sorted(self.rows)
-        out = [self.rows[p] for p in pivots]
-        for k in range(len(pivots) - 1, 0, -1):
-            for j in range(k):
-                out[j] = _eliminate(out[j], pivots[k], out[k])
-        return out
 
-
-def const_rref(
-    rows: list[list[GaussianRational]],
-) -> tuple[list[list[GaussianRational]], list[int]]:
-    """RREF of a matrix of Q(i) scalars; returns (rows, pivot column indices),
-    with the zero rows last."""
-    basis = Echelon()
-    for r in rows:
-        basis.insert(r)
-    reduced = basis.reduced()
-    ncols = len(rows[0]) if rows else 0
-    zero_rows = [[G_ZERO] * ncols for _ in range(len(rows) - len(reduced))]
-    return reduced + zero_rows, sorted(basis.rows)
-
-
-def block_embed(block: Matrix, pos: int, m: int) -> Matrix:
-    """Embed a k x k block at strand position pos (1-based) in an m x m identity.
-
-    The block occupies rows and columns pos .. pos+k-1.
-    """
-    k = block.nrows
+def place(block: Matrix, pos: int, outer: Matrix) -> Matrix:
+    """``outer`` with a k x k block written over its rows and columns
+    pos .. pos+k-1 (1-based)."""
+    k, m = block.nrows, outer.nrows
     if block.ncols != k:
         raise ValueError("block must be square")
     if pos < 1 or pos + k - 1 > m:
         raise ValueError(
             f"block of size {k} at position {pos} does not fit in degree {m}"
         )
-    out = [list(r) for r in Matrix.identity(block.ring, m).rows]
-    for a in range(k):
-        for b in range(k):
-            out[pos - 1 + a][pos - 1 + b] = block.rows[a][b]
-    return Matrix(block.ring, tuple(tuple(r) for r in out))
+    out = [list(r) for r in outer.rows]
+    for a, row in enumerate(block.rows):
+        out[pos - 1 + a][pos - 1 : pos - 1 + k] = row
+    return Matrix(outer.ring, tuple(tuple(r) for r in out))
+
+
+def block_embed(block: Matrix, pos: int, m: int) -> Matrix:
+    """Embed a k x k block at strand position pos (1-based) in an m x m identity."""
+    return place(block, pos, Matrix.identity(block.ring, m))

@@ -389,6 +389,9 @@ def specialize(rep: LocalRep, assignment: dict) -> LocalRep:
     unknown = set(point) - set(rep.params)
     if unknown:
         raise ValueError(f"unknown parameters {sorted(unknown)} for {rep.name}")
+    missing = [p for p in rep.params if p not in point]
+    if missing:
+        raise ValueError(f"missing parameters {missing} for {rep.name}")
     for cond in rep.side_conditions:
         if cond.evaluate(point).is_zero():
             raise ValueError(

@@ -86,6 +86,13 @@ class TestVerifyRelations:
         with pytest.raises(ValueError):
             verify_relations(rep, spec=make_spec("uv", 4, 1))
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sampled_mode_needs_a_sample(self, samples):
+        # with no point to check, every window relation would pass
+        rep = build_local_rep("upsilon", make_spec("vt", 3, 1))
+        with pytest.raises(ValueError, match="at least one sample"):
+            verify_relations(rep, mode="sampled", samples=samples)
+
     def test_unknown_mode_rejected(self):
         rep = build_local_rep("upsilon", make_spec("uv", 3, 1))
         with pytest.raises(ValueError):
@@ -286,6 +293,19 @@ class TestLocalityAgainstFullDegree:
                     first = re.sub(r"i=\d+", "i=1", o.tag)
                     want = "window" if o.tag == first else f"class of {first}"
                     assert o.how == want, o.tag
+        # a failing pairing: every INV fails, and each failing member's
+        # residue is placed from its class's window, not recomputed
+        counts = []
+        for n in (6, 12):
+            windows.clear()
+            rep = build_local_rep("upsilon", make_spec("uv", n, 1))
+            report = verify_relations(rep, spec=make_spec("vt", n))
+            assert [o.tag for o in report.failed] == [
+                f"INV[i={i},t=1]" for i in range(1, n)
+            ]
+            assert all(size is not None and size <= 3 for _start, size in windows)
+            counts.append(len(windows))
+        assert counts[0] == counts[1]
 
 
 class TestGenerateConstraints:

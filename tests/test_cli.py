@@ -61,6 +61,34 @@ class TestVerifyCommand:
         )
         assert code == 2 and "want name=value" in err
 
+    def test_sampled_mode_without_samples_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--family", "upsilon", "--group", "vt", "--n", "3",
+            "--sampled", "--samples", "0",
+        )
+        assert code == 2 and out == ""
+        assert "at least one sample" in err
+
+    @pytest.mark.parametrize(
+        "command,family", [("verify", "upsilon"), ("irreducibility", "upsilon-prime")]
+    )
+    def test_partial_parameter_point_is_usage_error(self, capsys, command, family):
+        code, out, err = run(
+            capsys, command, "--family", family, "--n", "3", "--c", "1",
+            "--param", "s1_1=1",
+        )
+        assert code == 2 and out == ""
+        assert "missing parameters" in err and "'s2_1'" in err
+
+    def test_repeated_param_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--family", "upsilon-prime", "--n", "3", "--c", "1",
+            "--param", "s1_1=2", "--param", "s2_1=1", "--param", "s3_1=3",
+            "--param", "s4_1=5", "--param", "s1_1=7",
+        )
+        assert code == 2 and out == ""
+        assert "--param s1_1 given more than once" in err
+
     def test_unknown_flavor_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "verify", "--family", "upsilon", "--group", "uq", "--n", "3")
@@ -141,6 +169,15 @@ class TestEnumerateCommand:
         assert code == 2 and out == ""
         assert f"{name!r} is not an unknown" in err
         assert "r1, r2, r3, r4, s1_1, s2_1, s3_1, s4_1" in err
+
+
+    def test_repeated_fixed_name_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "enumerate", "--n", "3", "--c", "1", "--mod", "5",
+            "--fixed", "r1=1", "--fixed", "r1=0", "--json",
+        )
+        assert code == 2 and out == ""
+        assert "--fixed r1 given more than once" in err
 
 
 class TestIrreducibilityCommand:
@@ -267,6 +304,41 @@ class TestJsonStability:
         code, out, _ = run(capsys, "--json", "word", "--word", "r1", "--n", "3")
         assert code == 0
         assert json.loads(out)["reduced"] == "r1"
+
+
+_GOLDEN = Path(__file__).parent / "data"
+
+
+class TestJsonGoldens:
+    """``--json`` output checked byte for byte against committed files, so
+    a change in any reported representative (a residue, an equation) shows
+    up.  A file is rewritten, from the command in its case, only when the
+    change in output is intended."""
+
+    # file stem -> (exit code, argv without --json)
+    CASES = {
+        "verify_upsilon_vt5": (
+            1, ("verify", "--family", "upsilon", "--group", "vt", "--n", "5"),
+        ),
+        "verify_upsilon_vt5_sampled": (
+            1,
+            ("verify", "--family", "upsilon", "--group", "vt", "--n", "5",
+             "--sampled"),
+        ),
+        "verify_epsilon1_uw4_c2": (
+            1,
+            ("verify", "--family", "epsilon1", "--group", "uw", "--n", "4",
+             "--c", "2"),
+        ),
+        "suite_all": (0, ("suite", "--name", "all")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_output_matches_committed_file(self, capsys, name):
+        code, argv = self.CASES[name]
+        got, out, _ = run(capsys, *argv, "--json")
+        assert got == code
+        assert out.encode() == (_GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_import_leaves_numpy_unloaded():

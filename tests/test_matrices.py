@@ -1,5 +1,5 @@
-"""Exact matrices over the rational-function field: arithmetic, determinants,
-inversion, constant-matrix rank/kernel, block embedding."""
+"""Exact matrices over the rational-function field: arithmetic, Bareiss
+determinants, adjugate inverses, the Q(i) echelon basis, block placement."""
 
 import random
 
@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uvbraid.matrices import Matrix, block_embed, const_rref
+from uvbraid.analysis import generic_rep
+from uvbraid.groups import make_spec
+from uvbraid.matrices import Echelon, Matrix, block_embed, place
 from uvbraid.scalars import G_ONE, G_ZERO, GaussianRational, PolyRing
 
 
@@ -61,12 +63,12 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             Matrix.from_rows(ring, [[1, 2], [3]])
 
-    def test_product_and_power(self, ring):
+    def test_product_and_inverse(self, ring):
         a = ring.rf("a")
         m = Matrix.from_rows(ring, [[1, a], [0, 1]])
-        assert (m ** 3).rows[0][1] == 3 * a
-        assert (m ** 0).is_identity()
-        assert (m ** -1 * m).is_identity()
+        assert (m * m * m).rows[0][1] == 3 * a
+        assert m.inverse().rows[0][1] == -a
+        assert (m.inverse() * m).is_identity()
 
     def test_scalar_multiplication(self, ring):
         m = Matrix.from_rows(ring, [[1, 2], [3, 4]])
@@ -123,6 +125,11 @@ class TestInverse:
         assert (m * m.inverse()).is_identity()
         assert (m.inverse() * m).is_identity()
 
+    def test_cofactor_equal_to_det_is_written_as_one(self, ring):
+        a, b = ring.rf("a"), ring.rf("b")
+        m = Matrix.from_rows(ring, [[1, 0, 0], [0, a, 1], [0, 1, b]])
+        assert str(m.inverse()[0, 0]) == "1"
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 10 ** 6))
     def test_random_integer_inverse(self, n, seed):
@@ -136,66 +143,53 @@ class TestInverse:
         else:
             assert (m * m.inverse()).is_identity()
 
+    def test_generic_block_inverse_has_the_determinant_as_denominator(self):
+        block = generic_rep(3, make_spec("uv", 4, 1)).rho_block
+        det, inv = block.det(), block.inverse()
+        assert len(det.num.terms) == 6
+        assert all(len(x.den.terms) <= 6 for row in inv.rows for x in row)
+        assert (block * inv).is_identity()
 
-class TestRankKernel:
-    def test_rank_and_kernel_of_dependent_rows(self, ring):
-        m = Matrix.from_rows(ring, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-        assert m.rank() == 2
-        ker = m.kernel()
-        assert len(ker) == 1
-        assert (m * ker[0]).is_zero()
 
-    def test_full_rank_kernel_empty(self, ring):
-        assert Matrix.identity(ring, 3).kernel() == []
-        assert Matrix.identity(ring, 3).rank() == 3
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 10 ** 6))
-    def test_rank_nullity(self, nr, nc, seed):
-        rng = random.Random(seed)
-        ring = PolyRing(("a",))
-        m = Matrix.from_rows(
-            ring, [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
-        )
-        assert m.rank() + len(m.kernel()) == nc
-        for v in m.kernel():
-            assert (m * v).is_zero()
-
-    def test_rref_pivots_are_unit_columns(self):
-        rows = [[GaussianRational(2), GaussianRational(4)],
-                [GaussianRational(1), GaussianRational(3)]]
-        reduced, pivots = const_rref(rows)
-        assert pivots == [0, 1]
-        assert reduced[0] == [G_ONE, G_ZERO]
-        assert reduced[1] == [G_ZERO, G_ONE]
+class TestEchelon:
+    def test_dependent_row_adds_nothing(self):
+        rows = [[GaussianRational(x) for x in r] for r in ([1, 2, 3], [2, 4, 6], [1, 0, 1])]
+        basis = Echelon()
+        assert basis.insert(rows[0]) == [G_ONE, GaussianRational(2), GaussianRational(3)]
+        assert basis.insert(rows[1]) is None
+        assert basis.insert(rows[2]) is not None
+        assert len(basis) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(qi_matrices())
-    def test_rank_of_transpose_over_gaussian_rationals(self, rows):
-        m = Matrix.from_rows(PolyRing(("a",)), rows)
-        assert m.rank() == m.transpose().rank()
+    def test_row_and_column_bases_have_equal_length(self, rows):
+        by_rows, by_cols = Echelon(), Echelon()
+        for r in rows:
+            by_rows.insert(r)
+        for c in zip(*rows):
+            by_cols.insert(list(c))
+        assert len(by_rows) == len(by_cols)
 
     @settings(max_examples=60, deadline=None)
     @given(qi_matrices())
-    def test_const_rref_is_reduced_echelon_of_the_same_row_space(self, rows):
-        reduced, pivots = const_rref(rows)
-        assert len(reduced) == len(rows)
-        assert pivots == sorted(set(pivots))
-        for r, p in enumerate(pivots):
-            assert all(not x for x in reduced[r][:p])
-            assert [row[p] for row in reduced] == [
-                G_ONE if i == r else G_ZERO for i in range(len(reduced))
-            ]
-        assert all(not x for row in reduced[len(pivots):] for x in row)
-        ring = PolyRing(("a",))
-        rank = Matrix.from_rows(ring, rows).rank()
-        assert rank == len(pivots)
-        assert Matrix.from_rows(ring, rows + reduced).rank() == rank
+    def test_stored_rows_are_echelon_and_span_the_input(self, rows):
+        basis = Echelon()
+        for r in rows:
+            basis.insert(r)
+        before = []
+        for piv, row in basis.rows.items():
+            assert all(not x for x in row[:piv])
+            assert row[piv] == G_ONE
+            assert all(not row[p] for p in before)
+            before.append(piv)
+        for r in rows:
+            assert basis.insert(r) is None
+        assert len(basis) == len(before)
 
-    def test_rank_requires_constant_entries(self, ring):
+    def test_constant_entries_require_constants(self, ring):
         m = Matrix.from_rows(ring, [[ring.rf("a"), 1], [0, 1]])
-        with pytest.raises(ValueError):
-            m.rank()
+        with pytest.raises(ValueError, match="symbolic"):
+            m.constant_entries()
 
 
 class TestBlockEmbed:
@@ -221,6 +215,16 @@ class TestBlockEmbed:
         m1 = block_embed(b, 1, 4)
         m3 = block_embed(b, 3, 4)
         assert m1 * m3 == m3 * m1
+
+    def test_place_keeps_the_outer_matrix_elsewhere(self, ring):
+        b = Matrix.from_rows(ring, [[ring.rf("a"), 1], [1, 0]])
+        outer = Matrix.from_rows(ring, [[j + 3 * i for j in range(3)] for i in range(3)])
+        m = place(b, 2, outer)
+        assert m.rows[0] == outer.rows[0]
+        assert [m.rows[i][0] for i in range(3)] == [ring.rf(x) for x in (0, 3, 6)]
+        assert [list(r[1:]) for r in m.rows[1:]] == [list(r) for r in b.rows]
+        with pytest.raises(ValueError, match="does not fit"):
+            place(b, 3, outer)
 
     def test_identity_outside_block(self, ring):
         b = Matrix.from_rows(ring, [[1, 0], [0, 1]])

@@ -200,7 +200,7 @@ class TestSpecialization:
         base = build_local_rep("upsilon", spec)
         with pytest.raises(ValueError):
             specialize(base, {"r2": 2, "bogus": 1})
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match=r"missing parameters \['s1_1', 's2_1'"):
             specialize(base, {"r2": 2})
 
     def test_build_local_rep_accepts_assignment_directly(self):
