@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .groups import (
     GroupSpec,
@@ -33,7 +34,6 @@ from .matrices import Echelon, Matrix, place
 from .reps import LocalRep, build_local_rep, canonical_family, eval_word, specialize
 from .scalars import (
     G_ONE,
-    G_ZERO,
     GaussianRational,
     MultiPoly,
     PolyRing,
@@ -546,57 +546,54 @@ def classify_virtual_point(sol: dict[str, int], p: int) -> str:
 # span engines over Q(i)
 
 
-def _left_mul(cols: list, vec: list[GaussianRational], width: int) -> list:
-    """A generator, given by the nonzero ``(row, entry)`` pairs of each of
-    its columns, times the m x ``width`` matrix ``vec`` flattened row-major;
-    zero entries on either side are skipped."""
-    out = [G_ZERO] * len(vec)
-    for k, x in enumerate(vec):
-        if x:
+def _left_mul(cols: list, re: list[int], im: list[int], width: int) -> tuple:
+    """A generator, given by the nonzero ``(row, re, im)`` entries of each
+    of its columns, times the m x ``width`` Gaussian-integer matrix with
+    parts ``re`` and ``im`` flattened row-major; zeros are skipped."""
+    out_re, out_im = [0] * len(re), [0] * len(re)
+    for k, (x, y) in enumerate(zip(re, im)):
+        if x or y:
             r, c = divmod(k, width)
-            for i, a in cols[r]:
-                out[i * width + c] = out[i * width + c] + a * x
-    return out
+            for i, a, b in cols[r]:
+                out_re[i * width + c] += a * x - b * y
+                out_im[i * width + c] += a * y + b * x
+    return out_re, out_im
 
 
-def _closure(
-    mats: list[Matrix], seeds: list[list[list[GaussianRational]]], width: int
-) -> Echelon:
+def _closure(mats: list[Matrix], seeds: list[Matrix], width: int) -> Echelon:
     """Echelon basis of the smallest space of m x ``width`` matrices
     (flattened row-major) that contains ``seeds`` and is closed under left
     multiplication by every matrix of ``mats``.
 
-    Each newly reduced row is multiplied by every generator, wave by wave.
-    The reduced rows span the same space as the raw products, so the result
-    is the closure; it stops when a wave adds nothing or the basis fills
-    all m * ``width`` coordinates.
+    Generators and seeds are scaled to Gaussian integers once, which
+    leaves the closure unchanged.  Each newly reduced row is multiplied by
+    every generator, in the order the rows were found (wave by wave); the
+    reduced rows span what the raw products span.  It stops when no row is
+    left, or at once when the basis fills all m * ``width`` coordinates.
     """
     if not mats:
         raise ValueError("need at least one matrix")
-    consts = [g.constant_entries() for g in mats]
-    m = len(consts[0])
-    if any(len(g) != m or any(len(r) != m for r in g) for g in consts):
+    m = mats[0].nrows
+    if any(g.shape != (m, m) for g in mats):
         raise ValueError("matrices must be square and of equal size")
-    gens = [
-        [[(i, a) for i, a in enumerate(col) if a] for col in zip(*g)]
-        for g in consts
-    ]
+    gens = [[[(i, a, b) for i, (a, b) in enumerate(zip(cr, ci)) if a or b]
+             for cr, ci in zip(zip(*re), zip(*im))]
+            for re, im in (g.integer_entries() for g in mats)]
     basis = Echelon()
-    wave = []
+    found = []
     for s in seeds:
-        if len(s) != m or any(len(r) != width for r in s):
+        if s.shape != (m, width):
             raise ValueError(f"seed does not have shape {(m, width)}")
-        r = basis.insert([x for row in s for x in row])
+        r = basis.insert(*([x for row in p for x in row] for p in s.integer_entries()))
         if r is not None:
-            wave.append(r)
-    while wave and len(basis) < m * width:
-        nxt = []
-        for v in wave:
-            for cols in gens:
-                r = basis.insert(_left_mul(cols, v, width))
-                if r is not None:
-                    nxt.append(r)
-        wave = nxt
+            found.append(r)
+    for v in found:  # grows while it is read
+        for cols in gens:
+            if len(basis) == m * width:
+                return basis
+            r = basis.insert(*_left_mul(cols, *v, width))
+            if r is not None:
+                found.append(r)
     return basis
 
 
@@ -610,17 +607,16 @@ def burnside_dim(mats: list[Matrix]) -> int:
     suffice.
     """
     m = mats[0].nrows if mats else 0
-    ident = [[G_ONE if i == j else G_ZERO for j in range(m)] for i in range(m)]
-    return len(_closure(mats, [ident], m))
+    return len(_closure(mats, [Matrix.identity(g.ring, m) for g in mats[:1]], m))
 
 
 def spin(mats: list[Matrix], seeds: list[Matrix]) -> list[Matrix]:
     """Basis of the smallest subspace containing ``seeds`` and invariant
     under every matrix (the 'spin' of the seeds).  Seeds and result are
-    column vectors."""
-    basis = _closure(mats, [s.constant_entries() for s in seeds], 1)
-    ring = mats[0].ring
-    return [Matrix.column(ring, basis.rows[piv]) for piv in sorted(basis.rows)]
+    column vectors, each result scaled to 1 at its first nonzero entry."""
+    rows, ring = sorted(_closure(mats, seeds, 1).rows.items()), mats[0].ring
+    return [Matrix.column(ring, [GaussianRational(Fraction(a, re[p]), Fraction(b, re[p]))
+                                 for a, b in zip(re, im)]) for p, (re, im) in rows]
 
 
 def invariant_check(mats: list[Matrix], vec: Matrix, side: str) -> bool:

@@ -12,8 +12,8 @@ clarity over asymptotics.  There is one elimination per field:
   denominator, which keeps intermediate rational functions from
   snowballing); inverses are the adjugate over that determinant, so a
   polynomial matrix's inverse has no denominator but the determinant;
-* over Q(i), :class:`Echelon` is an incremental, pivot-normalized
-  row-echelon basis; the span engines of :mod:`uvbraid.analysis`
+* over Q(i), :class:`Echelon` is a fraction-free, incremental row-echelon
+  basis of Gaussian-integer rows; the span engines of :mod:`uvbraid.analysis`
   (``burnside_dim`` and ``spin``) grow their closures in one.
 
 ``place`` writes a block over a diagonal window of a larger matrix.
@@ -27,7 +27,9 @@ letter as an update of the k columns its block covers.
 
 from __future__ import annotations
 
-from .scalars import GaussianRational, MultiPoly, PolyRing, RatFunc
+import math
+
+from .scalars import MultiPoly, PolyRing, RatFunc
 
 
 class Matrix:
@@ -245,19 +247,18 @@ class Matrix:
 
     # -- constant-matrix operations --------------------------------------
 
-    def constant_entries(self) -> list[list[GaussianRational]]:
-        """Entries as Q(i) scalars; raises ValueError if anything is symbolic."""
-        out = []
-        for r in self.rows:
-            row = []
-            for a in r:
-                if not a.is_constant():
-                    raise ValueError(
-                        f"matrix is symbolic (entry {a}); bind parameters first"
-                    )
-                row.append(a.constant_value())
-            out.append(row)
-        return out
+    def integer_entries(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The real and the imaginary parts of a constant matrix times the
+        lcm of their denominators: the one step from Q(i) to Z[i].  Raises
+        ValueError if anything is symbolic."""
+        bad = next((a for r in self.rows for a in r if not a.is_constant()), None)
+        if bad is not None:
+            raise ValueError(f"matrix is symbolic (entry {bad}); bind parameters first")
+        vals = [[a.constant_value() for a in r] for r in self.rows]
+        parts = [[x.re for x in r] for r in vals], [[x.im for x in r] for r in vals]
+        lcm = math.lcm(*(q.denominator for part in parts for r in part for q in r))
+        return tuple([[q.numerator * (lcm // q.denominator) for q in r] for r in part]
+                     for part in parts)
 
     # -- evaluation and rendering ----------------------------------------
 
@@ -280,32 +281,53 @@ class Matrix:
 
 
 class Echelon:
-    """Incremental row-echelon basis over Q(i), keyed by pivot column.
-
-    Every stored row is zero before its pivot, has a 1 there, and is zero
-    at the pivots of the rows stored before it.
-    """
+    """Fraction-free incremental row-echelon basis over Q(i).  Each row is a
+    Gaussian-integer vector, the int lists of its real and imaginary parts,
+    with gcd 1; keyed by its pivot, it is zero before it, a positive integer
+    at it and zero at earlier rows' pivots.  The first insert fixes the width."""
 
     def __init__(self):
-        self.rows: dict[int, list[GaussianRational]] = {}
+        self.rows: dict[int, tuple[list[int], list[int]]] = {}
+        self.width: int | None = None
 
     def __len__(self):
         return len(self.rows)
 
-    def insert(self, vec: list[GaussianRational]) -> list[GaussianRational] | None:
-        """Reduce against the basis; add and return the reduced row if new."""
-        v = list(vec)
-        for piv, row in sorted(self.rows.items()):
-            c = v[piv]
-            if c:
-                v = [a - c * b if b else a for a, b in zip(v, row)]
-        piv = next((i for i, a in enumerate(v) if a), None)
+    def insert(self, re: list[int], im: list[int]) -> tuple | None:
+        """Reduce against the basis; add and return the reduced row if new.
+
+        By each stored row b (pivot entry p, ascending pivots), v becomes
+        p*v - v[pivot]*b over its gcd; a new row is multiplied by its pivot's
+        conjugate, as a gcd removes rational factors only and a Gaussian one
+        (2+i, say) would compound from row to row."""
+        w = len(re) if self.width is None else self.width
+        if len(re) != w or len(im) != w:
+            raise ValueError(f"vector of width {len(re)}/{len(im)}, basis of width {w}")
+        self.width = w
+        vr, vi = list(re), list(im)
+        for piv in sorted(self.rows):
+            cr, ci = vr[piv], vi[piv]
+            if cr or ci:
+                br, bi = self.rows[piv]
+                p = br[piv]
+                if ci or any(bi) or any(vi):  # else both are real
+                    vi = [p * y - cr * t - ci * s for y, s, t in zip(vi, br, bi)]
+                vr = [p * x - cr * s + ci * t for x, s, t in zip(vr, br, bi)]
+                vr, vi = _primitive(vr, vi)
+        piv = next((i for i in range(w) if vr[i] or vi[i]), None)
         if piv is None:
             return None
-        inv = v[piv].inverse()
-        v = [a * inv for a in v]
-        self.rows[piv] = v
-        return v
+        pr, pi = vr[piv], vi[piv]
+        if pi or pr < 0:
+            vr, vi = ([pr * x + pi * y for x, y in zip(vr, vi)],
+                      [pr * y - pi * x for x, y in zip(vr, vi)])
+        self.rows[piv] = vr, vi = _primitive(vr, vi)
+        return vr, vi
+
+
+def _primitive(re: list[int], im: list[int]) -> tuple[list[int], list[int]]:
+    g = math.gcd(*re, *im)
+    return ([x // g for x in re], [x // g for x in im]) if g > 1 else (re, im)
 
 
 def place(block: Matrix, pos: int, outer: Matrix) -> Matrix:

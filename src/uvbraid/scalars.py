@@ -18,8 +18,9 @@ computed; these cheap reductions are what keep intermediate growth sane):
 * the denominator is scaled monic (leading coefficient 1 in graded
   lexicographic order over the ring's declared variable order).
 
-Rendering is deterministic: terms are listed in descending graded
-lexicographic order, so equal values always print identically.
+Rendering is deterministic, not canonical: terms are listed in descending
+graded lexicographic order, so one construction always prints the same, but
+equal values may print apart (``1`` and ``(x*y - z)/(x*y - z)``).
 """
 
 from __future__ import annotations
@@ -680,7 +681,8 @@ class RatFunc:
         return self.num.is_constant() and self.den.is_constant()
 
     def constant_value(self) -> GaussianRational:
-        return self.num.constant_value() / self.den.constant_value()
+        c = self.num.constant_value()
+        return c if self.den.is_one() else c / self.den.constant_value()
 
     def as_variable(self) -> str | None:
         """The variable name if this is exactly a single bare variable."""

@@ -6,6 +6,7 @@ import itertools
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,7 +30,9 @@ from uvbraid.analysis import (
 from uvbraid.groups import Word, make_spec, relations, rho, sigma, word
 from uvbraid.matrices import Matrix
 from uvbraid.reps import build_local_rep, eval_word, specialize
-from uvbraid.scalars import GaussianRational, PolyRing
+from uvbraid.scalars import G_ZERO, GaussianRational, PolyRing, parse_gaussian
+
+from test_matrices import FractionEchelon, qi_entries
 
 
 class TestVerifyRelations:
@@ -568,6 +571,116 @@ def _images(rep):
     return [m for _g, m in rep.generator_images()]
 
 
+def _reference_closure(mats, seeds, width):
+    """Reference span closure: Q(i) entries in Fraction arithmetic, each
+    product reduced in the pivot-1 ``FractionEchelon``, every wave run to
+    its end (the engines before they moved to Gaussian integers)."""
+    consts = [[[a.constant_value() for a in r] for r in g.rows] for g in mats]
+    gens = [
+        [[(i, a) for i, a in enumerate(col) if a] for col in zip(*g)]
+        for g in consts
+    ]
+    basis = FractionEchelon()
+    wave = [basis.insert([a.constant_value() for r in s.rows for a in r]) for s in seeds]
+    wave = [v for v in wave if v is not None]
+    while wave and len(basis) < len(consts[0]) * width:
+        nxt = []
+        for v in wave:
+            for cols in gens:
+                out = [G_ZERO] * len(v)
+                for k, x in enumerate(v):
+                    if x:
+                        r, c = divmod(k, width)
+                        for i, a in cols[r]:
+                            out[i * width + c] = out[i * width + c] + a * x
+                new = basis.insert(out)
+                if new is not None:
+                    nxt.append(new)
+        wave = nxt
+    return basis
+
+
+def _reference_burnside_dim(mats):
+    m = mats[0].nrows
+    return len(_reference_closure(mats, [Matrix.identity(mats[0].ring, m)], m))
+
+
+def _reference_spin(mats, seeds):
+    basis = _reference_closure(mats, seeds, 1)
+    return [Matrix.column(mats[0].ring, basis.rows[p]) for p in sorted(basis.rows)]
+
+
+_QI = PolyRing(("t",))
+
+
+@st.composite
+def qi_generator_sets(draw):
+    """1-4 square Q(i) matrices (zeros frequent) and 1-3 column seeds, with
+    at least one entry that has an imaginary part and a denominator."""
+    m = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(G_ZERO), qi_entries)
+    mats = [[[draw(entry) for _ in range(m)] for _ in range(m)]
+            for _ in range(draw(st.integers(1, 4)))]
+    which = draw(st.integers(0, len(mats) * m * m - 1))
+    g, ij = divmod(which, m * m)
+    mats[g][ij // m][ij % m] = GaussianRational(
+        Fraction(draw(st.integers(-3, 3)), draw(st.integers(2, 4))),
+        draw(st.sampled_from([-2, -1, 1, 2])),
+    )
+    seeds = [[draw(entry) for _ in range(m)] for _ in range(draw(st.integers(1, 3)))]
+    return (
+        [Matrix.from_rows(_QI, g) for g in mats],
+        [Matrix.column(_QI, s) for s in seeds],
+    )
+
+
+class TestSpanEnginesAgainstFractionReference:
+    """``burnside_dim`` and ``spin`` on Gaussian-integer rows against the
+    Fraction closure: equal dimensions, identical spin columns."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(qi_generator_sets())
+    def test_random_gaussian_rational_generators(self, case):
+        mats, seeds = case
+        assert burnside_dim(mats) == _reference_burnside_dim(mats)
+        got, want = spin(mats, seeds), _reference_spin(mats, seeds)
+        assert [str(v) for v in got] == [str(v) for v in want]
+        assert got == want
+
+    def test_complex_family_point(self):
+        point = {k: parse_gaussian(v) for k, v in
+                 {"s1_1": "i", "s2_1": "1", "s3_1": "2", "s4_1": "1-i"}.items()}
+        rep = build_local_rep("upsilon-prime", make_spec("uv", 4, 1), point)
+        e1 = Matrix.column(rep.ring, [1, 0, 0, 0])
+        for gens in (_images(rep), [g.transpose() for g in _images(rep)]):
+            assert burnside_dim(gens) == _reference_burnside_dim(gens)
+            got, want = spin(gens, [e1]), _reference_spin(gens, [e1])
+            assert [str(v) for v in got] == [str(v) for v in want]
+
+    def test_closure_does_no_gaussian_rational_arithmetic(self, monkeypatch):
+        # the conversion of 10 generators of degree 6 could cost at most one
+        # operation per entry, 10 * 36; the products and reductions none
+        rep = build_local_rep(
+            "upsilon-prime", make_spec("uv", 6, 1),
+            {"s1_1": 2, "s2_1": -3, "s3_1": 5, "s4_1": 7},
+        )
+        gens = _images(rep)
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[0] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "inverse"):
+            monkeypatch.setattr(GaussianRational, name,
+                                counted(getattr(GaussianRational, name)))
+        assert burnside_dim(gens) == 36
+        assert len(gens) == 10 and calls[0] <= 10 * 36
+
+
 class TestSpanEngines:
     def test_identity_algebra_is_one_dimensional(self):
         ring = PolyRing(("t",))
@@ -755,7 +868,7 @@ class TestReducibilityCriterion:
             "epsilon3", spec, {"r6": 2, "s4_1": 1, "s5_1": 3, "s4_2": 2, "s5_2": 1}
         )
         assert res.verdict == "reducible"
-        col = [row[0] for row in res.witness.constant_entries()]
+        col = [row[0].constant_value() for row in res.witness.rows]
         assert col[1] == GaussianRational(1) / 2  # geometric in 1/r6
 
     def test_epsilon4_dual_reading_is_recorded(self):
@@ -766,7 +879,7 @@ class TestReducibilityCriterion:
         assert res.verdict == "reducible" and res.witness_side == "row"
         joined = " ".join(res.details)
         assert "r2^-1" in joined and "invariant: True" in joined
-        row = res.witness.constant_entries()[0]
+        row = [a.constant_value() for a in res.witness.rows[0]]
         assert row == [GaussianRational(2) ** j for j in range(5)]
 
     def test_families_without_closed_form_rejected(self):

@@ -331,6 +331,23 @@ class TestJsonGoldens:
              "--c", "2"),
         ),
         "suite_all": (0, ("suite", "--name", "all")),
+        "irreducibility_upsilon_prime_uv6_on": (
+            0,
+            ("irreducibility", "--family", "upsilon-prime", "--group", "uv",
+             "--n", "6", "--param", "s1_1=2", "--param", "s2_1=-1",
+             "--param", "s3_1=3", "--param", "s4_1=-2"),
+        ),
+        "irreducibility_upsilon_prime_uv6_off": (
+            0,
+            ("irreducibility", "--family", "upsilon-prime", "--group", "uv",
+             "--n", "6", "--param", "s1_1=2", "--param", "s2_1=-3",
+             "--param", "s3_1=5", "--param", "s4_1=7"),
+        ),
+        "irreducibility_omega2p_uw4_complex": (
+            0,
+            ("irreducibility", "--family", "omega2p", "--group", "uw", "--n", "4",
+             "--param", "r2=1+i", "--param", "s2_1=2", "--param", "s4_1=i"),
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

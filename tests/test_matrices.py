@@ -1,6 +1,7 @@
 """Exact matrices over the rational-function field: arithmetic, Bareiss
 determinants, adjugate inverses, the Q(i) echelon basis, block placement."""
 
+import math
 import random
 
 import pytest
@@ -151,45 +152,124 @@ class TestInverse:
         assert (block * inv).is_identity()
 
 
+class FractionEchelon:
+    """Reference: the Q(i) echelon basis in Fraction arithmetic, as the
+    engines ran it before ``Echelon`` went fraction-free.  Every stored row
+    is zero before its pivot, has a 1 there, and is zero at the pivots of
+    the rows stored before it."""
+
+    def __init__(self):
+        self.rows: dict[int, list[GaussianRational]] = {}
+
+    def __len__(self):
+        return len(self.rows)
+
+    def insert(self, vec: list[GaussianRational]) -> list[GaussianRational] | None:
+        v = list(vec)
+        for piv, row in sorted(self.rows.items()):
+            c = v[piv]
+            if c:
+                v = [a - c * b if b else a for a, b in zip(v, row)]
+        piv = next((i for i, a in enumerate(v) if a), None)
+        if piv is None:
+            return None
+        inv = v[piv].inverse()
+        v = [a * inv for a in v]
+        self.rows[piv] = v
+        return v
+
+
+_Q = PolyRing(("a",))
+
+
+def _gaussian_integer_rows(rows):
+    """Q(i) rows as (re, im) int rows of one common multiple of them."""
+    re, im = Matrix.from_rows(_Q, rows).integer_entries()
+    return list(zip(re, im))
+
+
 class TestEchelon:
     def test_dependent_row_adds_nothing(self):
-        rows = [[GaussianRational(x) for x in r] for r in ([1, 2, 3], [2, 4, 6], [1, 0, 1])]
+        zero = [0, 0, 0]
         basis = Echelon()
-        assert basis.insert(rows[0]) == [G_ONE, GaussianRational(2), GaussianRational(3)]
-        assert basis.insert(rows[1]) is None
-        assert basis.insert(rows[2]) is not None
+        assert basis.insert([2, 4, 6], zero) == ([1, 2, 3], zero)
+        assert basis.insert([1, 2, 3], zero) is None
+        assert basis.insert([1, 0, 1], zero) is not None
         assert len(basis) == 2
+
+    def test_width_is_fixed_by_the_first_insert(self):
+        basis = Echelon()
+        basis.insert([1, 2, 3], [0, 0, 0])
+        for re, im in (([1, 2], [0, 0]), ([0, 0, 0, 5], [0, 0, 0, 0]),
+                       ([0, 1, 0], [0, 0])):
+            with pytest.raises(ValueError, match="width 3"):
+                basis.insert(re, im)
+        assert len(basis) == 1
+
+    def test_a_gaussian_pivot_is_made_an_integer(self):
+        basis = Echelon()
+        assert basis.insert([2, 1], [1, 0]) == ([5, 2], [0, -1])  # times 2-i
+        assert basis.insert([0, 3], [0, 0]) is not None
+        assert basis.insert([1, 0], [0, 0]) is None
+
+    def test_a_real_row_reduces_a_complex_vector(self):
+        basis = Echelon()
+        basis.insert([2, 1, 0], [0, 0, 0])
+        # 2 * (1, 0, i) - 1 * (2, 1, 0) = (0, -1, 2i), stored as (0, 1, -2i)
+        assert basis.insert([1, 0, 0], [0, 0, 1]) == ([0, 1, 0], [0, 0, -2])
 
     @settings(max_examples=60, deadline=None)
     @given(qi_matrices())
     def test_row_and_column_bases_have_equal_length(self, rows):
         by_rows, by_cols = Echelon(), Echelon()
-        for r in rows:
-            by_rows.insert(r)
-        for c in zip(*rows):
-            by_cols.insert(list(c))
+        for r in _gaussian_integer_rows(rows):
+            by_rows.insert(*r)
+        for c in _gaussian_integer_rows([list(c) for c in zip(*rows)]):
+            by_cols.insert(*c)
         assert len(by_rows) == len(by_cols)
 
     @settings(max_examples=60, deadline=None)
     @given(qi_matrices())
     def test_stored_rows_are_echelon_and_span_the_input(self, rows):
         basis = Echelon()
-        for r in rows:
-            basis.insert(r)
+        zrows = _gaussian_integer_rows(rows)
+        for r in zrows:
+            basis.insert(*r)
         before = []
-        for piv, row in basis.rows.items():
-            assert all(not x for x in row[:piv])
-            assert row[piv] == G_ONE
-            assert all(not row[p] for p in before)
+        for piv, (re, im) in basis.rows.items():
+            assert not any(re[:piv]) and not any(im[:piv])
+            assert re[piv] > 0 and im[piv] == 0
+            assert math.gcd(*re, *im) == 1
+            assert all(not (re[p] or im[p]) for p in before)
             before.append(piv)
-        for r in rows:
-            assert basis.insert(r) is None
+        for r in zrows:
+            assert basis.insert(*r) is None
         assert len(basis) == len(before)
+
+    @settings(max_examples=80, deadline=None)
+    @given(qi_matrices())
+    def test_agrees_with_the_fraction_reference(self, rows):
+        basis, ref = Echelon(), FractionEchelon()
+        for r, z in zip(rows, _gaussian_integer_rows(rows)):
+            assert (basis.insert(*z) is None) == (ref.insert(r) is None)
+        assert sorted(basis.rows) == sorted(ref.rows)
+        for piv, row in basis.rows.items():
+            # the least integer multiple of the pivot-1 row, so no larger
+            want = ref.rows[piv]
+            d = math.lcm(*(x.re.denominator for x in want),
+                         *(x.im.denominator for x in want))
+            assert row == ([int(x.re * d) for x in want], [int(x.im * d) for x in want])
 
     def test_constant_entries_require_constants(self, ring):
         m = Matrix.from_rows(ring, [[ring.rf("a"), 1], [0, 1]])
         with pytest.raises(ValueError, match="symbolic"):
-            m.constant_entries()
+            m.integer_entries()
+
+    def test_integer_entries_clear_every_denominator_once(self, ring):
+        half, third_i = GaussianRational(1) / 2, GaussianRational(0, 1) / 3
+        m = Matrix.from_rows(ring, [[half, third_i], [0, 1 + third_i]])
+        assert m.integer_entries() == ([[3, 0], [0, 6]], [[0, 2], [0, 2]])
+        assert Matrix.identity(ring, 2).integer_entries() == ([[1, 0], [0, 1]], [[0, 0], [0, 0]])
 
 
 class TestBlockEmbed:

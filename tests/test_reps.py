@@ -184,7 +184,7 @@ class TestSpecialization:
             {"r2": 2, "s1_1": 1, "s2_1": 0, "s3_1": 0, "s4_1": 1},
         )
         assert rep.assignment["r2"] == GaussianRational(2)
-        assert eval_word(rep, parse_word("r1", spec)).constant_entries()[0][1] == GaussianRational(2)
+        assert eval_word(rep, parse_word("r1", spec))[0, 1].constant_value() == GaussianRational(2)
 
     def test_side_condition_zero_rejected(self):
         spec = make_spec("uv", 3, 1)
