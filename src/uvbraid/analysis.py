@@ -629,15 +629,15 @@ def invariant_check(mats: list[Matrix], vec: Matrix, side: str) -> bool:
     if side == "row" and vec.nrows != 1:
         raise ValueError(f"row witness must be 1 x m, got {vec.shape}")
     entries = [x for row in vec.rows for x in row]
-    if all(x.is_zero() for x in entries):
+    p = next((i for i, x in enumerate(entries) if not x.is_zero()), None)
+    if p is None:
         raise ValueError("witness vector is zero")
+    # over a field, w || v  iff  v_p w_j = v_j w_p  at v's first nonzero p
     for m in mats:
         image = m * vec if side == "column" else vec * m
         img = [x for row in image.rows for x in row]
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                if entries[i] * img[j] != entries[j] * img[i]:
-                    return False
+        if any(entries[p] * y != x * img[p] for x, y in zip(entries, img)):
+            return False
     return True
 
 

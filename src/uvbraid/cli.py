@@ -162,7 +162,10 @@ def cmd_enumerate(args) -> int:
         "checks": [],
     }
     lines = [f"{scan.count} solutions mod {scan.p}"]
-    if scan.solutions and all(f"r{j}" in scan.solutions[0] for j in (1, 2, 3, 4)):
+    # classify_virtual_point reads a 2x2 virtual block from r1..r4
+    if args.k == 2 and scan.solutions and all(
+        f"r{j}" in scan.solutions[0] for j in (1, 2, 3, 4)
+    ):
         buckets = Counter(
             classify_virtual_point(s, scan.p) for s in scan.solutions
         )

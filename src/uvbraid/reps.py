@@ -3,7 +3,7 @@
 A k-local homogeneous representation of degree m sends each generator with
 strand index i to  I_(i-1) (+) B (+) I_(m-i-k+1)  for a single k x k block B
 depending only on the generator's kind and crossing type.  This module holds
-the block tables for every family handled here:
+the block table ``_FAMILIES`` for every family handled here:
 
 ==============  ===  =====================  =======================================
 family          k    rho block              sigma_t block
@@ -24,9 +24,13 @@ f-rep           3    (none)                 [[1,1,0],[0,-t,0],[0,t,1]] on braide
 
 Parameter names follow the slot convention: a block entry named r6 or s5_t
 sits at the row-major position 6 resp. 5 of the generic 3 x 3 block (for
-2 x 2 blocks, positions 1..4).  ``burau`` and ``f-rep`` have no virtual
-block: words containing rho letters cannot be evaluated there, and the
-relation verifier reports rho-relations as skipped rather than checked.
+2 x 2 blocks, positions 1..4).  The side conditions (points excluded from a
+family) are its type-independent parameters r2, r6 or t, then per crossing
+type: the crossing block's determinant for upsilon, upsilon-prime, epsilon1
+and epsilon2, s5_t for epsilon3 and epsilon4, and every crossing parameter
+for the omegas.  ``burau`` and ``f-rep`` have no virtual block: words
+containing rho letters cannot be evaluated there, and the relation verifier
+reports rho-relations as skipped rather than checked.
 
 Word images come from :func:`eval_word`, the one word-product routine.  It
 applies each letter's block (or its cached inverse, ``LocalRep.letter_block``)
@@ -48,22 +52,89 @@ from .groups import Generator, GroupSpec, Word, rho as _rho, sigma as _sigma
 from .matrices import Matrix, block_embed
 from .scalars import GaussianRational, PolyRing, RatFunc
 
-FAMILY_NAMES = (
-    "upsilon",
-    "upsilon-prime",
-    "epsilon1",
-    "epsilon2",
-    "epsilon3",
-    "epsilon4",
-    "omega1",
-    "omega2",
-    "omega3",
-    "omega1p",
-    "omega2p",
-    "omega3p",
-    "burau",
-    "f-rep",
-)
+# Each entry: (block size, type-independent parameters, crossing stems,
+# rho block | None, sigma_t block, sigma_t side conditions).  Blocks and
+# conditions are functions of an accessor v: v("r2") is the parameter r2,
+# v("s1") the crossing type's s1_t.  The ring's variables are the
+# type-independent parameters, then each stem suffixed _1 .. _c.  Every
+# type-independent parameter is a side condition, ahead of the crossing
+# ones; a family without a rho block represents the braided types only.
+_FAMILIES = {
+    "upsilon": (
+        2, ["r2"], ["s1", "s2", "s3", "s4"],
+        lambda v: [[0, v("r2")], [1 / v("r2"), 0]],
+        lambda v: [[v("s1"), v("s2")], [v("s3"), v("s4")]],
+        lambda v: [v("s1") * v("s4") - v("s2") * v("s3")]),
+    "upsilon-prime": (
+        2, [], ["s1", "s2", "s3", "s4"],
+        lambda v: [[0, 1], [1, 0]],
+        lambda v: [[v("s1"), v("s2")], [v("s3"), v("s4")]],
+        lambda v: [v("s1") * v("s4") - v("s2") * v("s3")]),
+    "epsilon1": (
+        3, ["r6"], ["s5", "s6", "s8", "s9"],
+        lambda v: [[1, 0, 0], [0, 0, v("r6")], [0, 1 / v("r6"), 0]],
+        lambda v: [[1, 0, 0], [0, v("s5"), v("s6")], [0, v("s8"), v("s9")]],
+        lambda v: [v("s5") * v("s9") - v("s6") * v("s8")]),
+    "epsilon2": (
+        3, ["r2"], ["s1", "s2", "s4", "s5"],
+        lambda v: [[0, v("r2"), 0], [1 / v("r2"), 0, 0], [0, 0, 1]],
+        lambda v: [[v("s1"), v("s2"), 0], [v("s4"), v("s5"), 0], [0, 0, 1]],
+        lambda v: [v("s1") * v("s5") - v("s2") * v("s4")]),
+    "epsilon3": (
+        3, ["r6"], ["s4", "s5"],
+        lambda v: [[1, 0, 0], [1 / v("r6"), -1, v("r6")], [0, 0, 1]],
+        lambda v: [[1, 0, 0],
+                   [v("s4"), v("s5"), v("r6") * (1 - v("r6") * v("s4") - v("s5"))],
+                   [0, 0, 1]],
+        lambda v: [v("s5")]),
+    "epsilon4": (
+        3, ["r2"], ["s5", "s8"],
+        lambda v: [[1, v("r2"), 0], [0, -1, 0], [0, 1 / v("r2"), 1]],
+        lambda v: [[1, v("r2") * (1 - v("s5") - v("r2") * v("s8")), 0],
+                   [0, v("s5"), 0],
+                   [0, v("s8"), 1]],
+        lambda v: [v("s5")]),
+    "omega1": (
+        2, ["r2"], ["s2", "s3"],
+        lambda v: [[0, v("r2")], [1 / v("r2"), 0]],
+        lambda v: [[0, v("s2")], [v("s3"), 0]],
+        lambda v: [v("s2"), v("s3")]),
+    "omega2": (
+        2, ["r2"], ["s2", "s4"],
+        lambda v: [[0, v("r2")], [1 / v("r2"), 0]],
+        lambda v: [[0, v("s2")], [1 / v("r2"), v("s4")]],
+        lambda v: [v("s2"), v("s4")]),
+    "omega3": (
+        2, ["r2"], ["s1", "s2"],
+        lambda v: [[0, v("r2")], [1 / v("r2"), 0]],
+        lambda v: [[v("s1"), v("s2")], [1 / v("r2"), 0]],
+        lambda v: [v("s1"), v("s2")]),
+    "omega1p": (
+        2, ["r2"], ["s2", "s3"],
+        lambda v: [[0, 1], [1, 0]],
+        lambda v: [[0, v("s2") / v("r2")], [v("r2") * v("s3"), 0]],
+        lambda v: [v("s2"), v("s3")]),
+    "omega2p": (
+        2, ["r2"], ["s2", "s4"],
+        lambda v: [[0, 1], [1, 0]],
+        lambda v: [[0, v("s2") / v("r2")], [1, v("s4")]],
+        lambda v: [v("s2"), v("s4")]),
+    "omega3p": (
+        2, ["r2"], ["s1", "s2"],
+        lambda v: [[0, 1], [1, 0]],
+        lambda v: [[v("s1"), v("s2") / v("r2")], [1, 0]],
+        lambda v: [v("s1"), v("s2")]),
+    "burau": (
+        2, ["t"], [], None,
+        lambda v: [[1 - v("t"), v("t")], [1, 0]],
+        lambda v: []),
+    "f-rep": (
+        3, ["t"], [], None,
+        lambda v: [[1, 1, 0], [0, -v("t"), 0], [0, v("t"), 1]],
+        lambda v: []),
+}
+
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def canonical_family(name: str) -> str:
@@ -93,36 +164,34 @@ class LocalRep:
     assignment: dict[str, GaussianRational] | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
-    def block(self, g: Generator) -> Matrix:
-        """The k x k block of a generator (raises if the family omits it)."""
-        if g.kind == "rho":
-            if self.rho_block is None:
-                raise ValueError(
-                    f"family {self.name!r} does not represent virtual generators"
-                )
-            return self.rho_block
-        b = self.sigma_blocks.get(g.type)
-        if b is None:
-            raise ValueError(
-                f"family {self.name!r} has no block for crossing type {g.type}"
-            )
-        return b
-
     def has_block(self, g: Generator) -> bool:
         if g.kind == "rho":
             return self.rho_block is not None
         return g.type in self.sigma_blocks
 
     def letter_block(self, g: Generator, exp: int = 1) -> Matrix:
-        """The k x k block of g, or of g^-1 when ``exp`` < 0 (cached)."""
+        """The k x k block of g, or of g^-1 when ``exp`` < 0 (cached);
+        raises if the family omits g's block."""
         if not 1 <= g.index <= self.spec.n - 1:
             raise ValueError(f"strand index {g.index} out of range for {self.spec}")
+        if g.kind == "rho":
+            blk = self.rho_block
+            if blk is None:
+                raise ValueError(
+                    f"family {self.name!r} does not represent virtual generators"
+                )
+        else:
+            blk = self.sigma_blocks.get(g.type)
+            if blk is None:
+                raise ValueError(
+                    f"family {self.name!r} has no block for crossing type {g.type}"
+                )
         if exp >= 0:
-            return self.block(g)
+            return blk
         key = ("inv", g.kind, g.type)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self.block(g).inverse()
+            hit = blk.inverse()
             self._cache[key] = hit
         return hit
 
@@ -150,186 +219,6 @@ class LocalRep:
         return f"{self.name} over {self.spec.describe()}, degree {self.degree}, {mode}"
 
 
-def _type_params(names: list[str], c: int) -> list[str]:
-    return [f"{nm}_{t}" for t in range(1, c + 1) for nm in names]
-
-
-def _antidiag(ring, vname):
-    v = ring.rf(vname)
-    return [[0, v], [1 / v, 0]]
-
-
-# Each entry: (block size, rho params, sigma param stems, builder).
-# The builder gets (ring, c) and returns (rho_block_rows | None,
-# {t: sigma_rows}, [side conditions]).
-
-
-def _upsilon(ring: PolyRing, c: int):
-    r2 = ring.rf("r2")
-    conds = [r2]
-    sig = {}
-    for t in range(1, c + 1):
-        s1, s2, s3, s4 = (ring.rf(f"s{j}_{t}") for j in (1, 2, 3, 4))
-        sig[t] = [[s1, s2], [s3, s4]]
-        conds.append(s1 * s4 - s2 * s3)
-    return _antidiag(ring, "r2"), sig, conds
-
-
-def _upsilon_prime(ring: PolyRing, c: int):
-    conds = []
-    sig = {}
-    for t in range(1, c + 1):
-        s1, s2, s3, s4 = (ring.rf(f"s{j}_{t}") for j in (1, 2, 3, 4))
-        sig[t] = [[s1, s2], [s3, s4]]
-        conds.append(s1 * s4 - s2 * s3)
-    return [[0, 1], [1, 0]], sig, conds
-
-
-def _epsilon1(ring: PolyRing, c: int):
-    r6 = ring.rf("r6")
-    rho = [[1, 0, 0], [0, 0, r6], [0, 1 / r6, 0]]
-    conds = [r6]
-    sig = {}
-    for t in range(1, c + 1):
-        s5, s6, s8, s9 = (ring.rf(f"s{j}_{t}") for j in (5, 6, 8, 9))
-        sig[t] = [[1, 0, 0], [0, s5, s6], [0, s8, s9]]
-        conds.append(s5 * s9 - s6 * s8)
-    return rho, sig, conds
-
-
-def _epsilon2(ring: PolyRing, c: int):
-    r2 = ring.rf("r2")
-    rho = [[0, r2, 0], [1 / r2, 0, 0], [0, 0, 1]]
-    conds = [r2]
-    sig = {}
-    for t in range(1, c + 1):
-        s1, s2, s4, s5 = (ring.rf(f"s{j}_{t}") for j in (1, 2, 4, 5))
-        sig[t] = [[s1, s2, 0], [s4, s5, 0], [0, 0, 1]]
-        conds.append(s1 * s5 - s2 * s4)
-    return rho, sig, conds
-
-
-def _epsilon3(ring: PolyRing, c: int):
-    r6 = ring.rf("r6")
-    rho = [[1, 0, 0], [1 / r6, -1, r6], [0, 0, 1]]
-    conds = [r6]
-    sig = {}
-    for t in range(1, c + 1):
-        s4, s5 = ring.rf(f"s4_{t}"), ring.rf(f"s5_{t}")
-        sig[t] = [[1, 0, 0], [s4, s5, r6 * (1 - r6 * s4 - s5)], [0, 0, 1]]
-        conds.append(s5)
-    return rho, sig, conds
-
-
-def _epsilon4(ring: PolyRing, c: int):
-    r2 = ring.rf("r2")
-    rho = [[1, r2, 0], [0, -1, 0], [0, 1 / r2, 1]]
-    conds = [r2]
-    sig = {}
-    for t in range(1, c + 1):
-        s5, s8 = ring.rf(f"s5_{t}"), ring.rf(f"s8_{t}")
-        sig[t] = [[1, r2 * (1 - s5 - r2 * s8), 0], [0, s5, 0], [0, s8, 1]]
-        conds.append(s5)
-    return rho, sig, conds
-
-
-def _omega1(ring: PolyRing, c: int):
-    r2 = ring.rf("r2")
-    conds = [r2]
-    sig = {}
-    for t in range(1, c + 1):
-        s2, s3 = ring.rf(f"s2_{t}"), ring.rf(f"s3_{t}")
-        sig[t] = [[0, s2], [s3, 0]]
-        conds += [s2, s3]
-    return _antidiag(ring, "r2"), sig, conds
-
-
-def _omega2(ring: PolyRing, c: int):
-    r2 = ring.rf("r2")
-    conds = [r2]
-    sig = {}
-    for t in range(1, c + 1):
-        s2, s4 = ring.rf(f"s2_{t}"), ring.rf(f"s4_{t}")
-        sig[t] = [[0, s2], [1 / r2, s4]]
-        conds += [s2, s4]
-    return _antidiag(ring, "r2"), sig, conds
-
-
-def _omega3(ring: PolyRing, c: int):
-    r2 = ring.rf("r2")
-    conds = [r2]
-    sig = {}
-    for t in range(1, c + 1):
-        s1, s2 = ring.rf(f"s1_{t}"), ring.rf(f"s2_{t}")
-        sig[t] = [[s1, s2], [1 / r2, 0]]
-        conds += [s1, s2]
-    return _antidiag(ring, "r2"), sig, conds
-
-
-def _omega1p(ring: PolyRing, c: int):
-    r2 = ring.rf("r2")
-    conds = [r2]
-    sig = {}
-    for t in range(1, c + 1):
-        s2, s3 = ring.rf(f"s2_{t}"), ring.rf(f"s3_{t}")
-        sig[t] = [[0, s2 / r2], [r2 * s3, 0]]
-        conds += [s2, s3]
-    return [[0, 1], [1, 0]], sig, conds
-
-
-def _omega2p(ring: PolyRing, c: int):
-    r2 = ring.rf("r2")
-    conds = [r2]
-    sig = {}
-    for t in range(1, c + 1):
-        s2, s4 = ring.rf(f"s2_{t}"), ring.rf(f"s4_{t}")
-        sig[t] = [[0, s2 / r2], [1, s4]]
-        conds += [s2, s4]
-    return [[0, 1], [1, 0]], sig, conds
-
-
-def _omega3p(ring: PolyRing, c: int):
-    r2 = ring.rf("r2")
-    conds = [r2]
-    sig = {}
-    for t in range(1, c + 1):
-        s1, s2 = ring.rf(f"s1_{t}"), ring.rf(f"s2_{t}")
-        sig[t] = [[s1, s2 / r2], [1, 0]]
-        conds += [s1, s2]
-    return [[0, 1], [1, 0]], sig, conds
-
-
-def _burau(ring: PolyRing, braided: list[int]):
-    t = ring.rf("t")
-    block = [[1 - t, t], [1, 0]]
-    return None, {ty: block for ty in braided}, [t]
-
-
-def _f_rep(ring: PolyRing, braided: list[int]):
-    t = ring.rf("t")
-    block = [[1, 1, 0], [0, -t, 0], [0, t, 1]]
-    return None, {ty: block for ty in braided}, [t]
-
-
-_FAMILY_TABLE = {
-    # name: (k, rho param names, sigma stems, builder)
-    "upsilon": (2, ["r2"], ["s1", "s2", "s3", "s4"], _upsilon),
-    "upsilon-prime": (2, [], ["s1", "s2", "s3", "s4"], _upsilon_prime),
-    "epsilon1": (3, ["r6"], ["s5", "s6", "s8", "s9"], _epsilon1),
-    "epsilon2": (3, ["r2"], ["s1", "s2", "s4", "s5"], _epsilon2),
-    "epsilon3": (3, ["r6"], ["s4", "s5"], _epsilon3),
-    "epsilon4": (3, ["r2"], ["s5", "s8"], _epsilon4),
-    "omega1": (2, ["r2"], ["s2", "s3"], _omega1),
-    "omega2": (2, ["r2"], ["s2", "s4"], _omega2),
-    "omega3": (2, ["r2"], ["s1", "s2"], _omega3),
-    "omega1p": (2, ["r2"], ["s2", "s3"], _omega1p),
-    "omega2p": (2, ["r2"], ["s2", "s4"], _omega2p),
-    "omega3p": (2, ["r2"], ["s1", "s2"], _omega3p),
-    "burau": (2, [], [], _burau),
-    "f-rep": (3, [], [], _f_rep),
-}
-
-
 def build_local_rep(
     family: str,
     spec: GroupSpec,
@@ -342,29 +231,28 @@ def build_local_rep(
     condition nonzero (those points are excluded from the family).
     """
     name = canonical_family(family)
-    k, rho_params, sigma_stems, builder = _FAMILY_TABLE[name]
+    k, shared, stems, rho_rows, sigma_rows, sigma_conds = _FAMILIES[name]
     if name.startswith("epsilon") and spec.c != 2:
         raise ValueError(f"{name} is defined over c = 2 groups; got c = {spec.c}")
     if name.startswith("omega") and not spec.welded:
         raise ValueError(f"{name} needs a welded group; got {spec.describe()}")
-    if name in ("burau", "f-rep"):
-        if not spec.braid_types:
-            raise ValueError(
-                f"{name} represents braided crossing types only; "
-                f"{spec.describe()} flags none"
-            )
-        names = ["t"]
-        ring = PolyRing(tuple(names))
-        rho_block_rows, sigma_rows, conds = builder(ring, sorted(spec.braid_types))
-    else:
-        names = rho_params + _type_params(sigma_stems, spec.c)
-        ring = PolyRing(tuple(names))
-        rho_block_rows, sigma_rows, conds = builder(ring, spec.c)
+    if rho_rows is None and not spec.braid_types:
+        raise ValueError(
+            f"{name} represents braided crossing types only; "
+            f"{spec.describe()} flags none"
+        )
+    names = shared + [f"{nm}_{t}" for t in range(1, spec.c + 1) for nm in stems]
+    ring = PolyRing(tuple(names))
 
-    rho_block = (
-        Matrix.from_rows(ring, rho_block_rows) if rho_block_rows is not None else None
-    )
-    sigma_blocks = {t: Matrix.from_rows(ring, rows) for t, rows in sigma_rows.items()}
+    def accessor(t):
+        return lambda nm: ring.rf(f"{nm}_{t}" if nm in stems else nm)
+
+    conds = [ring.rf(nm) for nm in shared]
+    sigma_blocks = {}
+    for t in range(1, spec.c + 1) if rho_rows else sorted(spec.braid_types):
+        v = accessor(t)
+        sigma_blocks[t] = Matrix.from_rows(ring, sigma_rows(v))
+        conds += sigma_conds(v)
     rep = LocalRep(
         name=name,
         spec=spec,
@@ -372,8 +260,8 @@ def build_local_rep(
         degree=spec.n + k - 2,
         ring=ring,
         params=tuple(names),
-        side_conditions=tuple(ring.rf(x) for x in conds),
-        rho_block=rho_block,
+        side_conditions=tuple(conds),
+        rho_block=Matrix.from_rows(ring, rho_rows(ring.rf)) if rho_rows else None,
         sigma_blocks=sigma_blocks,
     )
     if params == "symbolic":

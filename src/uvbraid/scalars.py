@@ -204,20 +204,13 @@ def parse_gaussian(text: str) -> GaussianRational:
     m = _GAUSS_RE.match(s)
     if not m or s == "":
         raise ValueError(f"cannot parse Gaussian rational: {text!r}")
-    re_part = Fraction(m.group("re")) if m.group("re") else _ZERO
-    im_part = _ZERO
-    imtxt = m.group("im1") or m.group("im2")
-    if imtxt:
-        imtxt = imtxt[:-1]  # strip the trailing i
-        if imtxt.endswith("*"):
-            imtxt = imtxt[:-1]
-        if imtxt in ("", "+"):
-            im_part = _ONE
-        elif imtxt == "-":
-            im_part = -_ONE
-        else:
-            im_part = Fraction(imtxt)
-    return GaussianRational(re_part, im_part)
+    # the imaginary coefficient, without its trailing "i" or "*i"
+    im = (m.group("im1") or m.group("im2") or "0i")[:-1].removesuffix("*")
+    im = {"": "1", "+": "1", "-": "-1"}.get(im, im)
+    try:
+        return GaussianRational(Fraction(m.group("re") or "0"), Fraction(im))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in Gaussian rational: {text!r}") from None
 
 
 class PolyRing:

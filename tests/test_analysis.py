@@ -681,6 +681,67 @@ class TestSpanEnginesAgainstFractionReference:
         assert len(gens) == 10 and calls[0] <= 10 * 36
 
 
+def _invariant_check_all_pairs(mats, vec, side):
+    """Reference for ``invariant_check``: every pair of coordinates of each
+    image is compared with the witness, w_i v_j = w_j v_i for all i < j."""
+    entries = [x for row in vec.rows for x in row]
+    for m in mats:
+        image = m * vec if side == "column" else vec * m
+        img = [x for row in image.rows for x in row]
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                if entries[i] * img[j] != entries[j] * img[i]:
+                    return False
+    return True
+
+
+_TU = PolyRing(("t", "u"))
+_T, _U = _TU.rf("t"), _TU.rf("u")
+_SYMBOLIC = [_T, _U, _T + 1, _T * _U - 1, 1 / (_T + 1), _U / _T]
+
+
+@st.composite
+def invariant_cases(draw):
+    """A nonzero witness (constant or symbolic) on either side and 1-3
+    matrices, each generic, zero (zero image), rank one along the witness
+    (parallel image) or rank one with one entry changed (a near miss)."""
+    nonzero = st.sampled_from([1, -2, GaussianRational(1, 1)])
+    entry = st.one_of(st.just(0), qi_entries)
+    if draw(st.booleans()):
+        nonzero = st.one_of(nonzero, st.sampled_from(_SYMBOLIC))
+        entry = st.one_of(entry, st.sampled_from(_SYMBOLIC))
+    m, side = draw(st.integers(1, 4)), draw(st.sampled_from(["column", "row"]))
+    v = [draw(entry) for _ in range(m)]
+    v[draw(st.integers(0, m - 1))] = draw(nonzero)
+    v = [_TU.rf(x) for x in v]
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["generic", "zero", "parallel", "near"]))
+        if kind == "generic":
+            rows = [[draw(entry) for _ in range(m)] for _ in range(m)]
+        elif kind == "zero":
+            rows = [[0] * m for _ in range(m)]
+        else:
+            w = [_TU.rf(draw(entry)) for _ in range(m)]
+            rows = [[v[i] * w[j] if side == "column" else w[i] * v[j]
+                     for j in range(m)] for i in range(m)]
+            if kind == "near":
+                rows[draw(st.integers(0, m - 1))][draw(st.integers(0, m - 1))] += 1
+        mats.append(Matrix.from_rows(_TU, rows))
+    vec = Matrix.column(_TU, v) if side == "column" else Matrix.row_vector(_TU, v)
+    return mats, vec, side
+
+
+class TestInvariantCheckAgainstAllPairs:
+    @settings(max_examples=150, deadline=None)
+    @given(invariant_cases())
+    def test_first_nonzero_entry_test_equals_all_pairs(self, case):
+        mats, vec, side = case
+        assert invariant_check(mats, vec, side) == _invariant_check_all_pairs(
+            mats, vec, side
+        )
+
+
 class TestSpanEngines:
     def test_identity_algebra_is_one_dimensional(self):
         ring = PolyRing(("t",))

@@ -89,6 +89,16 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "--param s1_1 given more than once" in err
 
+    @pytest.mark.parametrize("command", ["verify", "irreducibility"])
+    def test_zero_denominator_in_a_param_is_usage_error(self, capsys, command):
+        code, out, err = run(
+            capsys, command, "--family", "upsilon-prime", "--n", "3", "--c", "1",
+            "--param", "s1_1=1/0", "--param", "s2_1=1",
+            "--param", "s3_1=1", "--param", "s4_1=1",
+        )
+        assert code == 2 and out == ""
+        assert "'1/0'" in err and "Traceback" not in err
+
     def test_unknown_flavor_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "verify", "--family", "upsilon", "--group", "uq", "--n", "3")
@@ -155,6 +165,18 @@ class TestEnumerateCommand:
         assert code == 0
         assert payload["count"] == 1921
         assert payload["classification"] == {"antidiagonal": 1920, "identity": 1}
+
+    def test_three_local_scan_is_not_classified(self, capsys):
+        # r1..r4 of a 3x3 virtual block are not a 2x2 block to bucket
+        argv = ("enumerate", "--k", "3", "--n", "4", "--c", "1", "--mod", "3",
+                "--tag", "PR1[i=1]", "--tag", "PR3[i=1]")
+        code, out, _ = run(capsys, *argv, "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["count"] == 23
+        assert "classification" not in payload
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "virtual-block classes" not in out
 
     def test_composite_modulus_is_usage_error(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "3", "--mod", "9")

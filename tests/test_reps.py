@@ -1,6 +1,9 @@
 """Local representation families: block tables, embedding, specialization,
 word evaluation, and diagonal conjugation equivalences."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from uvbraid.groups import make_spec, parse_word, rho, sigma
@@ -18,6 +21,59 @@ from uvbraid.scalars import GaussianRational
 
 def _entry_strings(mat):
     return [[str(x) for x in row] for row in mat.rows]
+
+
+_FAMILIES_GOLDEN = Path(__file__).parent / "data" / "families.json"
+
+# family -> homes (flavor, n, c) it is built over in the golden file
+_GOLDEN_HOMES = {
+    "upsilon": [("uv", 3, 1), ("uv", 3, 2), ("uw", 4, 3)],
+    "upsilon-prime": [("uv", 3, 1), ("uv", 4, 2), ("vt", 3, None)],
+    "epsilon1": [("uv", 4, 2), ("uw", 3, 2)],
+    "epsilon2": [("uv", 4, 2), ("vsg", 3, None)],
+    "epsilon3": [("uv", 4, 2), ("uw", 3, 2)],
+    "epsilon4": [("uv", 4, 2), ("uw", 3, 2)],
+    "omega1": [("uw", 3, 1), ("uw", 3, 2)],
+    "omega2": [("uw", 3, 1), ("uw", 4, 2)],
+    "omega3": [("uw", 3, 1), ("mwb", 3, 2)],
+    "omega1p": [("uw", 3, 1), ("uw", 3, 2)],
+    "omega2p": [("uw", 3, 1), ("uw", 4, 2)],
+    "omega3p": [("uw", 3, 1), ("wb", 3, None)],
+    "burau": [("vb", 3, None), ("mvb", 3, 2), ("vsg", 4, None)],
+    "f-rep": [("vb", 3, None), ("mvb", 4, 3), ("vsg", 3, None)],
+}
+
+# homes each family refuses, with the message it gives
+_GOLDEN_REFUSALS = [
+    ("epsilon1", ("uv", 3, 1)),
+    ("omega1", ("uv", 3, 1)),
+    ("burau", ("uv", 3, 1)),
+]
+
+
+def _family_dump() -> str:
+    """Ring variables, parameters, blocks and side conditions of every
+    family at its golden homes, and the refusals, as stable JSON."""
+    built = {}
+    for fam in FAMILY_NAMES:
+        for flavor, n, c in _GOLDEN_HOMES[fam]:
+            rep = build_local_rep(fam, make_spec(flavor, n, c))
+            built[f"{fam} over {rep.spec.describe()}"] = {
+                "ring": list(rep.ring.vars),
+                "params": list(rep.params),
+                "rho_block": None if rep.rho_block is None else str(rep.rho_block),
+                "sigma_blocks": {
+                    str(t): str(b) for t, b in sorted(rep.sigma_blocks.items())
+                },
+                "side_conditions": [str(x) for x in rep.side_conditions],
+            }
+    refused = {}
+    for fam, home in _GOLDEN_REFUSALS:
+        spec = make_spec(*home)
+        with pytest.raises(ValueError) as exc:
+            build_local_rep(fam, spec)
+        refused[f"{fam} over {spec.describe()}"] = str(exc.value)
+    return json.dumps({"built": built, "refused": refused}, indent=2) + "\n"
 
 
 class TestFamilyTables:
@@ -101,6 +157,16 @@ class TestFamilyTables:
         for fam, spec in homes.items():
             rep = build_local_rep(fam, spec)
             assert rep.degree == spec.n + rep.block_size - 2
+
+    def test_families_match_committed_file(self):
+        """Every family's ring, parameters, blocks and side conditions, and
+        the home-requirement errors, byte for byte against a committed file
+        (rewritten only when a change in a family is intended)."""
+        assert set(_GOLDEN_HOMES) == set(FAMILY_NAMES)
+        assert {c for _f, _n, c in _GOLDEN_HOMES["upsilon"]} == {1, 2, 3}
+        for fam in ("burau", "f-rep"):
+            assert {"mvb", "vsg"} <= {f for f, _n, _c in _GOLDEN_HOMES[fam]}
+        assert _family_dump().encode() == _FAMILIES_GOLDEN.read_bytes()
 
     def test_home_requirements_enforced(self):
         with pytest.raises(ValueError):

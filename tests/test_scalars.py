@@ -96,6 +96,12 @@ class TestGaussianRational:
         with pytest.raises(ValueError):
             parse_gaussian("x + 1")
 
+    @pytest.mark.parametrize("text", ["1/0", "2/0*i", "1+3/0*i", "-0/0"])
+    def test_zero_denominator_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="zero denominator") as exc:
+            parse_gaussian(text)
+        assert repr(text) in str(exc.value)
+
 
 @pytest.fixture
 def ring():
