@@ -33,12 +33,12 @@ from .groups import (
 from .matrices import Echelon, Matrix, place
 from .reps import LocalRep, build_local_rep, canonical_family, eval_word, specialize
 from .scalars import (
-    G_ONE,
     GaussianRational,
     MultiPoly,
     PolyRing,
     RatFunc,
     VanishingDenominator,
+    _fmt_point,
 )
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def verify_relations(
         )
         detail = f"entry {bad}: {residue.rows[bad[0]][bad[1]]}"
         if r.assignment is not None and rep.assignment is None:
-            detail += f" at {_point_str(r.assignment)}"
+            detail += f" at {_fmt_point(r.assignment)}"
         outcomes.append(RelationOutcome(rel.tag, "fail", detail, residue, how))
     return VerificationReport(
         rep=rep.describe(),
@@ -249,10 +249,6 @@ def verify_relations(
         seed=seed if mode == "sampled" else None,
         outcomes=outcomes,
     )
-
-
-def _point_str(point: dict) -> str:
-    return "{" + ", ".join(f"{k}={v}" for k, v in sorted(point.items())) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -654,16 +650,38 @@ class ReducibilityResult:
     details: list[str] = field(default_factory=list)
 
 
-_CRITERION_FAMILIES = (
-    "upsilon-prime",
-    "omega1p",
-    "omega2p",
-    "omega3p",
-    "epsilon1",
-    "epsilon2",
-    "epsilon3",
-    "epsilon4",
-)
+# Each entry: (branches, notes).  A branch is (label, test, witness side,
+# witness entry j of degree m).  ``test`` reads the point through an
+# accessor as in ``reps._FAMILIES`` (v("r2") is r2, v("s1") the type's s1_t)
+# and must hold for every crossing type; a branch with no test holds when
+# its witness passes ``invariant_check``, so a family of untested branches
+# is always reducible.  The first branch that holds gives the witness.  The
+# details are the all-types line (tested families, c > 1), each labelled
+# branch as "label: held" joined by "; ", the notes, the re-verified line.
+_CRITERIA = {
+    "upsilon-prime": (
+        [("row sums at 1", lambda v: v("s1") + v("s2") == 1 and v("s3") + v("s4") == 1,
+          "column", lambda v, j, m: 1),
+         ("column sums at 1", lambda v: v("s1") + v("s3") == 1 and v("s2") + v("s4") == 1,
+          "row", lambda v, j, m: 1)], []),
+    "omega1p": ([("s2 = r2 and s3 = 1/r2 for all types",
+                  lambda v: v("s2") == v("r2") and v("s3") * v("r2") == 1,
+                  "column", lambda v, j, m: 1)], []),
+    "omega2p": ([("s2/r2 + s4 = 1 for all types",
+                  lambda v: v("s2") / v("r2") + v("s4") == 1, "row", lambda v, j, m: 1)], []),
+    "omega3p": ([("s1 + s2/r2 = 1 for all types", lambda v: v("s1") + v("s2") / v("r2") == 1,
+                  "column", lambda v, j, m: 1)], []),
+    "epsilon1": ([(None, None, "column", lambda v, j, m: int(j == 0))],
+                 ["first basis column is always invariant"]),
+    "epsilon2": ([(None, None, "column", lambda v, j, m: int(j == m - 1))],
+                 ["last basis column is always invariant"]),
+    "epsilon3": ([(None, None, "column", lambda v, j, m: v("r6") ** -j)],
+                 ["geometric column (1, r6^-1, ..., r6^-n) is invariant"]),
+    "epsilon4": (
+        [("row (1, r2^-1, ..., r2^-n) invariant", None, "row", lambda v, j, m: v("r2") ** -j),
+         ("row (1, r2, ..., r2^n) invariant", None, "row", lambda v, j, m: v("r2") ** j)],
+        ["a row in powers of r6 is not expressible: this family has no r6 parameter"]),
+}
 
 
 def reducibility_criterion(
@@ -676,123 +694,54 @@ def reducibility_criterion(
     a wrong closed form cannot silently return a bogus certificate.
     """
     name = canonical_family(family)
-    if name not in _CRITERION_FAMILIES:
+    if name not in _CRITERIA:
         raise ValueError(
             f"no closed-form criterion for {name!r}; use burnside_dim instead"
         )
     rep = build_local_rep(name, spec, params)
     point = rep.assignment
-    assert point is not None
-    ring = rep.ring
-    m = rep.degree
-    details: list[str] = []
-    if spec.c > 1 and name.startswith(("omega", "upsilon")):
-        details.append(
-            f"branch conditions quantified over all {spec.c} crossing types"
+    if point is None:
+        raise ValueError(
+            f"the {name} criterion needs a parameter point, not symbolic parameters"
         )
+    branches, notes = _CRITERIA[name]
 
-    def val(nm: str) -> GaussianRational:
-        return point[nm]
+    def at(t):
+        return lambda nm: point[nm] if nm in point else point[f"{nm}_{t}"]
 
-    one = G_ONE
-    witness_side: str | None = None
-    witness: Matrix | None = None
-    reducible = False
-
-    if name == "upsilon-prime":
-        row_branch = all(
-            val(f"s1_{t}") + val(f"s2_{t}") == one
-            and val(f"s3_{t}") + val(f"s4_{t}") == one
-            for t in range(1, spec.c + 1)
-        )
-        col_branch = all(
-            val(f"s1_{t}") + val(f"s3_{t}") == one
-            and val(f"s2_{t}") + val(f"s4_{t}") == one
-            for t in range(1, spec.c + 1)
-        )
-        details.append(f"row sums at 1: {row_branch}; column sums at 1: {col_branch}")
-        reducible = row_branch or col_branch
-        if row_branch:
-            witness_side, witness = "column", Matrix.column(ring, [1] * m)
-        elif col_branch:
-            witness_side, witness = "row", Matrix.row_vector(ring, [1] * m)
-    elif name == "omega1p":
-        on = all(
-            val(f"s2_{t}") == val("r2") and val(f"s3_{t}") * val("r2") == one
-            for t in range(1, spec.c + 1)
-        )
-        details.append(f"s2 = r2 and s3 = 1/r2 for all types: {on}")
-        reducible = on
-        if on:
-            witness_side, witness = "column", Matrix.column(ring, [1] * m)
-    elif name == "omega2p":
-        on = all(
-            val(f"s2_{t}") / val("r2") + val(f"s4_{t}") == one
-            for t in range(1, spec.c + 1)
-        )
-        details.append(f"s2/r2 + s4 = 1 for all types: {on}")
-        reducible = on
-        if on:
-            witness_side, witness = "row", Matrix.row_vector(ring, [1] * m)
-    elif name == "omega3p":
-        on = all(
-            val(f"s1_{t}") + val(f"s2_{t}") / val("r2") == one
-            for t in range(1, spec.c + 1)
-        )
-        details.append(f"s1 + s2/r2 = 1 for all types: {on}")
-        reducible = on
-        if on:
-            witness_side, witness = "column", Matrix.column(ring, [1] * m)
-    elif name == "epsilon1":
-        reducible = True
-        witness_side = "column"
-        witness = Matrix.column(ring, [1] + [0] * (m - 1))
-        details.append("first basis column is always invariant")
-    elif name == "epsilon2":
-        reducible = True
-        witness_side = "column"
-        witness = Matrix.column(ring, [0] * (m - 1) + [1])
-        details.append("last basis column is always invariant")
-    elif name == "epsilon3":
-        reducible = True
-        witness_side = "column"
-        r6 = val("r6")
-        witness = Matrix.column(ring, [r6 ** (-j) for j in range(m)])
-        details.append("geometric column (1, r6^-1, ..., r6^-n) is invariant")
-    elif name == "epsilon4":
-        reducible = True
-        r2 = val("r2")
-        gens = [mat for _g, mat in rep.generator_images()]
-        inverse_reading = Matrix.row_vector(ring, [r2 ** (-j) for j in range(m)])
-        direct_reading = Matrix.row_vector(ring, [r2 ** j for j in range(m)])
-        inv_ok = invariant_check(gens, inverse_reading, "row")
-        dir_ok = invariant_check(gens, direct_reading, "row")
-        details.append(
-            f"row (1, r2^-1, ..., r2^-n) invariant: {inv_ok}; "
-            f"row (1, r2, ..., r2^n) invariant: {dir_ok}"
-        )
-        details.append(
-            "a row in powers of r6 is not expressible: this family has no r6 parameter"
-        )
-        witness_side = "row"
-        witness = direct_reading if dir_ok else inverse_reading
-        if not (dir_ok or inv_ok):
-            raise AssertionError(
-                "no geometric row witness verified; criterion table is wrong"
-            )
-
-    if reducible and witness is not None:
-        gens = [mat for _g, mat in rep.generator_images()]
-        if not invariant_check(gens, witness, witness_side):
-            raise AssertionError(
-                f"criterion emitted a non-invariant witness for {name}; "
-                "closed form and table disagree"
-            )
+    gens: list[Matrix] = []
+    held: list[str] = []
+    side = witness = None
+    for label, test, wside, entry in branches:
+        ok = test is None or all(test(at(t)) for t in range(1, spec.c + 1))
+        if ok and (test is None or witness is None):  # built and checked once
+            xs =[entry(at(1), j, rep.degree) for j in range(rep.degree)]
+            w = (Matrix.column if wside == "column" else Matrix.row_vector)(rep.ring, xs)
+            gens = gens or [mat for _g, mat in rep.generator_images()]
+            ok = invariant_check(gens, w, wside)
+            if not ok and test is not None:
+                raise AssertionError(
+                    f"criterion emitted a non-invariant witness for {name}; "
+                    "closed form and table disagree"
+                )
+            if ok and witness is None:
+                side, witness = wside, w
+        if label:
+            held.append(f"{label}: {ok}")
+    if witness is None and all(test is None for _l, test, _s, _e in branches):
+        raise AssertionError(f"no {name} witness verified; criterion table is wrong")
+    details = []
+    if spec.c > 1 and any(test for _l, test, _s, _e in branches):
+        details.append(f"branch conditions quantified over all {spec.c} crossing types")
+    if held:
+        details.append("; ".join(held))
+    details += notes
+    if witness is not None:
         details.append("witness re-verified invariant under every generator image")
     return ReducibilityResult(
         family=name,
-        verdict="reducible" if reducible else "irreducible",
-        witness_side=witness_side,
+        verdict="reducible" if witness is not None else "irreducible",
+        witness_side=side,
         witness=witness,
         details=details,
     )

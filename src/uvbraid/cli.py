@@ -32,6 +32,7 @@ from .analysis import (
     verify_relations,
 )
 from .groups import (
+    _FIXED_C,
     FLAVORS,
     GroupSpec,
     abelianize,
@@ -62,7 +63,8 @@ SUITES = (
 
 
 def _spec_from(args) -> GroupSpec:
-    return make_spec(args.group, args.n, args.c)
+    c = args.c if args.c is not None or args.group in _FIXED_C else 1
+    return make_spec(args.group, args.n, c)
 
 
 def _bindings(items: list[str] | None, flag: str, parse) -> dict:
@@ -472,14 +474,14 @@ def cmd_suite(args) -> int:
 # parser
 
 
-def _add_group_flags(sub, default_n=3, default_c=1):
+def _add_group_flags(sub):
     sub.add_argument("--group", choices=FLAVORS, default="uv", help="group flavor")
-    sub.add_argument("--n", type=int, default=default_n, help="number of strands")
+    sub.add_argument("--n", type=int, default=3, help="number of strands")
     sub.add_argument(
         "--c",
         type=int,
-        default=default_c,
-        help="number of crossing types (marked index for mvb/mwb)",
+        help="number of crossing types (marked index for mvb/mwb); "
+        "default: the flavor's fixed c, else 1",
     )
     sub.add_argument(
         "--json", action="store_true", default=argparse.SUPPRESS,

@@ -50,8 +50,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        self.re = re if type(re) is Fraction else _exact(re)
+        self.im = im if type(im) is Fraction else _exact(im)
 
     # -- arithmetic -------------------------------------------------
 
@@ -123,9 +123,6 @@ class GaussianRational:
         n = self.re * self.re + self.im * self.im
         return GaussianRational(self.re / n, -self.im / n)
 
-    def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
-
     # -- structure --------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -152,6 +149,13 @@ class GaussianRational:
 
     def __str__(self):
         return render_gaussian(self)
+
+
+def _exact(x) -> Fraction:
+    """A Fraction part; a float is refused, not read as its binary fraction."""
+    if isinstance(x, float):
+        raise TypeError(f"not an exact scalar: {x!r}")
+    return Fraction(x)
 
 
 def _coerce(x):
@@ -388,12 +392,6 @@ class MultiPoly:
         if self.is_constant():
             return self.terms[self.ring._zero_exp]
         raise ValueError(f"not a constant polynomial: {self}")
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def leading(self) -> tuple[tuple[int, ...], GaussianRational]:
         """Leading (exponent, coefficient) in graded lexicographic order."""

@@ -6,6 +6,7 @@ import itertools
 import random
 import re
 import tracemalloc
+import unittest.mock
 from fractions import Fraction
 
 import pytest
@@ -29,8 +30,8 @@ from uvbraid.analysis import (
 )
 from uvbraid.groups import Word, make_spec, relations, rho, sigma, word
 from uvbraid.matrices import Matrix
-from uvbraid.reps import build_local_rep, eval_word, specialize
-from uvbraid.scalars import G_ZERO, GaussianRational, PolyRing, parse_gaussian
+from uvbraid.reps import build_local_rep, canonical_family, eval_word, specialize
+from uvbraid.scalars import G_ONE, G_ZERO, GaussianRational, PolyRing, parse_gaussian
 
 from test_matrices import FractionEchelon, qi_entries
 
@@ -964,6 +965,198 @@ class TestReducibilityCriterion:
         res = reducibility_criterion("upsilon-prime", spec, params)
         dim = burnside_dim(_images(rep))
         assert (res.verdict == "irreducible") == (dim == 9)
+
+
+def _reference_criterion(family, spec, params):
+    """The if/elif criterion that ``_CRITERIA`` replaced, kept as the
+    reference; it calls ``invariant_check`` through the module so that the
+    differential test can count its calls."""
+    check = uvbraid.analysis.invariant_check
+    name = canonical_family(family)
+    rep = build_local_rep(name, spec, params)
+    point = rep.assignment
+    ring = rep.ring
+    m = rep.degree
+    details = []
+    if spec.c > 1 and name.startswith(("omega", "upsilon")):
+        details.append(
+            f"branch conditions quantified over all {spec.c} crossing types"
+        )
+
+    def val(nm):
+        return point[nm]
+
+    one = G_ONE
+    witness_side = None
+    witness = None
+    reducible = False
+    types = range(1, spec.c + 1)
+
+    if name == "upsilon-prime":
+        row_branch = all(
+            val(f"s1_{t}") + val(f"s2_{t}") == one
+            and val(f"s3_{t}") + val(f"s4_{t}") == one
+            for t in types
+        )
+        col_branch = all(
+            val(f"s1_{t}") + val(f"s3_{t}") == one
+            and val(f"s2_{t}") + val(f"s4_{t}") == one
+            for t in types
+        )
+        details.append(f"row sums at 1: {row_branch}; column sums at 1: {col_branch}")
+        reducible = row_branch or col_branch
+        if row_branch:
+            witness_side, witness = "column", Matrix.column(ring, [1] * m)
+        elif col_branch:
+            witness_side, witness = "row", Matrix.row_vector(ring, [1] * m)
+    elif name == "omega1p":
+        on = all(
+            val(f"s2_{t}") == val("r2") and val(f"s3_{t}") * val("r2") == one
+            for t in types
+        )
+        details.append(f"s2 = r2 and s3 = 1/r2 for all types: {on}")
+        reducible = on
+        if on:
+            witness_side, witness = "column", Matrix.column(ring, [1] * m)
+    elif name == "omega2p":
+        on = all(val(f"s2_{t}") / val("r2") + val(f"s4_{t}") == one for t in types)
+        details.append(f"s2/r2 + s4 = 1 for all types: {on}")
+        reducible = on
+        if on:
+            witness_side, witness = "row", Matrix.row_vector(ring, [1] * m)
+    elif name == "omega3p":
+        on = all(val(f"s1_{t}") + val(f"s2_{t}") / val("r2") == one for t in types)
+        details.append(f"s1 + s2/r2 = 1 for all types: {on}")
+        reducible = on
+        if on:
+            witness_side, witness = "column", Matrix.column(ring, [1] * m)
+    elif name == "epsilon1":
+        reducible = True
+        witness_side = "column"
+        witness = Matrix.column(ring, [1] + [0] * (m - 1))
+        details.append("first basis column is always invariant")
+    elif name == "epsilon2":
+        reducible = True
+        witness_side = "column"
+        witness = Matrix.column(ring, [0] * (m - 1) + [1])
+        details.append("last basis column is always invariant")
+    elif name == "epsilon3":
+        reducible = True
+        witness_side = "column"
+        r6 = val("r6")
+        witness = Matrix.column(ring, [r6 ** (-j) for j in range(m)])
+        details.append("geometric column (1, r6^-1, ..., r6^-n) is invariant")
+    elif name == "epsilon4":
+        reducible = True
+        r2 = val("r2")
+        gens = _images(rep)
+        inverse_reading = Matrix.row_vector(ring, [r2 ** (-j) for j in range(m)])
+        direct_reading = Matrix.row_vector(ring, [r2 ** j for j in range(m)])
+        inv_ok = check(gens, inverse_reading, "row")
+        dir_ok = check(gens, direct_reading, "row")
+        details.append(
+            f"row (1, r2^-1, ..., r2^-n) invariant: {inv_ok}; "
+            f"row (1, r2, ..., r2^n) invariant: {dir_ok}"
+        )
+        details.append(
+            "a row in powers of r6 is not expressible: this family has no r6 parameter"
+        )
+        witness_side = "row"
+        witness = direct_reading if dir_ok else inverse_reading
+        assert dir_ok or inv_ok
+
+    if reducible and witness is not None:
+        assert check(_images(rep), witness, witness_side)
+        details.append("witness re-verified invariant under every generator image")
+    return (
+        "reducible" if reducible else "irreducible",
+        witness_side,
+        None if witness is None else str(witness),
+        details,
+    )
+
+
+_CRITERION_GROUPS = {
+    "upsilon-prime": "uv", "omega1p": "uw", "omega2p": "uw", "omega3p": "uw",
+    "epsilon1": "uv", "epsilon2": "uv", "epsilon3": "uv", "epsilon4": "uv",
+}
+_SMALL = [x for x in range(-3, 4) if x] + [Fraction(1, 2), Fraction(-2, 3)]
+
+
+@st.composite
+def criterion_points(draw):
+    """A family, a group and a point that is on or off the family's locus
+    for each crossing type independently (for upsilon-prime: on the row,
+    the column or both loci); epsilon4 points put r2 at 1, -1 or i half of
+    the time, where its two row readings agree or only one holds."""
+    family = draw(st.sampled_from(sorted(_CRITERION_GROUPS)))
+    c = 2 if family.startswith("epsilon") else draw(st.sampled_from([1, 2]))
+    spec = make_spec(_CRITERION_GROUPS[family], draw(st.sampled_from([3, 4])), c)
+
+    def q():
+        re = draw(st.sampled_from(_SMALL))
+        return GaussianRational(re, draw(st.sampled_from([0, 0, 1, -1])))
+
+    rep = build_local_rep(family, spec)
+    point = {p: q() for p in rep.params}
+    if family == "epsilon4" and draw(st.booleans()):
+        point["r2"] = GaussianRational(*draw(st.sampled_from([(1, 0), (-1, 0), (0, 1)])))
+    for t in range(1, c + 1):
+        locus = draw(st.sampled_from(["off", "rows", "columns", "both"]))
+        if locus == "off":
+            continue
+        v = {p[:-2]: point[p] for p in point if p.endswith(f"_{t}")}
+        r2 = point.get("r2")
+        if family == "upsilon-prime":
+            if locus == "rows":
+                v["s2"], v["s4"] = 1 - v["s1"], 1 - v["s3"]
+            elif locus == "columns":
+                v["s3"], v["s4"] = 1 - v["s1"], 1 - v["s2"]
+            else:
+                v["s2"] = v["s3"] = 1 - v["s1"]
+                v["s4"] = v["s1"]
+        elif family == "omega1p":
+            v["s2"], v["s3"] = r2, 1 / r2
+        elif family == "omega2p":
+            v["s4"] = 1 - v["s2"] / r2
+        elif family == "omega3p":
+            v["s1"] = 1 - v["s2"] / r2
+        point.update({f"{k}_{t}": x for k, x in v.items()})
+    return family, spec, point
+
+
+class TestCriterionTableAgainstReference:
+    @given(criterion_points())
+    @settings(max_examples=150, deadline=None)
+    def test_same_result_and_no_more_checks(self, case):
+        family, spec, point = case
+        calls = []
+        real = uvbraid.analysis.invariant_check
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        with unittest.mock.patch.object(uvbraid.analysis, "invariant_check", counted):
+            try:
+                want = _reference_criterion(family, spec, point)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    reducibility_criterion(family, spec, point)
+                return
+            ref_calls = len(calls)
+            del calls[:]
+            res = reducibility_criterion(family, spec, point)
+        got = (res.verdict, res.witness_side,
+               None if res.witness is None else str(res.witness), res.details)
+        assert got == want
+        assert len(calls) <= ref_calls
+        if family == "epsilon4":
+            assert len(calls) == 2
+
+    def test_symbolic_parameters_are_refused(self):
+        with pytest.raises(ValueError, match="needs a parameter point"):
+            reducibility_criterion("upsilon-prime", make_spec("uv", 3, 1), "symbolic")
 
 
 class TestFactoring:

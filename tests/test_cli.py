@@ -99,6 +99,20 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "'1/0'" in err and "Traceback" not in err
 
+    def test_fixed_c_flavor_defaults_to_its_own_c(self, capsys):
+        argv = ("verify", "--family", "f-rep", "--group", "vsg", "--n", "4")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert (code, out, err) == run(capsys, *argv, "--c", "2")
+
+    def test_fixed_c_flavor_still_refuses_another_c(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--family", "f-rep", "--group", "vsg", "--n", "4",
+            "--c", "1",
+        )
+        assert code == 2 and out == ""
+        assert "vsg fixes c = 2; got 1" in err
+
     def test_unknown_flavor_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "verify", "--family", "upsilon", "--group", "uq", "--n", "3")
@@ -369,6 +383,44 @@ class TestJsonGoldens:
             0,
             ("irreducibility", "--family", "omega2p", "--group", "uw", "--n", "4",
              "--param", "r2=1+i", "--param", "s2_1=2", "--param", "s4_1=i"),
+        ),
+        "irreducibility_omega1p_uw4_c2_on": (
+            0,
+            ("irreducibility", "--family", "omega1p", "--group", "uw", "--n", "4",
+             "--c", "2", "--param", "r2=3", "--param", "s2_1=3", "--param", "s3_1=1/3",
+             "--param", "s2_2=3", "--param", "s3_2=1/3"),
+        ),
+        "irreducibility_omega3p_uw4_c2_mixed": (
+            0,
+            ("irreducibility", "--family", "omega3p", "--group", "uw", "--n", "4",
+             "--c", "2", "--param", "r2=2", "--param", "s1_1=3", "--param", "s2_1=-4",
+             "--param", "s1_2=1", "--param", "s2_2=1"),
+        ),
+        "irreducibility_epsilon1_uv4_c2": (
+            0,
+            ("irreducibility", "--family", "epsilon1", "--group", "uv", "--n", "4",
+             "--c", "2", "--param", "r6=2", "--param", "s5_1=1", "--param", "s6_1=2",
+             "--param", "s8_1=3", "--param", "s9_1=5", "--param", "s5_2=2",
+             "--param", "s6_2=1", "--param", "s8_2=1", "--param", "s9_2=1"),
+        ),
+        "irreducibility_epsilon2_uv4_c2": (
+            0,
+            ("irreducibility", "--family", "epsilon2", "--group", "uv", "--n", "4",
+             "--c", "2", "--param", "r2=2", "--param", "s1_1=1", "--param", "s2_1=2",
+             "--param", "s4_1=3", "--param", "s5_1=5", "--param", "s1_2=2",
+             "--param", "s2_2=1", "--param", "s4_2=1", "--param", "s5_2=1"),
+        ),
+        "irreducibility_epsilon3_uv4_c2": (
+            0,
+            ("irreducibility", "--family", "epsilon3", "--group", "uv", "--n", "4",
+             "--c", "2", "--param", "r6=2", "--param", "s4_1=1", "--param", "s5_1=3",
+             "--param", "s4_2=2", "--param", "s5_2=1"),
+        ),
+        "irreducibility_epsilon4_uv4_c2": (
+            0,
+            ("irreducibility", "--family", "epsilon4", "--group", "uv", "--n", "4",
+             "--c", "2", "--param", "r2=2", "--param", "s5_1=3", "--param", "s8_1=1",
+             "--param", "s5_2=1", "--param", "s8_2=2"),
         ),
     }
 

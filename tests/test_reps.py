@@ -269,6 +269,15 @@ class TestSpecialization:
         with pytest.raises(ValueError, match=r"missing parameters \['s1_1', 's2_1'"):
             specialize(base, {"r2": 2})
 
+    def test_float_parameter_is_refused(self):
+        # 0.1 would otherwise bind r2 to the binary fraction nearest 1/10
+        spec = make_spec("uv", 3, 1)
+        point = {"r2": 0.1, "s1_1": 1, "s2_1": 0, "s3_1": 0, "s4_1": 1}
+        with pytest.raises(TypeError, match="not an exact scalar: 0.1"):
+            specialize(build_local_rep("upsilon", spec), point)
+        with pytest.raises(TypeError, match="not an exact scalar: 0.1"):
+            build_local_rep("upsilon", spec, point)
+
     def test_build_local_rep_accepts_assignment_directly(self):
         spec = make_spec("uv", 3, 1)
         rep = build_local_rep(

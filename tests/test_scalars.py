@@ -96,6 +96,11 @@ class TestGaussianRational:
         with pytest.raises(ValueError):
             parse_gaussian("x + 1")
 
+    @pytest.mark.parametrize("parts", [(0.1,), (1, 0.5), (Fraction(1, 3), 2.0)])
+    def test_float_parts_are_refused(self, parts):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            GaussianRational(*parts)
+
     @pytest.mark.parametrize("text", ["1/0", "2/0*i", "1+3/0*i", "-0/0"])
     def test_zero_denominator_is_a_value_error(self, text):
         with pytest.raises(ValueError, match="zero denominator") as exc:
