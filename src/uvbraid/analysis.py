@@ -19,19 +19,17 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groups import (
+from .groups import (  # forbidden_moves is re-exported, not used here
     GroupSpec,
     Relation,
     Word,
+    forbidden_moves,
     perm_image,
     phi,
     relations,
-    rho,
-    sigma,
-    word,
 )
 from .matrices import Echelon, Matrix, place
-from .reps import LocalRep, build_local_rep, canonical_family, eval_word, specialize
+from .reps import LocalRep, build_local_rep, eval_word, specialize
 from .scalars import (
     GaussianRational,
     MultiPoly,
@@ -199,7 +197,8 @@ def verify_relations(
         raise ValueError(f"sampled mode needs at least one sample; got {samples}")
     rels = relations(spec)
     reps: list[LocalRep]
-    if mode == "sampled" and rep.assignment is None:
+    sampled = mode == "sampled" and rep.assignment is None
+    if sampled:
         rng = random.Random(seed)
         reps = [specialize(rep, sample_point(rep, rng)) for _ in range(samples)]
     else:
@@ -246,7 +245,7 @@ def verify_relations(
         rep=rep.describe(),
         spec=spec,
         mode=mode if rep.assignment is None else "specialized",
-        seed=seed if mode == "sampled" else None,
+        seed=seed if sampled else None,
         outcomes=outcomes,
     )
 
@@ -265,6 +264,10 @@ class ConstraintSystem:
     unknowns: tuple[str, ...]
     equations: list[MultiPoly]
     provenance: list[list[str]]
+    # one polynomial per block (rho, then sigma_t by t), nonzero exactly
+    # where the block is defined and invertible: its determinant's numerator
+    # times its entries' denominators (-r2 for the antidiagonal virtual block)
+    invertibility: list[MultiPoly] = field(default_factory=list)
 
     def __len__(self):
         return len(self.equations)
@@ -385,6 +388,13 @@ def generate_constraints(
     for eq in equations:
         appearing.update(eq.variables())
     unknowns = tuple(v for v in rep.ring.vars if v in appearing)
+    invertibility = []
+    for block in [rep.rho_block] + [rep.sigma_blocks[t] for t in sorted(rep.sigma_blocks)]:
+        poly = block.det().num
+        for row in block.rows:
+            for entry in row:
+                poly = poly * entry.den
+        invertibility.append(poly)
     return ConstraintSystem(
         block_size=block_size,
         spec=spec,
@@ -392,6 +402,7 @@ def generate_constraints(
         unknowns=unknowns,
         equations=equations,
         provenance=provenance,
+        invertibility=invertibility,
     )
 
 
@@ -687,19 +698,25 @@ _CRITERIA = {
 def reducibility_criterion(
     family: str, spec: GroupSpec, params: dict
 ) -> ReducibilityResult:
-    """Closed-form reducibility verdict at a parameter point, with witness.
+    """Closed-form reducibility verdict of ``family`` over ``spec`` at the
+    point ``params``: builds the family there and runs ``reducibility_at``."""
+    return reducibility_at(build_local_rep(family, spec, params))
+
+
+def reducibility_at(rep: LocalRep) -> ReducibilityResult:
+    """Closed-form reducibility verdict of a family specialized at a
+    parameter point, with witness.
 
     Every "reducible" verdict comes with an invariant line witness that has
     been re-verified against all generator images before being returned, so
-    a wrong closed form cannot silently return a bogus certificate.
+    a wrong closed form cannot silently return a bogus certificate; a closed
+    form that disagrees with its table is an ``AssertionError``.
     """
-    name = canonical_family(family)
+    name, spec, point = rep.name, rep.spec, rep.assignment
     if name not in _CRITERIA:
         raise ValueError(
             f"no closed-form criterion for {name!r}; use burnside_dim instead"
         )
-    rep = build_local_rep(name, spec, params)
-    point = rep.assignment
     if point is None:
         raise ValueError(
             f"the {name} criterion needs a parameter point, not symbolic parameters"
@@ -803,25 +820,3 @@ def factor_check(
         rhs_image=str(ir),
     )
 
-
-def forbidden_moves(spec: GroupSpec) -> list[Relation]:
-    """The two forbidden-move families (not consequences of the universal
-    relations): FM1 is the welded (over) move, FM2 the under move."""
-    out = []
-    for i in range(1, spec.n - 1):
-        for t in range(1, spec.c + 1):
-            out.append(
-                Relation(
-                    f"FM1[i={i},t={t}]",
-                    word(rho(i), sigma(i + 1, t), sigma(i, t)),
-                    word(sigma(i + 1, t), sigma(i, t), rho(i + 1)),
-                )
-            )
-            out.append(
-                Relation(
-                    f"FM2[i={i},t={t}]",
-                    word(rho(i + 1), sigma(i, t), sigma(i + 1, t)),
-                    word(sigma(i, t), sigma(i + 1, t), rho(i)),
-                )
-            )
-    return out

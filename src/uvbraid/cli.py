@@ -27,8 +27,7 @@ from .analysis import (
     factor_check,
     forbidden_moves,
     generate_constraints,
-    generic_rep,
-    reducibility_criterion,
+    reducibility_at,
     verify_relations,
 )
 from .groups import (
@@ -143,13 +142,7 @@ def cmd_constraints(args) -> int:
 def cmd_enumerate(args) -> int:
     spec = _spec_from(args)
     system = generate_constraints(args.k, spec, args.tag or None, args.rho_form)
-    invertible = []
-    if args.invertible_blocks:
-        gen = generic_rep(args.k, spec, args.rho_form)
-        if args.rho_form == "generic":
-            invertible.append(gen.rho_block.det().num)
-        for t in sorted(gen.sigma_blocks):
-            invertible.append(gen.sigma_blocks[t].det().num)
+    invertible = system.invertibility if args.invertible_blocks else []
     fixed = _bindings(args.fixed, "--fixed", int)
     scan = enumerate_solutions_mod_p(system, args.mod, invertible, fixed or None)
     payload = {
@@ -208,10 +201,14 @@ def cmd_irreducibility(args) -> int:
         )
     ]
     try:
-        res = reducibility_criterion(args.family, spec, params)
-    except ValueError as exc:
+        res = reducibility_at(rep)
+    except (ValueError, AssertionError) as exc:
+        # no criterion for this family is a pass; a criterion that
+        # contradicts its own table is a failed check
         payload["criterion"] = None
-        checks.append(_check("closed-form criterion", True, str(exc)))
+        checks.append(
+            _check("closed-form criterion", isinstance(exc, ValueError), str(exc))
+        )
     else:
         payload["criterion"] = {
             "verdict": res.verdict,
@@ -355,13 +352,18 @@ def _suite_three_local() -> list[dict]:
         checks.append(
             _check(f"{fam} satisfies {spec.describe()}", report.all_passed, report.summary())
         )
-        res = reducibility_criterion(fam, spec, _EPSILON_SAMPLE[fam])
-        gens = [m for _g, m in specialize(rep, _EPSILON_SAMPLE[fam]).generator_images()]
-        dim = burnside_dim(gens)
+        point = specialize(rep, _EPSILON_SAMPLE[fam])
+        tag = f"{fam} is reducible with a verified invariant line"
+        try:
+            res = reducibility_at(point)
+        except AssertionError as exc:
+            checks.append(_check(tag, False, f"closed-form criterion: {exc}"))
+            continue
+        dim = burnside_dim([m for _g, m in point.generator_images()])
         full = rep.degree * rep.degree
         checks.append(
             _check(
-                f"{fam} is reducible with a verified invariant line",
+                tag,
                 res.verdict == "reducible" and dim < full,
                 f"witness {res.witness_side} {res.witness}; algebra dim {dim} < {full}",
             )
@@ -399,10 +401,8 @@ def _suite_forbidden_moves() -> list[dict]:
 def _suite_mod_p(p: int = 5) -> list[dict]:
     checks = []
     spec = make_spec("uv", 3, 1)
-    gen = generic_rep(2, spec)
-    det_r = gen.rho_block.det().num
-    det_s = gen.sigma_blocks[1].det().num
     rho_sys = generate_constraints(2, spec, ["PR1[i=1]", "PR3[i=1]"])
+    det_r, det_s = rho_sys.invertibility
     scan = enumerate_solutions_mod_p(rho_sys, p, [det_r])
     buckets = Counter(classify_virtual_point(s, p) for s in scan.solutions)
     checks.append(

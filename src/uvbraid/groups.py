@@ -20,7 +20,8 @@ relations per type (BR), involutive types sigma_{i,t}^2 = 1 (INV), and the
 three singular mixed relations for c = 2 (SG1-SG3).
 
 A :class:`GroupSpec` is just this flag bundle; :func:`relations` enumerates
-the finite presentation it denotes.  Words are sequences of signed letters
+the finite presentation it denotes from ``_SCHEMA``, which states each family
+above once, as a shape at strand 1.  Words are sequences of signed letters
 with the textual grammar ``r<i>`` / ``s<i>,<t>`` / optional ``^-1`` suffix,
 whitespace separated (e.g. ``"r1 s2,1 s1,1^-1"``).
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
+from itertools import product
 
 FLAVORS = ("uv", "uw", "vb", "wb", "vt", "wt", "vsg", "wsg", "mvb", "mwb")
 
@@ -169,114 +171,112 @@ class Relation:
         return f"{self.tag}: {self.lhs} = {self.rhs}"
 
 
-def relations(spec: GroupSpec) -> list[Relation]:
-    """Duplicate-free enumeration of the defining relations of ``spec``.
+# The presentation, one row per relation family: (the GroupSpec flag it
+# needs, or None; "local" or "far"; shapes).  A shape "TAG: lhs = rhs" is
+# written at strand 1 in the word grammar, t and l standing for crossing
+# types.  A local shape on strands 1..1+s sits at i = 1..n-1-s.  A far row
+# is x_i y_j = y_j x_i, x and y written at strands 1 and 3, at every i, j two
+# or more apart, with i < j when x and y are of one kind.  A row over a
+# flagged type set runs type by type, any other row place by place with its
+# types innermost, and a row's shapes are emitted together at each place.
+_SCHEMA = (
+    (None, "local", "PR1: r1 r2 r1 = r2 r1 r2"),
+    (None, "far", "PR2: r1 r3 = r3 r1"),
+    (None, "local", "PR3: r1 r1 = 1"),
+    (None, "far", "CR: s1,t s3,l = s3,l s1,t"),
+    (None, "far", "MR1: s1,t r3 = r3 s1,t"),
+    (None, "local", "MR2: r1 r2 s1,t = s2,t r1 r2"),
+    ("welded", "local", "WR1: r1 s2,t s1,t = s2,t s1,t r2"),
+    ("braid_types", "local", "BR: s1,t s2,t s1,t = s2,t s1,t s2,t"),
+    ("involutive_types", "local", "INV: s1,t s1,t = 1"),
+    # with sigma = type 1 and tau = type 2
+    ("singular", "local", "SG1: s1,1 s1,2 = s1,2 s1,1"),
+    ("singular", "local", "SG2: s1,1 s2,1 s1,2 = s2,2 s1,1 s2,1",
+     "SG3: s2,1 s1,1 s2,2 = s1,2 s2,1 s1,1"),
+)
 
-    Ordering is deterministic: the universal families first (PR1, PR2, PR3,
-    CR, MR1, MR2), then WR1 when welded, then BR / INV / SG flag relations.
-    """
+# The forbidden moves, which do not follow from the universal relations:
+# FM1 is the welded (over) move, FM2 the under move.
+_FORBIDDEN = ((None, "local", "FM1: r1 s2,t s1,t = s2,t s1,t r2",
+               "FM2: r2 s1,t s2,t = s1,t s2,t r1"),)
+
+_SHAPE_LETTER = _re.compile(r"([rs])(\d+)(?:,([tl]|\d+))?")
+
+
+def _parse(table: tuple) -> list:
+    """Each row as (scope, far?, span s, type names, [(tag, sides)]); a letter
+    is (kind "r" or "s", "i" or "j", strand offset, type: literal, name or None)."""
+    rows = []
+    for scope, where, *texts in table:
+        far, shapes = where == "far", []
+        for text in texts:
+            tag, _, equation = text.partition(": ")
+            sides = [
+                [(kind, "j" if far and at != "1" else "i", 0 if far else int(at) - 1,
+                  int(typ) if typ.isdigit() else typ or None)
+                 for kind, at, typ in _SHAPE_LETTER.findall(side)]
+                for side in equation.split(" = ")
+            ]
+            shapes.append((tag, sides))
+        letters = [x for _tag, sides in shapes for side in sides for x in side]
+        types = [t for t in "tl" if any(x[3] == t for x in letters)]
+        rows.append((scope, far, max(x[2] for x in letters), types, shapes))
+    return rows
+
+
+_SCHEMA_ROWS, _FORBIDDEN_ROWS = _parse(_SCHEMA), _parse(_FORBIDDEN)
+
+
+def _place(rows: list, spec: GroupSpec) -> list[Relation]:
+    """Every relation of the parsed ``rows`` on the strands and types of
+    ``spec``, in row order (see ``_SCHEMA``)."""
     n, c = spec.n, spec.c
-    out: list[Relation] = []
-    for i in range(1, n - 1):
-        out.append(
-            Relation(
-                f"PR1[i={i}]",
-                word(rho(i), rho(i + 1), rho(i)),
-                word(rho(i + 1), rho(i), rho(i + 1)),
-            )
-        )
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            out.append(
-                Relation(
-                    f"PR2[i={i},j={j}]",
-                    word(rho(i), rho(j)),
-                    word(rho(j), rho(i)),
-                )
-            )
-    for i in range(1, n):
-        out.append(Relation(f"PR3[i={i}]", word(rho(i), rho(i)), Word()))
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            for t in range(1, c + 1):
-                for l in range(1, c + 1):
-                    out.append(
-                        Relation(
-                            f"CR[i={i},j={j},t={t},l={l}]",
-                            word(sigma(i, t), sigma(j, l)),
-                            word(sigma(j, l), sigma(i, t)),
+    # each Generator is built once per call; they are frozen, so shared
+    letters = {("r", i, None): (rho(i), 1) for i in range(1, n)}
+    letters.update(
+        (("s", i, t), (sigma(i, t), 1)) for i in range(1, n) for t in range(1, c + 1)
+    )
+    out = []
+    for scope, far, span, types, shapes in rows:
+        flag = True if scope is None else getattr(spec, scope)
+        if not flag:
+            continue
+        if far:
+            x, y = (kind for kind, *_ in shapes[0][1][0])
+            places = [{"i": i, "j": j} for i in range(1, n) for j in range(1, n)
+                      if abs(i - j) >= 2 and (i < j or x != y)]
+        else:
+            places = [{"i": i} for i in range(1, n - span)]
+        if isinstance(flag, frozenset):
+            runs = [[(t,)] for t in sorted(flag)]
+        else:
+            runs = [list(product(range(1, c + 1), repeat=len(types)))]
+        for run in runs:
+            for place in places:
+                for values in run:
+                    env = place | dict(zip(types, values))
+                    fields = ",".join(f"{k}={v}" for k, v in env.items())
+                    for tag, sides in shapes:
+                        # a literal type, or a rho's None, stands for itself
+                        lhs, rhs = (
+                            Word(tuple(letters[kind, env[v] + at, env.get(t, t)]
+                                       for kind, v, at, t in side))
+                            for side in sides
                         )
-                    )
-    for i in range(1, n):
-        for j in range(1, n):
-            if abs(i - j) >= 2:
-                for t in range(1, c + 1):
-                    out.append(
-                        Relation(
-                            f"MR1[i={i},j={j},t={t}]",
-                            word(sigma(i, t), rho(j)),
-                            word(rho(j), sigma(i, t)),
-                        )
-                    )
-    for i in range(1, n - 1):
-        for t in range(1, c + 1):
-            out.append(
-                Relation(
-                    f"MR2[i={i},t={t}]",
-                    word(rho(i), rho(i + 1), sigma(i, t)),
-                    word(sigma(i + 1, t), rho(i), rho(i + 1)),
-                )
-            )
-    if spec.welded:
-        for i in range(1, n - 1):
-            for t in range(1, c + 1):
-                out.append(
-                    Relation(
-                        f"WR1[i={i},t={t}]",
-                        word(rho(i), sigma(i + 1, t), sigma(i, t)),
-                        word(sigma(i + 1, t), sigma(i, t), rho(i + 1)),
-                    )
-                )
-    for t in sorted(spec.braid_types):
-        for i in range(1, n - 1):
-            out.append(
-                Relation(
-                    f"BR[i={i},t={t}]",
-                    word(sigma(i, t), sigma(i + 1, t), sigma(i, t)),
-                    word(sigma(i + 1, t), sigma(i, t), sigma(i + 1, t)),
-                )
-            )
-    for t in sorted(spec.involutive_types):
-        for i in range(1, n):
-            out.append(
-                Relation(f"INV[i={i},t={t}]", word(sigma(i, t), sigma(i, t)), Word())
-            )
-    if spec.singular:
-        # with sigma = type 1 and tau = type 2:
-        for i in range(1, n):
-            out.append(
-                Relation(
-                    f"SG1[i={i}]",
-                    word(sigma(i, 1), sigma(i, 2)),
-                    word(sigma(i, 2), sigma(i, 1)),
-                )
-            )
-        for i in range(1, n - 1):
-            out.append(
-                Relation(
-                    f"SG2[i={i}]",
-                    word(sigma(i, 1), sigma(i + 1, 1), sigma(i, 2)),
-                    word(sigma(i + 1, 2), sigma(i, 1), sigma(i + 1, 1)),
-                )
-            )
-            out.append(
-                Relation(
-                    f"SG3[i={i}]",
-                    word(sigma(i + 1, 1), sigma(i, 1), sigma(i + 1, 2)),
-                    word(sigma(i, 2), sigma(i + 1, 1), sigma(i, 1)),
-                )
-            )
+                        out.append(Relation(f"{tag}[{fields}]", lhs, rhs))
     return out
+
+
+def relations(spec: GroupSpec) -> list[Relation]:
+    """Duplicate-free enumeration of the defining relations of ``spec``: the
+    rows of ``_SCHEMA`` in order, so the universal families first (PR1, PR2,
+    PR3, CR, MR1, MR2), then WR1 when welded, then BR / INV / SG."""
+    return _place(_SCHEMA_ROWS, spec)
+
+
+def forbidden_moves(spec: GroupSpec) -> list[Relation]:
+    """The forbidden moves of ``_FORBIDDEN``, FM1 and FM2 at each i and t."""
+    return _place(_FORBIDDEN_ROWS, spec)
 
 
 _TOKEN_RE = _re.compile(r"^(r(\d+)|s(\d+),(\d+))(\^-1)?$")

@@ -4,11 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from contextlib import ExitStack
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import uvbraid
+from uvbraid import analysis, cli, matrices, reps
 from uvbraid.cli import main
 
 
@@ -16,6 +20,31 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def count_builds(*argv) -> dict:
+    """Calls of build_local_rep, specialize and block_embed made by one CLI
+    run, counted through wrappers in every module that holds them."""
+    originals = {
+        "build_local_rep": reps.build_local_rep,
+        "specialize": reps.specialize,
+        "block_embed": matrices.block_embed,
+    }
+    counts = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    with ExitStack() as stack:
+        for mod in (uvbraid, analysis, cli, reps, matrices):
+            for name, f in originals.items():
+                if getattr(mod, name, None) is f:
+                    stack.enter_context(mock.patch.object(mod, name, counted(name, f)))
+        main(list(argv))
+    return dict(counts)
 
 
 class TestVerifyCommand:
@@ -49,6 +78,18 @@ class TestVerifyCommand:
             "--sampled", "--seed", "3",
         )
         assert code == 0 and "sampled" in out
+
+    def test_seed_is_reported_only_when_points_were_sampled(self, capsys):
+        argv = ("verify", "--family", "upsilon", "--n", "3", "--c", "1",
+                "--sampled", "--seed", "7", "--json")
+        point = ("--param", "r2=2", "--param", "s1_1=1", "--param", "s2_1=2",
+                 "--param", "s3_1=3", "--param", "s4_1=5")
+        _, out, _ = run(capsys, *argv, *point)
+        payload = json.loads(out)
+        assert payload["mode"] == "specialized" and payload["seed"] is None
+        _, out, _ = run(capsys, *argv)
+        payload = json.loads(out)
+        assert payload["mode"] == "sampled" and payload["seed"] == 7
 
     def test_unknown_family_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "zeta", "--n", "3")
@@ -180,6 +221,18 @@ class TestEnumerateCommand:
         assert payload["count"] == 1921
         assert payload["classification"] == {"antidiagonal": 1920, "identity": 1}
 
+    def test_antidiagonal_invertibility_excludes_r2_zero(self, capsys):
+        # the virtual block [[0, r2], [1/r2, 0]] is undefined at r2 = 0
+        code, out, _ = run(
+            capsys, "enumerate", "--group", "uw", "--n", "3", "--c", "1",
+            "--tag", "WR1[i=1,t=1]", "--rho-form", "antidiagonal", "--mod", "3",
+            "--invertible-blocks", "--json",
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["count"] == 24
+        assert all(s["r2"] != 0 for s in payload["solutions"])
+
     def test_three_local_scan_is_not_classified(self, capsys):
         # r1..r4 of a 3x3 virtual block are not a 2x2 block to bucket
         argv = ("enumerate", "--k", "3", "--n", "4", "--c", "1", "--mod", "3",
@@ -241,6 +294,31 @@ class TestIrreducibilityCommand:
         assert code == 0
         assert payload["criterion"] is None
         assert payload["burnside_dim"] >= 1
+
+    def test_family_is_built_and_specialized_once(self):
+        counts = count_builds(
+            "irreducibility", "--family", "epsilon4", "--group", "uv", "--n", "4",
+            "--c", "2", "--param", "r2=2", "--param", "s5_1=3", "--param", "s8_1=1",
+            "--param", "s5_2=1", "--param", "s8_2=2",
+        )
+        # 9 generator images of degree 5, shared by the oracle and the criterion
+        assert counts == {"build_local_rep": 1, "specialize": 1, "block_embed": 9}
+
+    def test_criterion_contradicting_its_table_is_a_failed_check(self, capsys, monkeypatch):
+        [(label, _test, side, entry)], notes = analysis._CRITERIA["omega1p"]
+        monkeypatch.setitem(
+            analysis._CRITERIA, "omega1p", ([(label, lambda v: True, side, entry)], notes)
+        )
+        code, out, _ = run(
+            capsys, "irreducibility", "--family", "omega1p", "--group", "uw",
+            "--n", "4", "--param", "r2=3", "--param", "s2_1=2", "--param", "s3_1=5",
+            "--json",
+        )
+        assert code == 1
+        checks = {c["tag"]: c for c in json.loads(out)["checks"]}
+        assert checks["closed-form criterion"]["status"] == "fail"
+        assert "closed form and table disagree" in checks["closed-form criterion"]["details"]
+        assert checks["algebra-dimension oracle"]["details"] == "dim 16 of 16 => irreducible"
 
 
 class TestHomomorphismCommand:
@@ -316,6 +394,24 @@ class TestSuites:
         assert payload["name"] == "all"
         assert all(c["status"] == "pass" for c in payload["checks"])
         assert len(payload["checks"]) >= 25
+
+    def test_three_local_builds_and_specializes_each_family_once(self):
+        counts = count_builds("suite", "--name", "three-local")
+        assert counts == {"build_local_rep": 4, "specialize": 4, "block_embed": 36}
+
+    def test_three_local_reports_a_wrong_criterion_row_as_failed(self, capsys, monkeypatch):
+        _branches, notes = analysis._CRITERIA["epsilon1"]
+        monkeypatch.setitem(
+            analysis._CRITERIA, "epsilon1",
+            ([(None, None, "column", lambda v, j, m: int(j == 1))], notes),
+        )
+        code, out, _ = run(capsys, "suite", "--name", "three-local", "--json")
+        assert code == 1
+        failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+        assert [c["tag"] for c in failed] == [
+            "epsilon1 is reducible with a verified invariant line"
+        ]
+        assert "no epsilon1 witness verified" in failed[0]["details"]
 
 
 class TestJsonStability:

@@ -7,11 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uvbraid
+from uvbraid import analysis, groups
 from uvbraid.groups import (
+    _FIXED_C,
     FLAVORS,
     Permutation,
+    Relation,
     Word,
     abelianize,
+    forbidden_moves,
     free_reduce,
     make_spec,
     parse_word,
@@ -112,6 +117,116 @@ class TestRelations:
     def test_relator_of_involution(self):
         pr3 = [r for r in relations(make_spec("uv", 3, 1)) if r.tag == "PR3[i=1]"][0]
         assert pr3.relator() == word(rho(1), rho(1))
+
+
+def _reference_relations(spec):
+    """The presentation written out as one loop nest per family: the
+    enumeration ``relations`` replaced, kept as its reference."""
+    n, c = spec.n, spec.c
+    out = []
+    for i in range(1, n - 1):
+        out.append(
+            Relation(f"PR1[i={i}]", word(rho(i), rho(i + 1), rho(i)),
+                     word(rho(i + 1), rho(i), rho(i + 1)))
+        )
+    for i in range(1, n - 1):
+        for j in range(i + 2, n):
+            out.append(Relation(f"PR2[i={i},j={j}]", word(rho(i), rho(j)), word(rho(j), rho(i))))
+    for i in range(1, n):
+        out.append(Relation(f"PR3[i={i}]", word(rho(i), rho(i)), Word()))
+    for i in range(1, n - 1):
+        for j in range(i + 2, n):
+            for t in range(1, c + 1):
+                for l in range(1, c + 1):
+                    out.append(
+                        Relation(f"CR[i={i},j={j},t={t},l={l}]", word(sigma(i, t), sigma(j, l)),
+                                 word(sigma(j, l), sigma(i, t)))
+                    )
+    for i in range(1, n):
+        for j in range(1, n):
+            if abs(i - j) >= 2:
+                for t in range(1, c + 1):
+                    out.append(
+                        Relation(f"MR1[i={i},j={j},t={t}]", word(sigma(i, t), rho(j)),
+                                 word(rho(j), sigma(i, t)))
+                    )
+    for i in range(1, n - 1):
+        for t in range(1, c + 1):
+            out.append(
+                Relation(f"MR2[i={i},t={t}]", word(rho(i), rho(i + 1), sigma(i, t)),
+                         word(sigma(i + 1, t), rho(i), rho(i + 1)))
+            )
+    if spec.welded:
+        for i in range(1, n - 1):
+            for t in range(1, c + 1):
+                out.append(
+                    Relation(f"WR1[i={i},t={t}]", word(rho(i), sigma(i + 1, t), sigma(i, t)),
+                             word(sigma(i + 1, t), sigma(i, t), rho(i + 1)))
+                )
+    for t in sorted(spec.braid_types):
+        for i in range(1, n - 1):
+            out.append(
+                Relation(f"BR[i={i},t={t}]", word(sigma(i, t), sigma(i + 1, t), sigma(i, t)),
+                         word(sigma(i + 1, t), sigma(i, t), sigma(i + 1, t)))
+            )
+    for t in sorted(spec.involutive_types):
+        for i in range(1, n):
+            out.append(Relation(f"INV[i={i},t={t}]", word(sigma(i, t), sigma(i, t)), Word()))
+    if spec.singular:
+        for i in range(1, n):
+            out.append(
+                Relation(f"SG1[i={i}]", word(sigma(i, 1), sigma(i, 2)),
+                         word(sigma(i, 2), sigma(i, 1)))
+            )
+        for i in range(1, n - 1):
+            out.append(
+                Relation(f"SG2[i={i}]", word(sigma(i, 1), sigma(i + 1, 1), sigma(i, 2)),
+                         word(sigma(i + 1, 2), sigma(i, 1), sigma(i + 1, 1)))
+            )
+            out.append(
+                Relation(f"SG3[i={i}]", word(sigma(i + 1, 1), sigma(i, 1), sigma(i + 1, 2)),
+                         word(sigma(i, 2), sigma(i + 1, 1), sigma(i, 1)))
+            )
+    return out
+
+
+def _reference_forbidden_moves(spec):
+    out = []
+    for i in range(1, spec.n - 1):
+        for t in range(1, spec.c + 1):
+            out.append(
+                Relation(f"FM1[i={i},t={t}]", word(rho(i), sigma(i + 1, t), sigma(i, t)),
+                         word(sigma(i + 1, t), sigma(i, t), rho(i + 1)))
+            )
+            out.append(
+                Relation(f"FM2[i={i},t={t}]", word(rho(i + 1), sigma(i, t), sigma(i + 1, t)),
+                         word(sigma(i, t), sigma(i + 1, t), rho(i)))
+            )
+    return out
+
+
+class TestSchemaAgainstReference:
+    """``relations`` and ``forbidden_moves`` place the ``_SCHEMA`` rows; they
+    must give the reference loops' relations, tags, words and order, on
+    every valid spec of the flavor at n = 2..8 and c = 1..3."""
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_same_relations_in_the_same_order(self, flavor):
+        checked = 0
+        for n in range(2, 9):
+            for c in range(1, 4):
+                try:
+                    spec = make_spec(flavor, n, c)
+                except ValueError:  # a fixed-c flavor at another c
+                    continue
+                assert relations(spec) == _reference_relations(spec), spec
+                assert forbidden_moves(spec) == _reference_forbidden_moves(spec), spec
+                checked += 1
+        assert checked == (7 if flavor in _FIXED_C else 21)
+
+    def test_importable_from_every_module(self):
+        assert uvbraid.relations is groups.relations is analysis.relations
+        assert uvbraid.forbidden_moves is groups.forbidden_moves is analysis.forbidden_moves
 
 
 class TestParsing:
