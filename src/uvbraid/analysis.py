@@ -19,13 +19,15 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groups import (  # forbidden_moves is re-exported, not used here
+from .groups import (  # forbidden_moves, relations are re-exported, not used here
     GroupSpec,
+    Placement,
     Relation,
     Word,
     forbidden_moves,
     perm_image,
     phi,
+    placements,
     relations,
 )
 from .matrices import Echelon, Matrix, place
@@ -109,14 +111,6 @@ class VerificationReport:
         }
 
 
-def _letters_covered(rel: Relation, rep: LocalRep) -> str | None:
-    for w in (rel.lhs, rel.rhs):
-        for g, _e in w.letters:
-            if not rep.has_block(g):
-                return f"family {rep.name!r} has no block for {g}"
-    return None
-
-
 def sample_point(rep: LocalRep, rng: random.Random, tries: int = 500) -> dict:
     """A random integer parameter point avoiding all side-condition zeros."""
     for _ in range(tries):
@@ -132,30 +126,26 @@ def sample_point(rep: LocalRep, rng: random.Random, tries: int = 500) -> dict:
     raise RuntimeError(f"could not sample a valid point for {rep.name}")
 
 
-def _window(rel: Relation, k: int) -> tuple | None:
-    """Where ``rel`` acts under a k-local homogeneous representation.
+def _window(p: Placement, k: int) -> tuple | None:
+    """Where placement ``p`` acts under a k-local homogeneous representation,
+    read from its schema row; no word is built.
 
-    ``None`` for a commutation xy = yx whose two letters sit k or more
+    ``None`` for a far row (PR2, CR, MR1) whose letters sit k or more
     strands apart: their images are block-diagonal on disjoint coordinates,
     so they commute identically.  Otherwise ``(key, start, size)``: both
     sides map to I (+) W (+) I with W on the coordinates start ..
     start+size-1 (lowest strand index to highest plus k-1), and W depends
-    only on ``key``, the relation shifted to start at strand 1.
+    only on ``key`` -- the row, the shape, the type values and, for a far
+    row, the signed gap j - i -- which fixes the relation shifted to start
+    at strand 1.
     """
-    lhs, rhs = rel.lhs.letters, rel.rhs.letters
-    if (
-        len(lhs) == 2
-        and rhs == lhs[::-1]
-        and abs(lhs[0][0].index - lhs[1][0].index) >= k
-    ):
-        return None
-    indices = [g.index for g, _e in lhs + rhs]
-    lo, hi = min(indices), max(indices)
-    key = tuple(
-        tuple((g.kind, g.index - lo, g.type, e) for g, e in side)
-        for side in (lhs, rhs)
-    )
-    return key, lo, hi - lo + k
+    i = p.env["i"]
+    if p.far:
+        gap = p.env["j"] - i
+        if abs(gap) >= k:
+            return None
+        return (p.row, p.shape, p.values, gap), min(i, i + gap), abs(gap) + k
+    return (p.row, p.shape, p.values), i, p.span + k
 
 
 def _residue(rep: LocalRep, rel: Relation, start: int, size: int) -> Matrix:
@@ -178,13 +168,17 @@ def verify_relations(
     a generator the family does not represent (e.g. rho under Burau) are
     reported as skipped, not checked.
 
-    Locality does the rest (see ``_window``): a commutation of letters k or
-    more strands apart passes on disjoint supports with no arithmetic, and
-    every other relation is checked on its window, once per translation
-    class; a later member of a class takes its verdict.  The residue is
-    zero outside the window, so a failing member's full-degree ``residue``
-    is its class's window residue placed at the member's offset, and its
-    entry is that of the full products.
+    Locality does the rest (see ``_window``).  The relations come from the
+    schema walk (``groups.placements``), and each placement's window class
+    is read from its schema row: a far commutation of letters k or more
+    strands apart passes on disjoint supports with no arithmetic, and every
+    other relation is checked on its window, once per translation class; a
+    later member of a class takes its verdict.  Words are built per class,
+    for its first member only, not per relation.  The residue is zero
+    outside the window, so a failing member's full-degree ``residue`` is
+    its class's window residue placed at the member's own start, and its
+    entry is that of the full products.  A skipped member's detail names
+    its own first uncovered letter.
     """
     spec = spec or rep.spec
     if spec.n != rep.spec.n:
@@ -195,7 +189,6 @@ def verify_relations(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and samples < 1:
         raise ValueError(f"sampled mode needs at least one sample; got {samples}")
-    rels = relations(spec)
     reps: list[LocalRep]
     sampled = mode == "sampled" and rep.assignment is None
     if sampled:
@@ -204,30 +197,41 @@ def verify_relations(
     else:
         reps = [rep]
     zeros = Matrix.zeros(rep.ring, rep.degree, rep.degree)
+    # (row, shape, type values) -> the first shape letter the family has no
+    # block for, or None: blocks depend on kind and type, not on strands
+    uncovered: dict[tuple, tuple | None] = {}
     # class key -> (tag of its first member, None or the first rep it fails
     # at with its window residue there)
     verdicts: dict[tuple, tuple[str, tuple[LocalRep, Matrix] | None]] = {}
     outcomes = []
-    for rel in rels:
-        gap = _letters_covered(rel, rep)
-        if gap is not None:
-            outcomes.append(RelationOutcome(rel.tag, "skipped", gap))
+    for p in placements(spec):
+        shape_key = p.row, p.shape, p.values
+        if shape_key not in uncovered:
+            uncovered[shape_key] = next(
+                (x for side in p.sides for x in side if not rep.has_block(p.letter(x)[0])),
+                None,
+            )
+        missing = uncovered[shape_key]
+        if missing is not None:
+            detail = f"family {rep.name!r} has no block for {p.letter(missing)[0]}"
+            outcomes.append(RelationOutcome(p.tag, "skipped", detail))
             continue
-        window = _window(rel, rep.block_size)
+        window = _window(p, rep.block_size)
         if window is None:
-            outcomes.append(RelationOutcome(rel.tag, "pass", how="disjoint supports"))
+            outcomes.append(RelationOutcome(p.tag, "pass", how="disjoint supports"))
             continue
         cls, start, size = window
         verdict = verdicts.get(cls)
         if verdict is None:
+            rel = p.relation()
             residues = ((r, _residue(r, rel, start, size)) for r in reps)
             failing = next(((r, w) for r, w in residues if not w.is_zero()), None)
-            verdict = verdicts[cls] = (rel.tag, failing)
+            verdict = verdicts[cls] = (p.tag, failing)
             how = "window"
         else:
             how = f"class of {verdict[0]}"
         if verdict[1] is None:
-            outcomes.append(RelationOutcome(rel.tag, "pass", how=how))
+            outcomes.append(RelationOutcome(p.tag, "pass", how=how))
             continue
         r, window_residue = verdict[1]
         residue = place(window_residue, start, zeros)
@@ -240,7 +244,7 @@ def verify_relations(
         detail = f"entry {bad}: {residue.rows[bad[0]][bad[1]]}"
         if r.assignment is not None and rep.assignment is None:
             detail += f" at {_fmt_point(r.assignment)}"
-        outcomes.append(RelationOutcome(rel.tag, "fail", detail, residue, how))
+        outcomes.append(RelationOutcome(p.tag, "fail", detail, residue, how))
     return VerificationReport(
         rep=rep.describe(),
         spec=spec,
@@ -345,30 +349,33 @@ def generate_constraints(
     clearing them loses no solutions).  Equations are deduplicated up to
     nonzero scalar multiples; provenance keeps every contributing tag.
     Residues are expanded on windows, once per translation class, exactly
-    as ``verify_relations`` checks them; entries outside a window are zero
-    and contribute nothing.
+    as ``verify_relations`` checks them: the classes come from the schema
+    walk (``groups.placements``), and words are built per class, for the
+    first chosen member, not per relation.  Entries outside a window are
+    zero and contribute nothing.  ``relation_tags`` keeps the caller's
+    order for equations and provenance.
     """
     rep = generic_rep(block_size, spec, rho_form)
-    all_rels = {r.tag: r for r in relations(spec)}
     if relation_tags is None:
-        chosen = list(all_rels.values())
+        chosen = list(placements(spec))
     else:
-        missing = [t for t in relation_tags if t not in all_rels]
+        by_tag = {p.tag: p for p in placements(spec)}
+        missing = [t for t in relation_tags if t not in by_tag]
         if missing:
             raise ValueError(f"tags not in {spec.describe()}: {missing}")
-        chosen = [all_rels[t] for t in relation_tags]
+        chosen = [by_tag[t] for t in relation_tags]
     equations: list[MultiPoly] = []
     provenance: list[list[str]] = []
     seen: dict = {}
     classes: dict[tuple, list[MultiPoly]] = {}  # window key -> its equations
-    for rel in chosen:
-        window = _window(rel, block_size)
+    for p in chosen:
+        window = _window(p, block_size)
         if window is None:
             continue
         cls, start, size = window
         found = classes.get(cls)
         if found is None:
-            residue = _residue(rep, rel, start, size)
+            residue = _residue(rep, p.relation(), start, size)
             found = classes[cls] = [
                 entry.num.monic()
                 for row in residue.rows
@@ -381,9 +388,9 @@ def generate_constraints(
             if idx is None:
                 seen[key] = len(equations)
                 equations.append(eq)
-                provenance.append([rel.tag])
-            elif rel.tag not in provenance[idx]:
-                provenance[idx].append(rel.tag)
+                provenance.append([p.tag])
+            elif p.tag not in provenance[idx]:
+                provenance[idx].append(p.tag)
     appearing: set[str] = set()
     for eq in equations:
         appearing.update(eq.variables())

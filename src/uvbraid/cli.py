@@ -67,7 +67,8 @@ def _spec_from(args) -> GroupSpec:
 
 
 def _bindings(items: list[str] | None, flag: str, parse) -> dict:
-    """NAME=VALUE items of a repeatable flag; a repeated NAME is refused."""
+    """NAME=VALUE items of a repeatable flag; a repeated NAME is refused, and
+    a VALUE that ``parse`` refuses is reported with its flag and item."""
     out = {}
     for item in items or []:
         name, eq, value = item.partition("=")
@@ -75,8 +76,18 @@ def _bindings(items: list[str] | None, flag: str, parse) -> dict:
             raise ValueError(f"bad {flag} {item!r}; want name=value")
         if name in out:
             raise ValueError(f"{flag} {name} given more than once")
-        out[name] = parse(value)
+        try:
+            out[name] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"bad {flag} {item!r}; {exc}") from None
     return out
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("want an integer") from None
 
 
 def _check(tag: str, ok: bool, details: str) -> dict:
@@ -143,7 +154,7 @@ def cmd_enumerate(args) -> int:
     spec = _spec_from(args)
     system = generate_constraints(args.k, spec, args.tag or None, args.rho_form)
     invertible = system.invertibility if args.invertible_blocks else []
-    fixed = _bindings(args.fixed, "--fixed", int)
+    fixed = _bindings(args.fixed, "--fixed", _integer)
     scan = enumerate_solutions_mod_p(system, args.mod, invertible, fixed or None)
     payload = {
         "command": "enumerate",

@@ -21,9 +21,14 @@ three singular mixed relations for c = 2 (SG1-SG3).
 
 A :class:`GroupSpec` is just this flag bundle; :func:`relations` enumerates
 the finite presentation it denotes from ``_SCHEMA``, which states each family
-above once, as a shape at strand 1.  Words are sequences of signed letters
-with the textual grammar ``r<i>`` / ``s<i>,<t>`` / optional ``^-1`` suffix,
-whitespace separated (e.g. ``"r1 s2,1 s1,1^-1"``).
+above once, as a shape at strand 1.  One walk places the shapes: it yields
+each relation as a :class:`Placement` (tag, row, shape, strands and types)
+and builds its words only on request, so a verifier that needs one member
+per window class builds no others (:func:`placements`).
+
+Words are sequences of signed letters with the textual grammar ``r<i>`` /
+``s<i>,<t>`` / optional ``^-1`` suffix, whitespace separated (e.g.
+``"r1 s2,1 s1,1^-1"``).
 
 Convention: the image of a word ``g1 g2`` under any homomorphism here is
 image(g1) * image(g2), multiplied in textual order.  Permutations compose
@@ -37,6 +42,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterator, NamedTuple
 
 FLAVORS = ("uv", "uw", "vb", "wb", "vt", "wt", "vsg", "wsg", "mvb", "mwb")
 
@@ -204,40 +210,72 @@ _SHAPE_LETTER = _re.compile(r"([rs])(\d+)(?:,([tl]|\d+))?")
 
 
 def _parse(table: tuple) -> list:
-    """Each row as (scope, far?, span s, type names, [(tag, sides)]); a letter
-    is (kind "r" or "s", "i" or "j", strand offset, type: literal, name or None)."""
+    """Each row as (scope, far?, span s, type names, [(tag, sides, span)]); a
+    letter is (kind "r" or "s", "i" or "j", strand offset, type: literal, name
+    or None), and a span is the highest strand offset, of a shape or its row."""
     rows = []
     for scope, where, *texts in table:
         far, shapes = where == "far", []
         for text in texts:
             tag, _, equation = text.partition(": ")
-            sides = [
-                [(kind, "j" if far and at != "1" else "i", 0 if far else int(at) - 1,
-                  int(typ) if typ.isdigit() else typ or None)
-                 for kind, at, typ in _SHAPE_LETTER.findall(side)]
+            sides = tuple(
+                tuple((kind, "j" if far and at != "1" else "i", 0 if far else int(at) - 1,
+                       int(typ) if typ.isdigit() else typ or None)
+                      for kind, at, typ in _SHAPE_LETTER.findall(side))
                 for side in equation.split(" = ")
-            ]
-            shapes.append((tag, sides))
-        letters = [x for _tag, sides in shapes for side in sides for x in side]
+            )
+            shapes.append((tag, sides, max(x[2] for side in sides for x in side)))
+        letters = [x for _tag, sides, _s in shapes for side in sides for x in side]
         types = [t for t in "tl" if any(x[3] == t for x in letters)]
-        rows.append((scope, far, max(x[2] for x in letters), types, shapes))
+        rows.append((scope, far, max(s for _tag, _sides, s in shapes), types, shapes))
     return rows
 
 
 _SCHEMA_ROWS, _FORBIDDEN_ROWS = _parse(_SCHEMA), _parse(_FORBIDDEN)
 
 
-def _place(rows: list, spec: GroupSpec) -> list[Relation]:
-    """Every relation of the parsed ``rows`` on the strands and types of
-    ``spec``, in row order (see ``_SCHEMA``)."""
+class Placement(NamedTuple):
+    """One relation of a parsed table at one place, its words not yet built.
+
+    ``row`` and ``shape`` index the table and the row's shapes; ``far`` is
+    the row's kind and ``span`` the shape's highest strand offset; ``env``
+    binds the strands (i, and j for a far row) and the row's type names,
+    whose values ``values`` lists in order.  ``sides`` are the shape's
+    letters and ``letters`` the walk's generator table, which ``letter``
+    and ``relation`` read."""
+
+    tag: str
+    row: int
+    shape: int
+    far: bool
+    span: int
+    env: dict
+    values: tuple
+    sides: tuple
+    letters: dict
+
+    def letter(self, shape_letter: tuple) -> tuple[Generator, int]:
+        """The signed letter a shape letter ``(kind, v, at, t)`` is here; a
+        literal type, or a rho's None, stands for itself."""
+        kind, v, at, t = shape_letter
+        return self.letters[kind, self.env[v] + at, self.env.get(t, t)]
+
+    def relation(self) -> Relation:
+        lhs, rhs = (Word(tuple(map(self.letter, side))) for side in self.sides)
+        return Relation(self.tag, lhs, rhs)
+
+
+def _place(rows: list, spec: GroupSpec) -> Iterator[Placement]:
+    """The walk over every placement of the parsed ``rows`` on the strands
+    and types of ``spec``, in row order (see ``_SCHEMA``).  It builds no
+    word: a caller builds only the placements it needs."""
     n, c = spec.n, spec.c
-    # each Generator is built once per call; they are frozen, so shared
+    # each Generator is built once per walk; they are frozen, so shared
     letters = {("r", i, None): (rho(i), 1) for i in range(1, n)}
     letters.update(
         (("s", i, t), (sigma(i, t), 1)) for i in range(1, n) for t in range(1, c + 1)
     )
-    out = []
-    for scope, far, span, types, shapes in rows:
+    for r, (scope, far, span, types, shapes) in enumerate(rows):
         flag = True if scope is None else getattr(spec, scope)
         if not flag:
             continue
@@ -251,32 +289,33 @@ def _place(rows: list, spec: GroupSpec) -> list[Relation]:
             runs = [[(t,)] for t in sorted(flag)]
         else:
             runs = [list(product(range(1, c + 1), repeat=len(types)))]
+        fields = ",".join(f"{k}=%d" for k in ["i", "j"][: 1 + far] + types)
         for run in runs:
             for place in places:
                 for values in run:
                     env = place | dict(zip(types, values))
-                    fields = ",".join(f"{k}={v}" for k, v in env.items())
-                    for tag, sides in shapes:
-                        # a literal type, or a rho's None, stands for itself
-                        lhs, rhs = (
-                            Word(tuple(letters[kind, env[v] + at, env.get(t, t)]
-                                       for kind, v, at, t in side))
-                            for side in sides
-                        )
-                        out.append(Relation(f"{tag}[{fields}]", lhs, rhs))
-    return out
+                    suffix = f"[{fields}]" % tuple(env.values())
+                    for s, (tag, sides, shape_span) in enumerate(shapes):
+                        yield Placement(tag + suffix, r, s, far, shape_span,
+                                        env, values, sides, letters)
+
+
+def placements(spec: GroupSpec) -> Iterator[Placement]:
+    """The defining relations of ``spec`` as placements, in the order of
+    ``relations``; a verifier builds the words of the few it checks."""
+    return _place(_SCHEMA_ROWS, spec)
 
 
 def relations(spec: GroupSpec) -> list[Relation]:
     """Duplicate-free enumeration of the defining relations of ``spec``: the
     rows of ``_SCHEMA`` in order, so the universal families first (PR1, PR2,
     PR3, CR, MR1, MR2), then WR1 when welded, then BR / INV / SG."""
-    return _place(_SCHEMA_ROWS, spec)
+    return [p.relation() for p in placements(spec)]
 
 
 def forbidden_moves(spec: GroupSpec) -> list[Relation]:
     """The forbidden moves of ``_FORBIDDEN``, FM1 and FM2 at each i and t."""
-    return _place(_FORBIDDEN_ROWS, spec)
+    return [p.relation() for p in _place(_FORBIDDEN_ROWS, spec)]
 
 
 _TOKEN_RE = _re.compile(r"^(r(\d+)|s(\d+),(\d+))(\^-1)?$")

@@ -28,7 +28,18 @@ from uvbraid.analysis import (
     spin,
     verify_relations,
 )
-from uvbraid.groups import Word, make_spec, relations, rho, sigma, word
+from uvbraid.groups import (
+    _FIXED_C,
+    FLAVORS,
+    Placement,
+    Word,
+    make_spec,
+    placements,
+    relations,
+    rho,
+    sigma,
+    word,
+)
 from uvbraid.matrices import Matrix
 from uvbraid.reps import build_local_rep, canonical_family, eval_word, specialize
 from uvbraid.scalars import G_ONE, G_ZERO, GaussianRational, PolyRing, parse_gaussian
@@ -113,6 +124,73 @@ def _full_degree_residue(rep, rel):
         return out
 
     return image(rel.lhs) - image(rel.rhs)
+
+
+def _reference_window(rel, k):
+    """Where ``rel`` acts under a k-local homogeneous representation, read
+    from its words: the Relation-based window the schema key replaced, kept
+    as its reference.
+
+    ``None`` for a commutation xy = yx whose two letters sit k or more
+    strands apart.  Otherwise ``(key, start, size)``: both sides act on the
+    coordinates start .. start+size-1 (lowest strand index to highest plus
+    k-1), and ``key`` is the relation shifted to start at strand 1.
+    """
+    lhs, rhs = rel.lhs.letters, rel.rhs.letters
+    if (
+        len(lhs) == 2
+        and rhs == lhs[::-1]
+        and abs(lhs[0][0].index - lhs[1][0].index) >= k
+    ):
+        return None
+    indices = [g.index for g, _e in lhs + rhs]
+    lo, hi = min(indices), max(indices)
+    key = tuple(
+        tuple((g.kind, g.index - lo, g.type, e) for g, e in side)
+        for side in (lhs, rhs)
+    )
+    return key, lo, hi - lo + k
+
+
+class TestWindowClassAgainstReference:
+    """The schema key of ``analysis._window`` against the word-based
+    reference: the same disjoint set, class partition, start and size on
+    every valid spec at n = 2..8, c = 1..3."""
+
+    @staticmethod
+    def _classes(items, window):
+        """Per item, ``None`` when disjoint, else (first tag of its class,
+        start, size)."""
+        first, out = {}, []
+        for tag, found in ((tag, window(item)) for tag, item in items):
+            if found is None:
+                out.append((tag, None))
+            else:
+                key, start, size = found
+                out.append((tag, first.setdefault(key, tag), start, size))
+        return out
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_same_disjoint_set_partition_start_and_size(self, flavor, k):
+        checked = 0
+        for n in range(2, 9):
+            for c in range(1, 4):
+                try:
+                    spec = make_spec(flavor, n, c)
+                except ValueError:  # a fixed-c flavor at another c
+                    continue
+                got = self._classes(
+                    ((p.tag, p) for p in placements(spec)),
+                    lambda p: uvbraid.analysis._window(p, k),
+                )
+                want = self._classes(
+                    ((r.tag, r) for r in relations(spec)),
+                    lambda r: _reference_window(r, k),
+                )
+                assert got == want, spec
+                checked += 1
+        assert checked == (7 if flavor in _FIXED_C else 21)
 
 
 def _full_degree_outcomes(rep, spec, mode, seed):
@@ -274,18 +352,26 @@ class TestLocalityAgainstFullDegree:
         assert system.to_dict() == _full_degree_constraints(k, spec, rho_form)
 
     def test_window_checks_do_not_grow_with_n(self, monkeypatch):
-        windows = []
+        windows, built = [], []
 
         def counting(rep, w, start=1, size=None):
             windows.append((start, size))
             return eval_word(rep, w, start, size)
 
+        def building(p, relation=Placement.relation):
+            built.append(p.tag)
+            return relation(p)
+
         monkeypatch.setattr(uvbraid.analysis, "eval_word", counting)
+        monkeypatch.setattr(Placement, "relation", building)
+        words_built = []
         for n in (6, 12):
             windows.clear()
+            built.clear()
             rep = build_local_rep("upsilon", make_spec("uv", n, 3))
             report = verify_relations(rep)
             assert report.all_passed
+            words_built.append(len(built))
             # both sides of PR1, PR3 and MR2 for each of the three types, on
             # windows of span + 1 strands, whatever n is
             assert len(windows) == 2 * 5
@@ -297,6 +383,8 @@ class TestLocalityAgainstFullDegree:
                     first = re.sub(r"i=\d+", "i=1", o.tag)
                     want = "window" if o.tag == first else f"class of {first}"
                     assert o.how == want, o.tag
+        # words are built for each class's first member only, not per relation
+        assert words_built[0] == words_built[1]
         # a failing pairing: every INV fails, and each failing member's
         # residue is placed from its class's window, not recomputed
         counts = []

@@ -260,6 +260,15 @@ class TestEnumerateCommand:
         assert "r1, r2, r3, r4, s1_1, s2_1, s3_1, s4_1" in err
 
 
+    @pytest.mark.parametrize("value", ["1.5", "", "x"])
+    def test_fixed_value_that_is_no_integer_is_usage_error(self, capsys, value):
+        code, out, err = run(
+            capsys, "enumerate", "--n", "3", "--c", "1", "--mod", "5",
+            "--fixed", f"r1={value}", "--json",
+        )
+        assert code == 2 and out == ""
+        assert f"bad --fixed 'r1={value}'; want an integer" in err
+
     def test_repeated_fixed_name_is_usage_error(self, capsys):
         code, out, err = run(
             capsys, "enumerate", "--n", "3", "--c", "1", "--mod", "5",
@@ -463,6 +472,18 @@ class TestJsonGoldens:
              "--c", "2"),
         ),
         "suite_all": (0, ("suite", "--name", "all")),
+        # per-member skip details: PR1[i=2] has no block for r2, not r1
+        "verify_burau_vb5": (0, ("verify", "--family", "burau", "--group", "vb", "--n", "5")),
+        # provenance over far rows windowed at k = 3
+        "constraints_k3_uv5_c2": (
+            0, ("constraints", "--k", "3", "--n", "5", "--c", "2"),
+        ),
+        # equations and provenance in the caller's tag order
+        "constraints_uv3_tag_order": (
+            0,
+            ("constraints", "--n", "3", "--c", "1", "--tag", "MR2[i=1,t=1]",
+             "--tag", "PR1[i=1]"),
+        ),
         "irreducibility_upsilon_prime_uv6_on": (
             0,
             ("irreducibility", "--family", "upsilon-prime", "--group", "uv",
