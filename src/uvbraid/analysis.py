@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groups import (  # forbidden_moves, relations are re-exported, not used here
+from .groups import (  # forbidden_moves is re-exported, not used here
     GroupSpec,
     Placement,
     Relation,
@@ -135,17 +135,29 @@ def _window(p: Placement, k: int) -> tuple | None:
     so they commute identically.  Otherwise ``(key, start, size)``: both
     sides map to I (+) W (+) I with W on the coordinates start ..
     start+size-1 (lowest strand index to highest plus k-1), and W depends
-    only on ``key`` -- the row, the shape, the type values and, for a far
-    row, the signed gap j - i -- which fixes the relation shifted to start
-    at strand 1.
+    only on ``key`` -- the row, the shape, the type values and the signed
+    gap j - i of a far row (0 for a local one) -- which fixes the relation
+    shifted to start at strand 1.
     """
+    lo, hi = p.strands
+    if p.far and hi - lo >= k:
+        return None
     i = p.env["i"]
-    if p.far:
-        gap = p.env["j"] - i
-        if abs(gap) >= k:
-            return None
-        return (p.row, p.shape, p.values, gap), min(i, i + gap), abs(gap) + k
-    return (p.row, p.shape, p.values), i, p.span + k
+    return (p.row, p.shape, p.values, p.env.get("j", i) - i), lo, hi - lo + k
+
+
+def _first_members(spec: GroupSpec, windowed: list) -> dict:
+    """Per window class of the ``(placement, window)`` pairs ``windowed``,
+    its first member's relation, start and size: the only words built, in
+    one ``relations`` call."""
+    firsts: dict[tuple, tuple[Placement, int, int]] = {}
+    for p, (cls, start, size) in windowed:
+        firsts.setdefault(cls, (p, start, size))
+    rels = relations(spec, [p for p, _start, _size in firsts.values()])
+    return {
+        cls: (rel, start, size)
+        for (cls, (_p, start, size)), rel in zip(firsts.items(), rels)
+    }
 
 
 def _residue(rep: LocalRep, rel: Relation, start: int, size: int) -> Matrix:
@@ -200,10 +212,7 @@ def verify_relations(
     # (row, shape, type values) -> the first shape letter the family has no
     # block for, or None: blocks depend on kind and type, not on strands
     uncovered: dict[tuple, tuple | None] = {}
-    # class key -> (tag of its first member, None or the first rep it fails
-    # at with its window residue there)
-    verdicts: dict[tuple, tuple[str, tuple[LocalRep, Matrix] | None]] = {}
-    outcomes = []
+    todo = []  # (placement, skip detail or None, window or None)
     for p in placements(spec):
         shape_key = p.row, p.shape, p.values
         if shape_key not in uncovered:
@@ -214,26 +223,31 @@ def verify_relations(
         missing = uncovered[shape_key]
         if missing is not None:
             detail = f"family {rep.name!r} has no block for {p.letter(missing)[0]}"
+            todo.append((p, detail, None))
+        else:
+            todo.append((p, None, _window(p, rep.block_size)))
+    # class key -> (tag of its first member, None or the first rep it fails
+    # at with its window residue there)
+    verdicts: dict[tuple, tuple[str, tuple[LocalRep, Matrix] | None]] = {}
+    windowed = [(p, window) for p, _d, window in todo if window is not None]
+    for cls, (rel, start, size) in _first_members(spec, windowed).items():
+        residues = ((r, _residue(r, rel, start, size)) for r in reps)
+        verdicts[cls] = rel.tag, next(((r, w) for r, w in residues if not w.is_zero()), None)
+    outcomes = []
+    for p, detail, window in todo:
+        if detail is not None:
             outcomes.append(RelationOutcome(p.tag, "skipped", detail))
             continue
-        window = _window(p, rep.block_size)
         if window is None:
             outcomes.append(RelationOutcome(p.tag, "pass", how="disjoint supports"))
             continue
-        cls, start, size = window
-        verdict = verdicts.get(cls)
-        if verdict is None:
-            rel = p.relation()
-            residues = ((r, _residue(r, rel, start, size)) for r in reps)
-            failing = next(((r, w) for r, w in residues if not w.is_zero()), None)
-            verdict = verdicts[cls] = (p.tag, failing)
-            how = "window"
-        else:
-            how = f"class of {verdict[0]}"
-        if verdict[1] is None:
+        cls, start, _size = window
+        first, failing = verdicts[cls]
+        how = "window" if first == p.tag else f"class of {first}"
+        if failing is None:
             outcomes.append(RelationOutcome(p.tag, "pass", how=how))
             continue
-        r, window_residue = verdict[1]
+        r, window_residue = failing
         residue = place(window_residue, start, zeros)
         bad = next(
             (i, j)
@@ -364,25 +378,18 @@ def generate_constraints(
         if missing:
             raise ValueError(f"tags not in {spec.describe()}: {missing}")
         chosen = [by_tag[t] for t in relation_tags]
+    windowed = [(p, w) for p in chosen if (w := _window(p, block_size)) is not None]
+    classes: dict[tuple, list[MultiPoly]] = {}  # window key -> its equations
+    for cls, (rel, start, size) in _first_members(spec, windowed).items():
+        residue = _residue(rep, rel, start, size)
+        classes[cls] = [
+            entry.num.monic() for row in residue.rows for entry in row if not entry.is_zero()
+        ]
     equations: list[MultiPoly] = []
     provenance: list[list[str]] = []
     seen: dict = {}
-    classes: dict[tuple, list[MultiPoly]] = {}  # window key -> its equations
-    for p in chosen:
-        window = _window(p, block_size)
-        if window is None:
-            continue
-        cls, start, size = window
-        found = classes.get(cls)
-        if found is None:
-            residue = _residue(rep, p.relation(), start, size)
-            found = classes[cls] = [
-                entry.num.monic()
-                for row in residue.rows
-                for entry in row
-                if not entry.is_zero()
-            ]
-        for eq in found:
+    for p, (cls, _start, _size) in windowed:
+        for eq in classes[cls]:
             key = eq.key()
             idx = seen.get(key)
             if idx is None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections import Counter
 
@@ -84,10 +85,11 @@ def _bindings(items: list[str] | None, flag: str, parse) -> dict:
 
 
 def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError("want an integer") from None
+    """A plain decimal integer: an optional sign and digits, nothing else
+    (``int`` alone would also take ``1_0`` and surrounding blanks)."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError("want an integer")
+    return int(text)
 
 
 def _check(tag: str, ok: bool, details: str) -> dict:

@@ -22,9 +22,10 @@ three singular mixed relations for c = 2 (SG1-SG3).
 A :class:`GroupSpec` is just this flag bundle; :func:`relations` enumerates
 the finite presentation it denotes from ``_SCHEMA``, which states each family
 above once, as a shape at strand 1.  One walk places the shapes: it yields
-each relation as a :class:`Placement` (tag, row, shape, strands and types)
+each relation as a :class:`Placement` (tag, row, shape, strand/type binding)
 and builds its words only on request, so a verifier that needs one member
-per window class builds no others (:func:`placements`).
+per window class builds no others (:func:`placements`, and :func:`relations`
+of chosen placements).
 
 Words are sequences of signed letters with the textual grammar ``r<i>`` /
 ``s<i>,<t>`` / optional ``^-1`` suffix, whitespace separated (e.g.
@@ -41,8 +42,9 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 FLAVORS = ("uv", "uw", "vb", "wb", "vt", "wt", "vsg", "wsg", "mvb", "mwb")
 
@@ -227,55 +229,75 @@ def _parse(table: tuple) -> list:
             shapes.append((tag, sides, max(x[2] for side in sides for x in side)))
         letters = [x for _tag, sides, _s in shapes for side in sides for x in side]
         types = [t for t in "tl" if any(x[3] == t for x in letters)]
-        rows.append((scope, far, max(s for _tag, _sides, s in shapes), types, shapes))
+        rows.append((scope, far, max(x[2] for x in letters), types, shapes))
     return rows
 
 
-_SCHEMA_ROWS, _FORBIDDEN_ROWS = _parse(_SCHEMA), _parse(_FORBIDDEN)
+# one parsed table: the schema rows, then the forbidden rows
+_ROWS = _parse(_SCHEMA + _FORBIDDEN)
+_SCHEMA_ROWS = range(len(_SCHEMA))
+_FORBIDDEN_ROWS = range(len(_SCHEMA), len(_ROWS))
 
 
 class Placement(NamedTuple):
-    """One relation of a parsed table at one place, its words not yet built.
-
-    ``row`` and ``shape`` index the table and the row's shapes; ``far`` is
-    the row's kind and ``span`` the shape's highest strand offset; ``env``
-    binds the strands (i, and j for a far row) and the row's type names,
-    whose values ``values`` lists in order.  ``sides`` are the shape's
-    letters and ``letters`` the walk's generator table, which ``letter``
-    and ``relation`` read."""
+    """One relation of the parsed table at one place, its words not yet
+    built: ``row`` and ``shape`` index the table and the row's shapes, and
+    ``env`` binds the strands (``i``, and ``j`` for a far row), then the
+    row's type names.  Everything else is read from the row."""
 
     tag: str
     row: int
     shape: int
-    far: bool
-    span: int
     env: dict
-    values: tuple
-    sides: tuple
-    letters: dict
+
+    @property
+    def far(self) -> bool:
+        return _ROWS[self.row][1]
+
+    @property
+    def sides(self) -> tuple:
+        """The shape's letters, lhs then rhs (see ``_parse``)."""
+        return _ROWS[self.row][4][self.shape][1]
+
+    @property
+    def values(self) -> tuple:
+        """The values of the row's type names, in order."""
+        return tuple(self.env.values())[1 + self.far:]
+
+    @property
+    def strands(self) -> tuple[int, int]:
+        """The lowest and the highest strand index of its letters."""
+        i = self.env["i"]
+        j = self.env.get("j", i)
+        lo, hi = (i, j) if i <= j else (j, i)
+        return lo, hi + _ROWS[self.row][4][self.shape][2]
 
     def letter(self, shape_letter: tuple) -> tuple[Generator, int]:
         """The signed letter a shape letter ``(kind, v, at, t)`` is here; a
         literal type, or a rho's None, stands for itself."""
         kind, v, at, t = shape_letter
-        return self.letters[kind, self.env[v] + at, self.env.get(t, t)]
+        env = self.env
+        return _positive_letter(kind, env[v] + at, env.get(t, t))
 
     def relation(self) -> Relation:
         lhs, rhs = (Word(tuple(map(self.letter, side))) for side in self.sides)
         return Relation(self.tag, lhs, rhs)
 
 
-def _place(rows: list, spec: GroupSpec) -> Iterator[Placement]:
+@cache
+def _positive_letter(kind: str, i: int, t: int | None) -> tuple[Generator, int]:
+    """``(rho_i, 1)`` or ``(sigma_{i,t}, 1)``; Generators are frozen, so each
+    is built once and shared."""
+    return (rho(i) if kind == "r" else sigma(i, t)), 1
+
+
+def _place(rows: range, spec: GroupSpec) -> Iterator[Placement]:
     """The walk over every placement of the parsed ``rows`` on the strands
     and types of ``spec``, in row order (see ``_SCHEMA``).  It builds no
     word: a caller builds only the placements it needs."""
     n, c = spec.n, spec.c
-    # each Generator is built once per walk; they are frozen, so shared
-    letters = {("r", i, None): (rho(i), 1) for i in range(1, n)}
-    letters.update(
-        (("s", i, t), (sigma(i, t), 1)) for i in range(1, n) for t in range(1, c + 1)
-    )
-    for r, (scope, far, span, types, shapes) in enumerate(rows):
+    for r in rows:
+        scope, far, span, types, shapes = _ROWS[r]
         flag = True if scope is None else getattr(spec, scope)
         if not flag:
             continue
@@ -295,9 +317,8 @@ def _place(rows: list, spec: GroupSpec) -> Iterator[Placement]:
                 for values in run:
                     env = place | dict(zip(types, values))
                     suffix = f"[{fields}]" % tuple(env.values())
-                    for s, (tag, sides, shape_span) in enumerate(shapes):
-                        yield Placement(tag + suffix, r, s, far, shape_span,
-                                        env, values, sides, letters)
+                    for s, (tag, _sides, _span) in enumerate(shapes):
+                        yield Placement(tag + suffix, r, s, env)
 
 
 def placements(spec: GroupSpec) -> Iterator[Placement]:
@@ -306,11 +327,13 @@ def placements(spec: GroupSpec) -> Iterator[Placement]:
     return _place(_SCHEMA_ROWS, spec)
 
 
-def relations(spec: GroupSpec) -> list[Relation]:
+def relations(spec: GroupSpec, chosen: Iterable[Placement] | None = None) -> list[Relation]:
     """Duplicate-free enumeration of the defining relations of ``spec``: the
     rows of ``_SCHEMA`` in order, so the universal families first (PR1, PR2,
-    PR3, CR, MR1, MR2), then WR1 when welded, then BR / INV / SG."""
-    return [p.relation() for p in placements(spec)]
+    PR3, CR, MR1, MR2), then WR1 when welded, then BR / INV / SG.  Given
+    ``chosen`` placements of ``spec`` (see ``placements``), only their
+    relations, in that order: the only words built."""
+    return [p.relation() for p in (placements(spec) if chosen is None else chosen)]
 
 
 def forbidden_moves(spec: GroupSpec) -> list[Relation]:

@@ -31,7 +31,6 @@ from uvbraid.analysis import (
 from uvbraid.groups import (
     _FIXED_C,
     FLAVORS,
-    Placement,
     Word,
     make_spec,
     placements,
@@ -358,12 +357,13 @@ class TestLocalityAgainstFullDegree:
             windows.append((start, size))
             return eval_word(rep, w, start, size)
 
-        def building(p, relation=Placement.relation):
-            built.append(p.tag)
-            return relation(p)
+        def building(spec, chosen=None):
+            rels = relations(spec, chosen)
+            built.extend(r.tag for r in rels)
+            return rels
 
         monkeypatch.setattr(uvbraid.analysis, "eval_word", counting)
-        monkeypatch.setattr(Placement, "relation", building)
+        monkeypatch.setattr(uvbraid.analysis, "relations", building)
         words_built = []
         for n in (6, 12):
             windows.clear()

@@ -259,8 +259,7 @@ class TestEnumerateCommand:
         assert f"{name!r} is not an unknown" in err
         assert "r1, r2, r3, r4, s1_1, s2_1, s3_1, s4_1" in err
 
-
-    @pytest.mark.parametrize("value", ["1.5", "", "x"])
+    @pytest.mark.parametrize("value", ["1.5", "", "x", "1_0", " 3"])
     def test_fixed_value_that_is_no_integer_is_usage_error(self, capsys, value):
         code, out, err = run(
             capsys, "enumerate", "--n", "3", "--c", "1", "--mod", "5",
