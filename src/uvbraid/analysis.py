@@ -88,11 +88,7 @@ class VerificationReport:
     def to_dict(self) -> dict:
         return {
             "rep": self.rep,
-            "group": {
-                "flavor": self.spec.flavor,
-                "n": self.spec.n,
-                "c": self.spec.c,
-            },
+            "group": self.spec.to_dict(),
             "mode": self.mode,
             "seed": self.seed,
             "checks": [

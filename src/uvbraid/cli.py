@@ -5,7 +5,8 @@ check for a representation family, ``constraints`` and ``enumerate`` expose
 the generic-block constraint systems and their finite-field scans,
 ``irreducibility`` runs the closed-form criterion next to the algebra
 dimension oracle, ``homomorphism`` and ``word`` evaluate quotient maps and
-rewrite words, and ``suite`` bundles the standard verification batteries.
+rewrite words, and ``suite`` runs the ``_CLAIMS`` table: one row per paper
+claim, each row a check function applied to one group.
 
 Output is a human-readable report, or with ``--json`` a stable JSON
 document (identical invocations produce byte-identical output; nothing is
@@ -51,16 +52,6 @@ from .reps import (
     specialize,
 )
 from .scalars import parse_gaussian
-
-SUITES = (
-    "two-local",
-    "welded-two-local",
-    "three-local",
-    "forbidden-moves",
-    "mod-p",
-    "classical-braid",
-)
-
 
 def _spec_from(args) -> GroupSpec:
     c = args.c if args.c is not None or args.group in _FIXED_C else 1
@@ -133,7 +124,7 @@ def cmd_constraints(args) -> int:
     system = generate_constraints(args.k, spec, args.tag or None, args.rho_form)
     payload = {
         "command": "constraints",
-        "group": {"flavor": spec.flavor, "n": spec.n, "c": spec.c},
+        "group": spec.to_dict(),
         "block_size": system.block_size,
         "rho_form": args.rho_form,
         "unknowns": list(system.unknowns),
@@ -160,7 +151,7 @@ def cmd_enumerate(args) -> int:
     scan = enumerate_solutions_mod_p(system, args.mod, invertible, fixed or None)
     payload = {
         "command": "enumerate",
-        "group": {"flavor": spec.flavor, "n": spec.n, "c": spec.c},
+        "group": spec.to_dict(),
         "block_size": args.k,
         "rho_form": args.rho_form,
         "p": scan.p,
@@ -200,7 +191,7 @@ def cmd_irreducibility(args) -> int:
     payload = {
         "command": "irreducibility",
         "family": canonical_family(args.family),
-        "group": {"flavor": spec.flavor, "n": spec.n, "c": spec.c},
+        "group": spec.to_dict(),
         "params": {k: str(v) for k, v in sorted(params.items())},
         "burnside_dim": dim,
         "full_dim": full,
@@ -256,7 +247,7 @@ def cmd_homomorphism(args) -> int:
         image = str(perm_image(w, spec, args.map))
     payload = {
         "command": "homomorphism",
-        "group": {"flavor": spec.flavor, "n": spec.n, "c": spec.c},
+        "group": spec.to_dict(),
         "map": args.map,
         "word": str(w),
         "image": image,
@@ -272,7 +263,7 @@ def cmd_word(args) -> int:
     reduced = free_reduce(w, spec)
     payload = {
         "command": "word",
-        "group": {"flavor": spec.flavor, "n": spec.n, "c": spec.c},
+        "group": spec.to_dict(),
         "word": str(w),
         "reduced": str(reduced),
         "checks": [],
@@ -285,149 +276,71 @@ def cmd_word(args) -> int:
 # suites
 
 
-def _suite_two_local() -> list[dict]:
-    checks = []
-    spec = make_spec("uv", 3, 2)
-    for fam in ("upsilon", "upsilon-prime"):
-        report = verify_relations(build_local_rep(fam, spec))
-        checks.append(
-            _check(f"{fam} satisfies {spec.describe()}", report.all_passed, report.summary())
-        )
-    system = generate_constraints(2, make_spec("uv", 3, 1))
-    checks.append(
-        _check(
-            "generic 2x2 blocks force 15 equations",
-            len(system) == 15,
-            f"{len(system)} equations in {len(system.unknowns)} unknowns",
-        )
-    )
-    wit = conjugation_equivalence(
-        build_local_rep("upsilon", spec), build_local_rep("upsilon-prime", spec)
-    )
-    checks.append(
-        _check(
-            "diagonal conjugation carries the two-parameter family to the normalized one",
-            wit is not None,
-            str(wit) if wit else "no witness found",
-        )
-    )
-    return checks
+def _family(spec, fam, tag="{fam} satisfies {spec}", point=None) -> list[dict]:
+    """Verify ``fam`` on ``spec``; at least one relation must be checked, so
+    a family whose every relation is skipped fails.  Given a parameter
+    ``point``, also show the same rep reducible there: the closed-form
+    criterion's witness next to the algebra-dimension oracle."""
+    rep = build_local_rep(fam, spec)
+    report = verify_relations(rep)
+    checked = any(o.status == "pass" for o in report.outcomes)
+    tag = tag.format(fam=fam, spec=spec.describe())
+    checks = [_check(tag, report.all_passed and checked, report.summary())]
+    if point is None:
+        return checks
+    at = specialize(rep, point)
+    tag = f"{fam} is reducible with a verified invariant line"
+    try:
+        res = reducibility_at(at)
+    except AssertionError as exc:
+        return checks + [_check(tag, False, f"closed-form criterion: {exc}")]
+    dim = burnside_dim([m for _g, m in at.generator_images()])
+    full = rep.degree * rep.degree
+    details = f"witness {res.witness_side} {res.witness}; algebra dim {dim} < {full}"
+    return checks + [_check(tag, res.verdict == "reducible" and dim < full, details)]
 
 
-def _suite_welded_two_local() -> list[dict]:
-    checks = []
-    spec = make_spec("uw", 3, 1)
-    for fam in ("omega1", "omega2", "omega3", "omega1p", "omega2p", "omega3p"):
-        report = verify_relations(build_local_rep(fam, spec))
-        checks.append(
-            _check(f"{fam} satisfies {spec.describe()}", report.all_passed, report.summary())
-        )
-    system = generate_constraints(
-        2, spec, ["WR1[i=1,t=1]"], rho_form="antidiagonal"
-    )
-    checks.append(
-        _check(
-            "the welded relation adds 3 equations over the antidiagonal virtual block",
-            len(system) == 3,
-            "; ".join(str(e) for e in system.equations),
-        )
-    )
-    for a, b in (("omega1", "omega1p"), ("omega2", "omega2p"), ("omega3", "omega3p")):
-        wit = conjugation_equivalence(
-            build_local_rep(a, spec), build_local_rep(b, spec)
-        )
-        checks.append(
-            _check(
-                f"{a} is conjugate to {b}",
-                wit is not None,
-                str(wit) if wit else "no witness found",
-            )
-        )
-    return checks
+def _equations(spec, want, tag, tags=None, rho_form="generic") -> list[dict]:
+    """The generic 2x2 system has ``want`` equations.  A system restricted to
+    ``tags`` is small enough to list; the full one reports its size."""
+    system = generate_constraints(2, spec, tags, rho_form)
+    if tags:
+        details = "; ".join(str(e) for e in system.equations)
+    else:
+        details = f"{len(system)} equations in {len(system.unknowns)} unknowns"
+    return [_check(tag, len(system) == want, details)]
 
 
-_EPSILON_SAMPLE = {
-    "epsilon1": {"r6": 2, "s5_1": 1, "s6_1": 2, "s8_1": 3, "s9_1": 5,
-                 "s5_2": 2, "s6_2": 1, "s8_2": 1, "s9_2": 1},
-    "epsilon2": {"r2": 2, "s1_1": 1, "s2_1": 2, "s4_1": 3, "s5_1": 5,
-                 "s1_2": 2, "s2_2": 1, "s4_2": 1, "s5_2": 1},
-    "epsilon3": {"r6": 2, "s4_1": 1, "s5_1": 3, "s4_2": 2, "s5_2": 1},
-    "epsilon4": {"r2": 2, "s5_1": 3, "s8_1": 1, "s5_2": 1, "s8_2": 2},
-}
+def _conjugate(spec, a, b, tag="{a} is conjugate to {b}") -> list[dict]:
+    wit = conjugation_equivalence(build_local_rep(a, spec), build_local_rep(b, spec))
+    details = str(wit) if wit else "no witness found"
+    return [_check(tag.format(a=a, b=b), wit is not None, details)]
 
 
-def _suite_three_local() -> list[dict]:
-    checks = []
-    spec = make_spec("uv", 4, 2)
-    for fam in ("epsilon1", "epsilon2", "epsilon3", "epsilon4"):
-        rep = build_local_rep(fam, spec)
-        report = verify_relations(rep)
-        checks.append(
-            _check(f"{fam} satisfies {spec.describe()}", report.all_passed, report.summary())
-        )
-        point = specialize(rep, _EPSILON_SAMPLE[fam])
-        tag = f"{fam} is reducible with a verified invariant line"
-        try:
-            res = reducibility_at(point)
-        except AssertionError as exc:
-            checks.append(_check(tag, False, f"closed-form criterion: {exc}"))
-            continue
-        dim = burnside_dim([m for _g, m in point.generator_images()])
-        full = rep.degree * rep.degree
-        checks.append(
-            _check(
-                tag,
-                res.verdict == "reducible" and dim < full,
-                f"witness {res.witness_side} {res.witness}; algebra dim {dim} < {full}",
-            )
-        )
-    return checks
-
-
-def _suite_forbidden_moves() -> list[dict]:
-    checks = []
-    spec = make_spec("uv", 3, 2)
-    for rel in forbidden_moves(spec):
-        out = factor_check(rel, spec, "phi", t0=1)
-        checks.append(
-            _check(
-                f"splitting map separates {rel.tag}",
-                out.verdict == "distinguishes",
-                str(out),
-            )
-        )
-    bad = [
-        str(out)
-        for rel in relations(spec)
-        if (out := factor_check(rel, spec, "phi", t0=1)).verdict != "kills"
+def _forbidden(spec) -> list[dict]:
+    """The splitting map phi separates each forbidden move and kills every
+    defining relation."""
+    checks = [
+        _check(f"splitting map separates {rel.tag}", out.verdict == "distinguishes", str(out))
+        for rel in forbidden_moves(spec)
+        for out in [factor_check(rel, spec, "phi", t0=1)]
     ]
-    checks.append(
-        _check(
-            "splitting map respects every defining relation",
-            not bad,
-            "all killed" if not bad else "; ".join(bad),
-        )
-    )
-    return checks
+    outs = [factor_check(rel, spec, "phi", t0=1) for rel in relations(spec)]
+    bad = [str(out) for out in outs if out.verdict != "kills"]
+    tag = "splitting map respects every defining relation"
+    return checks + [_check(tag, not bad, "; ".join(bad) or "all killed")]
 
 
-def _suite_mod_p(p: int = 5) -> list[dict]:
-    checks = []
-    spec = make_spec("uv", 3, 1)
+def _mod_p(spec, p) -> list[dict]:
+    """Over F_p the virtual 2x2 blocks are the identity plus an antidiagonal
+    family; the identity forces the crossing block, the others leave GL2."""
     rho_sys = generate_constraints(2, spec, ["PR1[i=1]", "PR3[i=1]"])
     det_r, det_s = rho_sys.invertibility
     scan = enumerate_solutions_mod_p(rho_sys, p, [det_r])
     buckets = Counter(classify_virtual_point(s, p) for s in scan.solutions)
-    checks.append(
-        _check(
-            f"virtual 2x2 blocks mod {p}: identity plus antidiagonal family",
-            scan.count == p
-            and buckets["identity"] == 1
-            and buckets["antidiagonal"] == p - 1
-            and buckets["other"] == 0,
-            f"{scan.count} solutions: {dict(sorted(buckets.items()))}",
-        )
-    )
+    tag = f"virtual 2x2 blocks mod {p}: identity plus antidiagonal family"
+    ok = scan.count == p and buckets == {"identity": 1, "antidiagonal": p - 1}
+    checks = [_check(tag, ok, f"{scan.count} solutions: {dict(sorted(buckets.items()))}")]
     full_sys = generate_constraints(2, spec)
     gl2 = (p * p - 1) * (p * p - p)
     ok = True
@@ -435,50 +348,60 @@ def _suite_mod_p(p: int = 5) -> list[dict]:
     for sol in scan.solutions:
         sub = enumerate_solutions_mod_p(full_sys, p, [det_s], fixed=sol)
         kind = classify_virtual_point(sol, p)
-        want = 1 if kind == "identity" else gl2
-        ok &= sub.count == want
+        ok &= sub.count == (1 if kind == "identity" else gl2)
         notes.append(f"{kind}: {sub.count}")
-    checks.append(
-        _check(
-            f"crossing-block freedom mod {p}: forced identity vs full GL2",
-            ok,
-            f"expected identity->1, antidiagonal->{gl2}; got " + ", ".join(notes),
-        )
-    )
-    return checks
+    tag = f"crossing-block freedom mod {p}: forced identity vs full GL2"
+    details = f"expected identity->1, antidiagonal->{gl2}; got " + ", ".join(notes)
+    return checks + [_check(tag, ok, details)]
 
 
-def _suite_classical_braid() -> list[dict]:
-    checks = []
-    spec = make_spec("vb", 4)
-    for fam in ("burau", "f-rep"):
-        report = verify_relations(build_local_rep(fam, spec))
-        n_checked = sum(1 for o in report.outcomes if o.status == "pass")
-        checks.append(
-            _check(
-                f"{fam} satisfies the braid and commutation relations",
-                report.all_passed and n_checked > 0,
-                report.summary(),
-            )
-        )
-    return checks
+# A claim row is (suite, (flavor, n, c), check, *args); ``check`` takes the
+# row's spec and args and returns its checks.  A suite runs its rows in order.
+_CLAIMS = (
+    # 2-local representations of UV_n(c) are unique up to equivalence
+    ("two-local", ("uv", 3, 2), _family, "upsilon"),
+    ("two-local", ("uv", 3, 2), _family, "upsilon-prime"),
+    ("two-local", ("uv", 3, 1), _equations, 15, "generic 2x2 blocks force 15 equations"),
+    ("two-local", ("uv", 3, 2), _conjugate, "upsilon", "upsilon-prime",
+     "diagonal conjugation carries the two-parameter family to the normalized one"),
+    # UW_n(c) has three distinct families of 2-local representations
+    *(("welded-two-local", ("uw", 3, 1), _family, fam)
+      for fam in ("omega1", "omega2", "omega3", "omega1p", "omega2p", "omega3p")),
+    ("welded-two-local", ("uw", 3, 1), _equations, 3,
+     "the welded relation adds 3 equations over the antidiagonal virtual block",
+     ["WR1[i=1,t=1]"], "antidiagonal"),
+    *(("welded-two-local", ("uw", 3, 1), _conjugate, f"omega{j}", f"omega{j}p")
+      for j in (1, 2, 3)),
+    # UV_n(2) has four distinct 3-local families, each reducible at a point
+    ("three-local", ("uv", 4, 2), _family, "epsilon1", "{fam} satisfies {spec}",
+     {"r6": 2, "s5_1": 1, "s6_1": 2, "s8_1": 3, "s9_1": 5,
+      "s5_2": 2, "s6_2": 1, "s8_2": 1, "s9_2": 1}),
+    ("three-local", ("uv", 4, 2), _family, "epsilon2", "{fam} satisfies {spec}",
+     {"r2": 2, "s1_1": 1, "s2_1": 2, "s4_1": 3, "s5_1": 5,
+      "s1_2": 2, "s2_2": 1, "s4_2": 1, "s5_2": 1}),
+    ("three-local", ("uv", 4, 2), _family, "epsilon3", "{fam} satisfies {spec}",
+     {"r6": 2, "s4_1": 1, "s5_1": 3, "s4_2": 2, "s5_2": 1}),
+    ("three-local", ("uv", 4, 2), _family, "epsilon4", "{fam} satisfies {spec}",
+     {"r2": 2, "s5_1": 3, "s8_1": 1, "s5_2": 1, "s8_2": 2}),
+    # the forbidden moves do not hold in UV_n(c): phi separates them
+    ("forbidden-moves", ("uv", 3, 2), _forbidden),
+    # the 2-local classification of UV_n(c), counted over a prime field
+    ("mod-p", ("uv", 3, 1), _mod_p, 5),
+    # the classical Burau and F-representations on the virtual braid group
+    ("classical-braid", ("vb", 4, 1), _family, "burau",
+     "{fam} satisfies the braid and commutation relations"),
+    ("classical-braid", ("vb", 4, 1), _family, "f-rep",
+     "{fam} satisfies the braid and commutation relations"),
+)
 
-
-_SUITE_FUNCS = {
-    "two-local": _suite_two_local,
-    "welded-two-local": _suite_welded_two_local,
-    "three-local": _suite_three_local,
-    "forbidden-moves": _suite_forbidden_moves,
-    "mod-p": _suite_mod_p,
-    "classical-braid": _suite_classical_braid,
-}
+SUITES = tuple(dict.fromkeys(row[0] for row in _CLAIMS))
 
 
 def cmd_suite(args) -> int:
-    names = list(SUITES) if args.name == "all" else [args.name]
     checks = []
-    for name in names:
-        checks.extend(_SUITE_FUNCS[name]())
+    for suite, (flavor, n, c), check, *rest in _CLAIMS:
+        if args.name in ("all", suite):
+            checks += check(make_spec(flavor, n, c), *rest)
     payload = {"command": "suite", "name": args.name, "checks": checks}
     return _emit(payload, args.json)
 
@@ -502,6 +425,13 @@ def _add_group_flags(sub):
     )
 
 
+def _add_system_flags(sub):
+    sub.add_argument("--k", type=int, default=2, help="block size (2 or 3)")
+    sub.add_argument("--tag", action="append", help="restrict to these relation tags")
+    sub.add_argument("--rho-form", choices=("generic", "antidiagonal"), default="generic",
+                     help="shape of the virtual block")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="uvbraid",
@@ -523,16 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constraints", help="derive the generic-block equations")
     _add_group_flags(p)
-    p.add_argument("--k", type=int, default=2, help="block size (2 or 3)")
-    p.add_argument("--tag", action="append", help="restrict to these relation tags")
-    p.add_argument("--rho-form", choices=("generic", "antidiagonal"), default="generic")
+    _add_system_flags(p)
     p.set_defaults(func=cmd_constraints)
 
     p = sub.add_parser("enumerate", help="solve the equations over a small prime field")
     _add_group_flags(p)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--tag", action="append")
-    p.add_argument("--rho-form", choices=("generic", "antidiagonal"), default="generic")
+    _add_system_flags(p)
     p.add_argument("--mod", type=int, required=True, metavar="P", help="odd prime, 3..13")
     p.add_argument("--invertible-blocks", action="store_true",
                    help="require block determinants nonzero")

@@ -127,6 +127,9 @@ class GroupSpec:
     def describe(self) -> str:
         return f"{self.flavor}(n={self.n}, c={self.c})"
 
+    def to_dict(self) -> dict:
+        return {"flavor": self.flavor, "n": self.n, "c": self.c}
+
 
 _FIXED_C = {"vb": 1, "wb": 1, "vt": 1, "wt": 1, "vsg": 2, "wsg": 2}
 

@@ -384,16 +384,43 @@ class TestWordCommand:
 
 
 class TestSuites:
-    @pytest.mark.parametrize(
-        "name",
-        ["two-local", "welded-two-local", "three-local",
-         "forbidden-moves", "mod-p", "classical-braid"],
-    )
+    NAMES = ["two-local", "welded-two-local", "three-local",
+             "forbidden-moves", "mod-p", "classical-braid"]
+
+    @pytest.mark.parametrize("name", NAMES)
     def test_each_suite_passes(self, capsys, name):
         code, out, _ = run(capsys, "suite", "--name", name)
         assert code == 0
         assert "[   fail]" not in out
         assert "[   pass]" in out
+
+    def test_suites_are_named_in_table_order(self):
+        assert cli.SUITES == tuple(self.NAMES)
+
+    def test_each_suite_runs_its_own_rows_of_all(self, capsys):
+        checks = []
+        for name in self.NAMES:
+            _, out, _ = run(capsys, "suite", "--name", name, "--json")
+            checks += json.loads(out)["checks"]
+        _, out, _ = run(capsys, "suite", "--name", "all", "--json")
+        assert checks == json.loads(out)["checks"]
+
+    def test_all_suites_text_matches_committed_file(self, capsys):
+        code, out, _ = run(capsys, "suite", "--name", "all")
+        assert code == 0
+        assert out.encode() == (_GOLDEN / "suite_all.txt").read_bytes()
+
+    def test_family_with_every_relation_skipped_fails(self, capsys, monkeypatch):
+        # burau has no block for r1, so vb(n=2)'s one relation is skipped
+        row = ("classical-braid", ("vb", 2, 1), cli._family, "burau")
+        monkeypatch.setattr(cli, "_CLAIMS", (row,))
+        code, out, _ = run(capsys, "suite", "--name", "classical-braid", "--json")
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert [(c["tag"], c["status"]) for c in checks] == [
+            ("burau satisfies vb(n=2, c=1)", "fail")
+        ]
+        assert "0/1 relations pass (1 skipped)" in checks[0]["details"]
 
     def test_all_suites_json(self, capsys):
         code, out, _ = run(capsys, "suite", "--name", "all", "--json")
