@@ -16,8 +16,10 @@ complex irreducibility with exact arithmetic is sound.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .groups import (  # forbidden_moves is re-exported, not used here
     GroupSpec,
@@ -422,14 +424,32 @@ def generate_constraints(
 
 @dataclass
 class ModPScan:
+    """The points of F_p^u a scan found, as cells.
+
+    A cell ``(prefix, f)`` stands for p^f points: the scanned unknowns
+    start with the values ``prefix`` and the last ``f`` run over all of
+    F_p, in lexicographic order.  The cells come in scan order, so listing
+    them in turn lists every point in lexicographic order.
+    """
+
     p: int
     unknowns: tuple[str, ...]
     fixed: dict[str, int]
-    solutions: list[dict[str, int]]
+    cells: list[tuple[tuple[int, ...], int]]
 
     @property
     def count(self) -> int:
-        return len(self.solutions)
+        return sum(self.p ** f for _prefix, f in self.cells)
+
+    @property
+    def solutions(self) -> list[dict[str, int]]:
+        """Every point, built on each call: the scanned unknowns, then the
+        fixed ones."""
+        return [
+            dict(zip(self.unknowns, prefix + suffix)) | self.fixed
+            for prefix, f in self.cells
+            for suffix in product(range(self.p), repeat=f)
+        ]
 
 
 def _coeff_mod_p(c: GaussianRational, p: int) -> int:
@@ -447,9 +467,9 @@ def _terms_mod_p(
     """Reduce ``poly`` mod p to ``(stage, terms)`` for the staged scan.
 
     Each term is ``(coefficient mod p, ((position, degree), ...))`` over the
-    scanned unknowns, with the ``fixed`` values folded into the coefficient;
-    ``stage`` is the position of the last scanned unknown that occurs, or -1
-    when the reduced polynomial is a constant.
+    scanned unknowns, positions ascending, with the ``fixed`` values folded
+    into the coefficient; ``stage`` is the position of the last scanned
+    unknown that occurs, or -1 when the reduced polynomial is a constant.
     """
     vars_ = poly.ring.vars
     reduced: dict[tuple[tuple[int, int], ...], int] = {}
@@ -480,6 +500,22 @@ def _value_mod_p(terms: list, point: list[int], p: int) -> int:
     return total % p
 
 
+def _residue_coefficients(equations: list[list], depth: int) -> list[list]:
+    """Split the terms of each of ``equations`` by their monomial in the
+    scanned unknowns at positions ``depth`` and later; each part, read as
+    terms, is that monomial's coefficient, a polynomial in the first
+    ``depth`` unknowns.  Once those are bound, an equation's residue is
+    the zero polynomial exactly where all of its coefficients vanish."""
+    out = []
+    for terms in equations:
+        split: dict = {}
+        for c, mono in terms:
+            cut = next((i for i, (pos, _d) in enumerate(mono) if pos >= depth), len(mono))
+            split.setdefault(mono[cut:], []).append((c, mono[:cut]))
+        out += split.values()
+    return out
+
+
 def enumerate_solutions_mod_p(
     system: ConstraintSystem,
     p: int,
@@ -490,19 +526,24 @@ def enumerate_solutions_mod_p(
 
     ``invertibility`` lists polynomials required nonzero (e.g. block
     determinants); ``fixed`` pre-binds some of the system's unknowns (those
-    of the equations or of ``invertibility``) so a bucket of a bigger system
-    can be scanned on its own.
+    it declares, or those of its equations or of ``invertibility``) so a
+    bucket of a bigger system can be scanned on its own.
 
     The scan is staged and depth-first over plain ints: the remaining
     unknowns are bound one at a time in ring order, every polynomial is
     reduced mod p once and tested at the stage where its last unknown is
     bound, and a partial point is dropped as soon as one test there fails.
-    Live memory is the current point plus the solution list, and solutions
-    come out in lexicographic order of the scanned unknowns.
+    A partial point where every test still to come is an equation whose
+    residue is the zero polynomial is not descended: every completion
+    solves the system, and it is recorded as one cell (see ``ModPScan``).
+    A pending invertibility test turns this off, and a residue that
+    vanishes on F_p without being zero (x^p - x) is descended as usual.
+    Live memory is the current point plus the cells, and the cells come
+    out in lexicographic order of the scanned unknowns.
     """
     if p < 3 or p > 13 or any(p % q == 0 for q in range(2, p)):
         raise ValueError("p must be an odd prime at desk scale (3..13)")
-    needed: set[str] = set()
+    needed: set[str] = set(system.unknowns)
     for poly in list(system.equations) + list(invertibility):
         needed.update(poly.variables())
     fixed = {k: v % p for k, v in (fixed or {}).items()}
@@ -519,6 +560,7 @@ def enumerate_solutions_mod_p(
             f"scan of {len(scan_vars)} unknowns mod {p} exceeds desk scale"
         )
     position = {v: i for i, v in enumerate(scan_vars)}
+    depth = len(scan_vars)
     # tests[stage]: (terms, must the value be zero?) of every polynomial
     # whose last scanned unknown is bound at that stage
     tests: list[list] = [[] for _ in scan_vars]
@@ -531,12 +573,22 @@ def enumerate_solutions_mod_p(
             tests[stage].append((terms, want_zero))
         elif (not terms) != want_zero:
             consistent = False
-    solutions: list[dict[str, int]] = []
-    point = [0] * len(scan_vars)
+    # zero[d]: the residue coefficients of the tests pending at depth d
+    # (those of stage >= d), or None when one of them is an invertibility test
+    zero: list[list | None] = [[] for _ in range(depth + 1)]
+    for d in reversed(range(depth)):
+        if zero[d + 1] is None or not all(z for _t, z in tests[d]):
+            zero[d] = None
+        else:
+            pending = [t for stage in tests[d:] for t, _z in stage]
+            zero[d] = _residue_coefficients(pending, d)
+    cells: list[tuple[tuple[int, ...], int]] = []
+    point = [0] * depth
 
     def descend(stage: int) -> None:
-        if stage == len(scan_vars):
-            solutions.append(dict(zip(scan_vars, point)) | fixed)
+        coeffs = zero[stage]
+        if coeffs is not None and not any(_value_mod_p(c, point, p) for c in coeffs):
+            cells.append((tuple(point[:stage]), depth - stage))
             return
         here = tests[stage]
         for x in range(p):
@@ -546,17 +598,44 @@ def enumerate_solutions_mod_p(
 
     if consistent:
         descend(0)
-    return ModPScan(p=p, unknowns=scan_vars, fixed=fixed, solutions=solutions)
+    return ModPScan(p=p, unknowns=scan_vars, fixed=fixed, cells=cells)
+
+
+_VIRTUAL = ("r1", "r2", "r3", "r4")
 
 
 def classify_virtual_point(sol: dict[str, int], p: int) -> str:
     """Bucket a 2x2 virtual-block solution: identity, antidiagonal, or other."""
-    r1, r2, r3, r4 = (sol[k] % p for k in ("r1", "r2", "r3", "r4"))
+    r1, r2, r3, r4 = (sol[k] % p for k in _VIRTUAL)
     if (r1, r2, r3, r4) == (1, 0, 0, 1):
         return "identity"
     if r1 == 0 and r4 == 0 and r2 * r3 % p == 1:
         return "antidiagonal"
     return "other"
+
+
+def classify_virtual_cells(scan: ModPScan) -> Counter | None:
+    """``classify_virtual_point`` counted over every point of ``scan``,
+    read from its cells: each distinct (r1, r2, r3, r4) is classified once
+    and weighted by the points it stands for.  Only the r's a cell leaves
+    free are expanded.  None when the scan does not bind all of r1..r4."""
+    p, where = scan.p, {v: i for i, v in enumerate(scan.unknowns)}
+    if not all(v in where or v in scan.fixed for v in _VIRTUAL):
+        return None
+    # cells that agree up to the last scanned r agree on the r's
+    cut = 1 + max((where[v] for v in _VIRTUAL if v in where), default=-1)
+    cells = Counter((prefix[:cut], f) for prefix, f in scan.cells)
+    weights: Counter = Counter()
+    for (prefix, f), times in cells.items():
+        bound = dict(zip(scan.unknowns, prefix)) | scan.fixed
+        free = [v for v in _VIRTUAL if v not in bound]
+        for values in product(range(p), repeat=len(free)):
+            point = bound | dict(zip(free, values))
+            weights[tuple(point[v] for v in _VIRTUAL)] += times * p ** (f - len(free))
+    buckets: Counter = Counter()
+    for key, w in weights.items():
+        buckets[classify_virtual_point(dict(zip(_VIRTUAL, key)), p)] += w
+    return buckets
 
 
 # ---------------------------------------------------------------------------

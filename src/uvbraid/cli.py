@@ -11,7 +11,8 @@ claim, each row a check function applied to one group.
 Output is a human-readable report, or with ``--json`` a stable JSON
 document (identical invocations produce byte-identical output; nothing is
 timestamped or environment-dependent).  Exit status: 0 when no check
-failed, 1 when at least one did, 2 on usage errors.
+failed, 1 when at least one did (or, for ``verify``, when every relation
+was skipped), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import argparse
 import json
 import re
 import sys
-from collections import Counter
 
 from .analysis import (
     burnside_dim,
+    classify_virtual_cells,
     classify_virtual_point,
     enumerate_solutions_mod_p,
     factor_check,
@@ -116,7 +117,9 @@ def cmd_verify(args) -> int:
     payload = {"command": "verify", "family": canonical_family(args.family)}
     payload.update(report.to_dict())
     payload["lines"] = [report.summary()]
-    return _emit(payload, args.json)
+    # as in a suite's family row, a run whose every relation was skipped fails
+    checked = any(o.status == "pass" for o in report.outcomes)
+    return max(_emit(payload, args.json), 0 if checked else 1)
 
 
 def cmd_constraints(args) -> int:
@@ -149,6 +152,7 @@ def cmd_enumerate(args) -> int:
     invertible = system.invertibility if args.invertible_blocks else []
     fixed = _bindings(args.fixed, "--fixed", _integer)
     scan = enumerate_solutions_mod_p(system, args.mod, invertible, fixed or None)
+    count = scan.count
     payload = {
         "command": "enumerate",
         "group": spec.to_dict(),
@@ -157,25 +161,21 @@ def cmd_enumerate(args) -> int:
         "p": scan.p,
         "scanned_unknowns": list(scan.unknowns),
         "fixed": scan.fixed,
-        "count": scan.count,
+        "count": count,
         "checks": [],
     }
-    lines = [f"{scan.count} solutions mod {scan.p}"]
-    # classify_virtual_point reads a 2x2 virtual block from r1..r4
-    if args.k == 2 and scan.solutions and all(
-        f"r{j}" in scan.solutions[0] for j in (1, 2, 3, 4)
-    ):
-        buckets = Counter(
-            classify_virtual_point(s, scan.p) for s in scan.solutions
-        )
+    lines = [f"{count} solutions mod {scan.p}"]
+    # a 2x2 virtual block is read from r1..r4
+    buckets = classify_virtual_cells(scan) if args.k == 2 and count else None
+    if buckets is not None:
         payload["classification"] = dict(sorted(buckets.items()))
         lines.append(
             "virtual-block classes: "
             + ", ".join(f"{k}={v}" for k, v in sorted(buckets.items()))
         )
-    if scan.count <= 50:
+    if count <= 50:
         payload["solutions"] = [dict(sorted(s.items())) for s in scan.solutions]
-        lines += ["  " + str(dict(sorted(s.items()))) for s in scan.solutions]
+        lines += ["  " + str(s) for s in payload["solutions"]]
     payload["lines"] = lines
     return _emit(payload, args.json)
 
@@ -337,7 +337,7 @@ def _mod_p(spec, p) -> list[dict]:
     rho_sys = generate_constraints(2, spec, ["PR1[i=1]", "PR3[i=1]"])
     det_r, det_s = rho_sys.invertibility
     scan = enumerate_solutions_mod_p(rho_sys, p, [det_r])
-    buckets = Counter(classify_virtual_point(s, p) for s in scan.solutions)
+    buckets = classify_virtual_cells(scan)
     tag = f"virtual 2x2 blocks mod {p}: identity plus antidiagonal family"
     ok = scan.count == p and buckets == {"identity": 1, "antidiagonal": p - 1}
     checks = [_check(tag, ok, f"{scan.count} solutions: {dict(sorted(buckets.items()))}")]

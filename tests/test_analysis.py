@@ -7,6 +7,7 @@ import random
 import re
 import tracemalloc
 import unittest.mock
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 import uvbraid.analysis
 from uvbraid.analysis import (
+    ConstraintSystem,
     burnside_dim,
+    classify_virtual_cells,
     classify_virtual_point,
     enumerate_solutions_mod_p,
     factor_check,
@@ -559,6 +562,91 @@ class TestModP:
         with pytest.raises(ValueError, match="desk scale"):
             enumerate_solutions_mod_p(system, 13)  # 13^8 grid points
 
+    def test_dense_scans_collapse_to_few_cells(self):
+        """An antidiagonal virtual block leaves every crossing block free,
+        so each is one cell; the identity forces one point."""
+        uv31 = generate_constraints(2, make_spec("uv", 3, 1))
+        dense = enumerate_solutions_mod_p(uv31, 7)
+        assert dense.count == 1 + 6 * 7 ** 4
+        assert len(dense.cells) == 7
+        assert sorted(f for _prefix, f in dense.cells) == [0] + [4] * 6
+        uv32 = generate_constraints(2, make_spec("uv", 3, 2))
+        two = enumerate_solutions_mod_p(uv32, 3)
+        assert two.count == 1 + 2 * 3 ** 8
+        assert len(two.cells) <= 3
+
+    def test_pending_invertibility_test_keeps_every_cell_a_point(self):
+        system = generate_constraints(
+            2, make_spec("uv", 3, 1), ["PR1[i=1]", "PR3[i=1]"]
+        )
+        det_r, _det_s = system.invertibility
+        scan = enumerate_solutions_mod_p(system, 5, [det_r])
+        assert scan.count == 5
+        assert all(f == 0 for _prefix, f in scan.cells)
+
+
+def _r1_r4(r1, r2, r3, r4):
+    return r1 * r4
+
+
+def _synthetic_system(equation):
+    """The system ``equation(r1, r2, r3, r4) = 0``, which declares all four
+    as unknowns whatever the equation mentions."""
+    ring = PolyRing(("r1", "r2", "r3", "r4"))
+    eq = equation(*(ring.rf(v) for v in ring.vars)).num
+    return ConstraintSystem(
+        block_size=2, spec=make_spec("uv", 3, 1), ring=ring,
+        unknowns=ring.vars, equations=[eq], provenance=[["synthetic"]],
+    )
+
+
+class TestModPCells:
+    def test_zero_residue_leaves_the_rest_free(self):
+        scan = enumerate_solutions_mod_p(_synthetic_system(_r1_r4), 3)
+        assert scan.unknowns == ("r1", "r2", "r3", "r4")
+        # r1 = 0 kills r1*r4 whatever r2..r4 are: one cell of 27 points
+        assert scan.cells[0] == ((0,), 3)
+        assert all(f == 0 and prefix[3] == 0 for prefix, f in scan.cells[1:])
+        assert scan.count == len(scan.solutions) == 27 + 27 - 9
+        assert scan.solutions == [
+            dict(zip(scan.unknowns, point))
+            for point in itertools.product(range(3), repeat=4)
+            if point[0] * point[3] % 3 == 0
+        ]
+
+    def test_buckets_expand_a_cell_that_leaves_the_block_free(self):
+        scan = enumerate_solutions_mod_p(_synthetic_system(_r1_r4), 5)
+        assert scan.cells[0] == ((0,), 3)
+        want = Counter(classify_virtual_point(s, 5) for s in scan.solutions)
+        assert classify_virtual_cells(scan) == want
+        # r1 = r4 = 0 with r2*r3 = 1: one point for each r2 != 0
+        assert want["antidiagonal"] == 4 and want["identity"] == 0
+
+    def test_buckets_of_a_partly_fixed_block(self):
+        system = _synthetic_system(_r1_r4)
+        scan = enumerate_solutions_mod_p(system, 3, fixed={"r2": 2, "r3": 2})
+        assert scan.cells[0] == ((0,), 1)
+        want = Counter(classify_virtual_point(s, 3) for s in scan.solutions)
+        assert classify_virtual_cells(scan) == want == {"antidiagonal": 1, "other": 4}
+
+    def test_residue_vanishing_only_as_a_function_is_descended(self):
+        """r2^3 - r2 is zero at every point of F_3 but is no zero
+        polynomial, so past r1 != 0 the scan binds r2 before it stops."""
+        system = _synthetic_system(lambda r1, r2, r3, r4: r1 * (r2 * r2 * r2 - r2))
+        scan = enumerate_solutions_mod_p(system, 3)
+        assert scan.count == 3 ** 4
+        assert scan.cells == [((0,), 3)] + [
+            ((a, b), 2) for a in (1, 2) for b in range(3)
+        ]
+
+    def test_scan_without_r_block_is_not_classified(self):
+        system = generate_constraints(
+            2, make_spec("uw", 3, 1), ["WR1[i=1,t=1]"], "antidiagonal"
+        )
+        scan = enumerate_solutions_mod_p(system, 3)
+        assert "r1" not in scan.unknowns
+        assert classify_virtual_cells(scan) is None
+
 
 # (group, c, rho_form) of the small k=2 systems the solver is checked on
 _MOD_P_SYSTEMS = [
@@ -642,6 +730,10 @@ class TestModPAgainstBruteForce:
         assert scan.unknowns == unknowns
         assert scan.fixed == fixed_mod_p
         assert scan.solutions == solutions
+        assert scan.count == len(solutions)
+        buckets = classify_virtual_cells(scan)
+        if buckets is not None:
+            assert buckets == Counter(classify_virtual_point(s, p) for s in solutions)
 
     def test_dense_p7_system_stays_small_in_memory(self):
         system = generate_constraints(2, make_spec("uv", 3, 1))

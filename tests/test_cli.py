@@ -64,6 +64,14 @@ class TestVerifyCommand:
         assert code == 1
         assert "[   fail] INV[i=1,t=1]" in out
 
+    def test_every_relation_skipped_exits_one(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--family", "burau", "--group", "vb", "--n", "2",
+        )
+        assert code == 1
+        assert out.endswith("0/1 relations pass (1 skipped)\n")
+        assert "[skipped] PR3[i=1]" in out
+
     def test_specialized_point(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--family", "upsilon-prime", "--n", "3", "--c", "1",
@@ -510,6 +518,16 @@ class TestJsonGoldens:
             ("constraints", "--n", "3", "--c", "1", "--tag", "MR2[i=1,t=1]",
              "--tag", "PR1[i=1]"),
         ),
+        # the dense k=2 system: (p-1) p^4 antidiagonal points plus the identity
+        "enumerate_uv3_c1_mod7": (0, ("enumerate", "--n", "3", "--c", "1", "--mod", "7")),
+        # 24 listed solutions, in lexicographic order
+        "enumerate_uw3_wr1_antidiagonal_mod3_invertible": (
+            0,
+            ("enumerate", "--group", "uw", "--tag", "WR1[i=1,t=1]", "--rho-form",
+             "antidiagonal", "--mod", "3", "--invertible-blocks"),
+        ),
+        # two crossing types: (p-1) p^8 + 1
+        "enumerate_uv3_c2_mod3": (0, ("enumerate", "--n", "3", "--c", "2", "--mod", "3")),
         "irreducibility_upsilon_prime_uv6_on": (
             0,
             ("irreducibility", "--family", "upsilon-prime", "--group", "uv",
