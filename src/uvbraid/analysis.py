@@ -110,7 +110,8 @@ class VerificationReport:
 
 
 def sample_point(rep: LocalRep, rng: random.Random, tries: int = 500) -> dict:
-    """A random integer parameter point avoiding all side-condition zeros."""
+    """A random integer parameter point avoiding all side-condition zeros.
+    Raises ValueError when none of ``tries`` draws avoids them."""
     for _ in range(tries):
         point = {
             p: GaussianRational(rng.choice([x for x in range(-9, 10) if x]))
@@ -121,7 +122,7 @@ def sample_point(rep: LocalRep, rng: random.Random, tries: int = 500) -> dict:
                 return point
         except VanishingDenominator:
             continue
-    raise RuntimeError(f"could not sample a valid point for {rep.name}")
+    raise ValueError(f"could not sample a valid point for {rep.name}")
 
 
 def _window(p: Placement, k: int) -> tuple | None:
@@ -643,16 +644,18 @@ def classify_virtual_cells(scan: ModPScan) -> Counter | None:
 
 
 def _left_mul(cols: list, re: list[int], im: list[int], width: int) -> tuple:
-    """A generator, given by the nonzero ``(row, re, im)`` entries of each
-    of its columns, times the m x ``width`` Gaussian-integer matrix with
-    parts ``re`` and ``im`` flattened row-major; zeros are skipped."""
+    """A generator, given as ``(r, entries)`` for each of its nonzero
+    columns r with that column's nonzero ``(row, re, im)`` entries, times
+    the m x ``width`` Gaussian-integer matrix with parts ``re`` and ``im``
+    flattened row-major.  Only the rows r of that matrix are read."""
     out_re, out_im = [0] * len(re), [0] * len(re)
-    for k, (x, y) in enumerate(zip(re, im)):
-        if x or y:
-            r, c = divmod(k, width)
-            for i, a, b in cols[r]:
-                out_re[i * width + c] += a * x - b * y
-                out_im[i * width + c] += a * y + b * x
+    for r, col in cols:
+        for c in range(width):
+            x, y = re[r * width + c], im[r * width + c]
+            if x or y:
+                for i, a, b in col:
+                    out_re[i * width + c] += a * x - b * y
+                    out_im[i * width + c] += a * y + b * x
     return out_re, out_im
 
 
@@ -662,34 +665,55 @@ def _closure(mats: list[Matrix], seeds: list[Matrix], width: int) -> Echelon:
     multiplication by every matrix of ``mats``.
 
     Generators and seeds are scaled to Gaussian integers once, which
-    leaves the closure unchanged.  Each newly reduced row is multiplied by
-    every generator, in the order the rows were found (wave by wave); the
-    reduced rows span what the raw products span.  It stops when no row is
-    left, or at once when the basis fills all m * ``width`` coordinates.
+    leaves the closure unchanged.  A generator g, scaled by the L that
+    clears its denominators, is then used as L*g - L*I: a space that holds
+    X holds g X exactly when it holds (L*g - L*I) X = L*g X - L*X, so the
+    closure is the same.  For a k-local g = I (+) B (+) I the shifted
+    matrix is zero outside the k rows and columns of its block, so a
+    product reads and writes only those k rows of X, it is skipped when X
+    is zero there, and a generator equal to I drops out.  Each newly
+    reduced row is multiplied by every shifted generator, in the order the
+    rows were found (wave by wave); the reduced rows span what the raw
+    products span, and a zero product is not inserted.  It stops when no
+    row is left, or at once when the basis fills all m * ``width``
+    coordinates.
     """
     if not mats:
         raise ValueError("need at least one matrix")
     m = mats[0].nrows
     if any(g.shape != (m, m) for g in mats):
         raise ValueError("matrices must be square and of equal size")
-    gens = [[[(i, a, b) for i, (a, b) in enumerate(zip(cr, ci)) if a or b]
-             for cr, ci in zip(zip(*re), zip(*im))]
-            for re, im in (g.integer_entries() for g in mats)]
+    gens = []
+    for g in mats:
+        re, im, scale = g.integer_entries()
+        for i in range(m):
+            re[i][i] -= scale
+        cols = [(r, [(i, a, b) for i, (a, b) in enumerate(zip(cr, ci)) if a or b])
+                for r, (cr, ci) in enumerate(zip(zip(*re), zip(*im)))]
+        cols = [(r, col) for r, col in cols if col]
+        if cols:  # g = I adds nothing
+            gens.append(cols)
     basis = Echelon()
     found = []
     for s in seeds:
         if s.shape != (m, width):
             raise ValueError(f"seed does not have shape {(m, width)}")
-        r = basis.insert(*([x for row in p for x in row] for p in s.integer_entries()))
-        if r is not None:
-            found.append(r)
+        re, im, _ = s.integer_entries()
+        new = basis.insert([x for row in re for x in row], [x for row in im for x in row])
+        if new is not None:
+            found.append(new)
     for v in found:  # grows while it is read
+        rows = {k // width for k, (x, y) in enumerate(zip(*v)) if x or y}
         for cols in gens:
             if len(basis) == m * width:
                 return basis
-            r = basis.insert(*_left_mul(cols, *v, width))
-            if r is not None:
-                found.append(r)
+            if not any(r in rows for r, _col in cols):
+                continue  # the product reads only rows where v is zero
+            pr, pi = _left_mul(cols, *v, width)
+            if any(pr) or any(pi):
+                new = basis.insert(pr, pi)
+                if new is not None:
+                    found.append(new)
     return basis
 
 
@@ -697,10 +721,10 @@ def burnside_dim(mats: list[Matrix]) -> int:
     """Dimension of the unital algebra spanned by all products of ``mats``.
 
     The closure of the identity under left multiplication by the
-    generators.  The matrices act irreducibly on C^m iff the result is m^2
-    (Burnside), and since every invertible generator's inverse is a
-    polynomial in the generator (Cayley-Hamilton), positive products
-    suffice.
+    generators, exact over Q(i).  The matrices act irreducibly on C^m iff
+    the result is m^2 (Burnside), and since every invertible generator's
+    inverse is a polynomial in the generator (Cayley-Hamilton), positive
+    products suffice.  A generator equal to the identity changes nothing.
     """
     m = mats[0].nrows if mats else 0
     return len(_closure(mats, [Matrix.identity(g.ring, m) for g in mats[:1]], m))
@@ -709,7 +733,10 @@ def burnside_dim(mats: list[Matrix]) -> int:
 def spin(mats: list[Matrix], seeds: list[Matrix]) -> list[Matrix]:
     """Basis of the smallest subspace containing ``seeds`` and invariant
     under every matrix (the 'spin' of the seeds).  Seeds and result are
-    column vectors, each result scaled to 1 at its first nonzero entry."""
+    column vectors.  The result is the subspace's reduced echelon basis,
+    in pivot order: each column is 1 at its first nonzero entry and 0 at
+    every other column's, so it depends on the subspace alone, not on the
+    order or repetition of seeds and matrices."""
     rows, ring = sorted(_closure(mats, seeds, 1).rows.items()), mats[0].ring
     return [Matrix.column(ring, [GaussianRational(Fraction(a, re[p]), Fraction(b, re[p]))
                                  for a, b in zip(re, im)]) for p, (re, im) in rows]

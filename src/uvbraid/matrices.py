@@ -12,9 +12,12 @@ clarity over asymptotics.  There is one elimination per field:
   denominator, which keeps intermediate rational functions from
   snowballing); inverses are the adjugate over that determinant, so a
   polynomial matrix's inverse has no denominator but the determinant;
-* over Q(i), :class:`Echelon` is a fraction-free, incremental row-echelon
-  basis of Gaussian-integer rows; the span engines of :mod:`uvbraid.analysis`
-  (``burnside_dim`` and ``spin``) grow their closures in one.
+* over Q(i), :class:`Echelon` is a fraction-free, incremental, fully
+  reduced row-echelon basis of Gaussian-integer rows, which depends on the
+  span alone; it reduces a vector only at the pivots where the vector is
+  nonzero, and touches only each row's nonzero coordinates.  The span
+  engines of :mod:`uvbraid.analysis` (``burnside_dim`` and ``spin``) grow
+  their closures in one.
 
 ``place`` writes a block over a diagonal window of a larger matrix.
 ``block_embed`` uses it to realize the local pattern
@@ -247,18 +250,19 @@ class Matrix:
 
     # -- constant-matrix operations --------------------------------------
 
-    def integer_entries(self) -> tuple[list[list[int]], list[list[int]]]:
+    def integer_entries(self) -> tuple[list[list[int]], list[list[int]], int]:
         """The real and the imaginary parts of a constant matrix times the
-        lcm of their denominators: the one step from Q(i) to Z[i].  Raises
-        ValueError if anything is symbolic."""
+        lcm of their denominators, and that lcm: the one step from Q(i) to
+        Z[i].  Raises ValueError if anything is symbolic."""
         bad = next((a for r in self.rows for a in r if not a.is_constant()), None)
         if bad is not None:
             raise ValueError(f"matrix is symbolic (entry {bad}); bind parameters first")
         vals = [[a.constant_value() for a in r] for r in self.rows]
         parts = [[x.re for x in r] for r in vals], [[x.im for x in r] for r in vals]
         lcm = math.lcm(*(q.denominator for part in parts for r in part for q in r))
-        return tuple([[q.numerator * (lcm // q.denominator) for q in r] for r in part]
-                     for part in parts)
+        re, im = ([[q.numerator * (lcm // q.denominator) for q in r] for r in part]
+                  for part in parts)
+        return re, im, lcm
 
     # -- evaluation and rendering ----------------------------------------
 
@@ -281,13 +285,19 @@ class Matrix:
 
 
 class Echelon:
-    """Fraction-free incremental row-echelon basis over Q(i).  Each row is a
-    Gaussian-integer vector, the int lists of its real and imaginary parts,
-    with gcd 1; keyed by its pivot, it is zero before it, a positive integer
-    at it and zero at earlier rows' pivots.  The first insert fixes the width."""
+    """Fully reduced, fraction-free, incremental row-echelon basis over Q(i).
+
+    Each row is a Gaussian-integer vector, the int lists of its real and
+    imaginary parts, with gcd 1; keyed by its pivot, it is zero before it,
+    a positive integer at it and zero at every other row's pivot.  Such a
+    row is the least integer multiple of the span's reduced row-echelon
+    row, so the rows depend on the span alone, not on the order of inserts.
+    Each row's nonzero coordinates are kept with it, and an elimination
+    touches only those.  The first insert fixes the width."""
 
     def __init__(self):
         self.rows: dict[int, tuple[list[int], list[int]]] = {}
+        self._support: dict[int, list[int]] = {}
         self.width: int | None = None
 
     def __len__(self):
@@ -296,33 +306,57 @@ class Echelon:
     def insert(self, re: list[int], im: list[int]) -> tuple | None:
         """Reduce against the basis; add and return the reduced row if new.
 
-        By each stored row b (pivot entry p, ascending pivots), v becomes
-        p*v - v[pivot]*b over its gcd; a new row is multiplied by its pivot's
-        conjugate, as a gcd removes rational factors only and a Gaussian one
-        (2+i, say) would compound from row to row."""
+        By the row b at pivot j (entry p there), v becomes p*v - v[j]*b.
+        As b is zero at every other pivot, this only scales v's other pivot
+        entries, so v is reduced once at each pivot where it is nonzero on
+        entry and nowhere else.  A new row is multiplied by its pivot's
+        conjugate, as a gcd removes rational factors only and a Gaussian
+        one (2+i, say) would compound from row to row, and divided by its
+        gcd; it is then eliminated, the same way, from every stored row
+        nonzero at its pivot."""
         w = len(re) if self.width is None else self.width
         if len(re) != w or len(im) != w:
             raise ValueError(f"vector of width {len(re)}/{len(im)}, basis of width {w}")
         self.width = w
+        rows, support = self.rows, self._support
         vr, vi = list(re), list(im)
-        for piv in sorted(self.rows):
-            cr, ci = vr[piv], vi[piv]
-            if cr or ci:
-                br, bi = self.rows[piv]
-                p = br[piv]
-                if ci or any(bi) or any(vi):  # else both are real
-                    vi = [p * y - cr * t - ci * s for y, s, t in zip(vi, br, bi)]
-                vr = [p * x - cr * s + ci * t for x, s, t in zip(vr, br, bi)]
-                vr, vi = _primitive(vr, vi)
-        piv = next((i for i in range(w) if vr[i] or vi[i]), None)
-        if piv is None:
+        for j in [j for j in rows if vr[j] or vi[j]]:
+            _eliminate(vr, vi, *rows[j], support[j], j)
+        if not (any(vr) or any(vi)):
             return None
+        piv = next(i for i in range(w) if vr[i] or vi[i])
         pr, pi = vr[piv], vi[piv]
         if pi or pr < 0:
             vr, vi = ([pr * x + pi * y for x, y in zip(vr, vi)],
                       [pr * y - pi * x for x, y in zip(vr, vi)])
-        self.rows[piv] = vr, vi = _primitive(vr, vi)
+        vr, vi = _primitive(vr, vi)
+        vs = _nonzero(vr, vi)
+        for j, (br, bi) in rows.items():
+            if br[piv] or bi[piv]:
+                br, bi = list(br), list(bi)
+                _eliminate(br, bi, vr, vi, vs, piv)
+                rows[j] = br, bi = _primitive(br, bi)
+                support[j] = _nonzero(br, bi)
+        rows[piv], support[piv] = (vr, vi), vs
         return vr, vi
+
+
+def _eliminate(vr: list[int], vi: list[int], br: list[int], bi: list[int],
+               supp: list[int], j: int) -> None:
+    """v <- p*v - v[j]*b in place, for the row b with real positive entry p
+    at j and nonzero coordinates ``supp``: v made zero at j."""
+    p, cr, ci = br[j], vr[j], vi[j]
+    if p != 1:
+        vr[:] = [p * x for x in vr]
+        vi[:] = [p * y for y in vi]
+    for k in supp:
+        s, t = br[k], bi[k]
+        vr[k] -= cr * s - ci * t
+        vi[k] -= cr * t + ci * s
+
+
+def _nonzero(re: list[int], im: list[int]) -> list[int]:
+    return [k for k, (x, y) in enumerate(zip(re, im)) if x or y]
 
 
 def _primitive(re: list[int], im: list[int]) -> tuple[list[int], list[int]]:

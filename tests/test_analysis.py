@@ -828,13 +828,49 @@ class TestSpanEnginesAgainstFractionReference:
         assert [str(v) for v in got] == [str(v) for v in want]
         assert got == want
 
-    def test_complex_family_point(self):
-        point = {k: parse_gaussian(v) for k, v in
-                 {"s1_1": "i", "s2_1": "1", "s3_1": "2", "s4_1": "1-i"}.items()}
-        rep = build_local_rep("upsilon-prime", make_spec("uv", 4, 1), point)
-        e1 = Matrix.column(rep.ring, [1, 0, 0, 0])
+    @settings(max_examples=60, deadline=None)
+    @given(qi_generator_sets())
+    def test_spin_columns_do_not_depend_on_order(self, case):
+        mats, seeds = case
+        want = spin(mats, seeds)
+        assert spin(mats, seeds[::-1]) == want
+        assert spin(mats[::-1], seeds) == want
+        assert spin(mats + mats[:1], seeds) == want
+        assert spin(mats * 2, seeds) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(qi_generator_sets())
+    def test_the_identity_adds_nothing(self, case):
+        mats, _ = case
+        ident = Matrix.identity(_QI, mats[0].nrows)
+        assert burnside_dim(mats + [ident]) == burnside_dim(mats)
+        assert burnside_dim([ident]) == burnside_dim([ident, ident]) == 1
+
+    # family, flavor, point (c = 1), on the family's reducibility locus
+    FAMILY_POINTS = [
+        ("upsilon-prime", "uv", {"s1_1": "i", "s2_1": "1", "s3_1": "2", "s4_1": "1-i"}, False),
+        ("upsilon-prime", "uv", {"s1_1": "2", "s2_1": "-3", "s3_1": "5", "s4_1": "7"}, False),
+        ("upsilon-prime", "uv", {"s1_1": "2", "s2_1": "-1", "s3_1": "3", "s4_1": "-2"}, True),
+        ("upsilon-prime", "uv", {"s1_1": "2", "s2_1": "3", "s3_1": "-1", "s4_1": "-2"}, True),
+        ("omega1p", "uw", {"r2": "3", "s2_1": "3", "s3_1": "1/3"}, True),
+        ("omega1p", "uw", {"r2": "2", "s2_1": "3", "s3_1": "5"}, False),
+        ("omega2p", "uw", {"r2": "1+i", "s2_1": "2", "s4_1": "i"}, True),
+        ("omega2p", "uw", {"r2": "2", "s2_1": "3", "s4_1": "5"}, False),
+        ("omega3p", "uw", {"r2": "2", "s1_1": "3", "s2_1": "-4"}, True),
+        ("omega3p", "uw", {"r2": "i", "s1_1": "1", "s2_1": "1+i"}, False),
+    ]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("family, flavor, params, on_locus", FAMILY_POINTS)
+    def test_complex_family_point(self, family, flavor, params, on_locus, n):
+        point = {k: parse_gaussian(v) for k, v in params.items()}
+        rep = build_local_rep(family, make_spec(flavor, n, 1), point)
+        m = rep.degree
+        e1 = Matrix.column(rep.ring, [1] + [0] * (m - 1))
         for gens in (_images(rep), [g.transpose() for g in _images(rep)]):
-            assert burnside_dim(gens) == _reference_burnside_dim(gens)
+            dim = burnside_dim(gens)
+            assert dim == _reference_burnside_dim(gens)
+            assert (dim < m * m) == on_locus
             got, want = spin(gens, [e1]), _reference_spin(gens, [e1])
             assert [str(v) for v in got] == [str(v) for v in want]
 

@@ -118,6 +118,18 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "at least one sample" in err
 
+    def test_failed_sampling_is_an_error(self, capsys, monkeypatch):
+        # no draw at all: the sampler gives up as it would after 500 misses
+        sample = analysis.sample_point
+        monkeypatch.setattr(analysis, "sample_point",
+                            lambda rep, rng: sample(rep, rng, tries=0))
+        code, out, err = run(
+            capsys, "verify", "--family", "upsilon", "--group", "vt", "--n", "3",
+            "--sampled",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: could not sample a valid point for upsilon\n"
+
     @pytest.mark.parametrize(
         "command,family", [("verify", "upsilon"), ("irreducibility", "upsilon-prime")]
     )
@@ -538,6 +550,19 @@ class TestJsonGoldens:
             0,
             ("irreducibility", "--family", "upsilon-prime", "--group", "uv",
              "--n", "6", "--param", "s1_1=2", "--param", "s2_1=-3",
+             "--param", "s3_1=5", "--param", "s4_1=7"),
+        ),
+        # the benchmark's top rung: degree 8, on and off the locus
+        "irreducibility_upsilon_prime_uv8_on": (
+            0,
+            ("irreducibility", "--family", "upsilon-prime", "--group", "uv",
+             "--n", "8", "--param", "s1_1=2", "--param", "s2_1=-1",
+             "--param", "s3_1=3", "--param", "s4_1=-2"),
+        ),
+        "irreducibility_upsilon_prime_uv8_off": (
+            0,
+            ("irreducibility", "--family", "upsilon-prime", "--group", "uv",
+             "--n", "8", "--param", "s1_1=2", "--param", "s2_1=-3",
              "--param", "s3_1=5", "--param", "s4_1=7"),
         ),
         "irreducibility_omega2p_uw4_complex": (

@@ -153,10 +153,10 @@ class TestInverse:
 
 
 class FractionEchelon:
-    """Reference: the Q(i) echelon basis in Fraction arithmetic, as the
-    engines ran it before ``Echelon`` went fraction-free.  Every stored row
-    is zero before its pivot, has a 1 there, and is zero at the pivots of
-    the rows stored before it."""
+    """Reference: the Q(i) reduced row-echelon basis in Fraction
+    arithmetic.  Every stored row is zero before its pivot, has a 1 there,
+    and is zero at the pivots of all other rows: a new row is reduced by
+    the stored rows, scaled to 1, then eliminated from each stored row."""
 
     def __init__(self):
         self.rows: dict[int, list[GaussianRational]] = {}
@@ -175,6 +175,10 @@ class FractionEchelon:
             return None
         inv = v[piv].inverse()
         v = [a * inv for a in v]
+        for j, row in self.rows.items():
+            c = row[piv]
+            if c:
+                self.rows[j] = [a - c * b if b else a for a, b in zip(row, v)]
         self.rows[piv] = v
         return v
 
@@ -184,7 +188,7 @@ _Q = PolyRing(("a",))
 
 def _gaussian_integer_rows(rows):
     """Q(i) rows as (re, im) int rows of one common multiple of them."""
-    re, im = Matrix.from_rows(_Q, rows).integer_entries()
+    re, im, _ = Matrix.from_rows(_Q, rows).integer_entries()
     return list(zip(re, im))
 
 
@@ -241,6 +245,7 @@ class TestEchelon:
             assert re[piv] > 0 and im[piv] == 0
             assert math.gcd(*re, *im) == 1
             assert all(not (re[p] or im[p]) for p in before)
+            assert all(not (re[p] or im[p]) for p in basis.rows if p != piv)
             before.append(piv)
         for r in zrows:
             assert basis.insert(*r) is None
@@ -268,8 +273,8 @@ class TestEchelon:
     def test_integer_entries_clear_every_denominator_once(self, ring):
         half, third_i = GaussianRational(1) / 2, GaussianRational(0, 1) / 3
         m = Matrix.from_rows(ring, [[half, third_i], [0, 1 + third_i]])
-        assert m.integer_entries() == ([[3, 0], [0, 6]], [[0, 2], [0, 2]])
-        assert Matrix.identity(ring, 2).integer_entries() == ([[1, 0], [0, 1]], [[0, 0], [0, 0]])
+        assert m.integer_entries() == ([[3, 0], [0, 6]], [[0, 2], [0, 2]], 6)
+        assert Matrix.identity(ring, 2).integer_entries() == ([[1, 0], [0, 1]], [[0, 0], [0, 0]], 1)
 
 
 class TestBlockEmbed:
