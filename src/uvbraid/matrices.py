@@ -17,7 +17,9 @@ clarity over asymptotics.  There is one elimination per field:
   span alone; it reduces a vector only at the pivots where the vector is
   nonzero, and touches only each row's nonzero coordinates.  The span
   engines of :mod:`uvbraid.analysis` (``burnside_dim`` and ``spin``) grow
-  their closures in one.
+  their closures in one.  ``Matrix.integer_entries`` is the way in: it
+  reads each constant entry's (a, b, d) (see :mod:`uvbraid.scalars`) and
+  scales by the lcm of the d's, so no rational number is built on the way.
 
 ``place`` writes a block over a diagonal window of a larger matrix.
 ``block_embed`` uses it to realize the local pattern
@@ -252,16 +254,18 @@ class Matrix:
 
     def integer_entries(self) -> tuple[list[list[int]], list[list[int]], int]:
         """The real and the imaginary parts of a constant matrix times the
-        lcm of their denominators, and that lcm: the one step from Q(i) to
-        Z[i].  Raises ValueError if anything is symbolic."""
+        lcm L of its entries' denominators, and L: the one step from Q(i)
+        to Z[i].  An entry (a + b*i)/d contributes a*(L/d) and b*(L/d); as
+        its denominator d is the lcm of its parts' lowest-terms ones, L is
+        the least common denominator of every part.  Raises ValueError if
+        anything is symbolic."""
         bad = next((a for r in self.rows for a in r if not a.is_constant()), None)
         if bad is not None:
             raise ValueError(f"matrix is symbolic (entry {bad}); bind parameters first")
         vals = [[a.constant_value() for a in r] for r in self.rows]
-        parts = [[x.re for x in r] for r in vals], [[x.im for x in r] for r in vals]
-        lcm = math.lcm(*(q.denominator for part in parts for r in part for q in r))
-        re, im = ([[q.numerator * (lcm // q.denominator) for q in r] for r in part]
-                  for part in parts)
+        lcm = math.lcm(*(x.d for r in vals for x in r))
+        re = [[x.a * (lcm // x.d) for x in r] for r in vals]
+        im = [[x.b * (lcm // x.d) for x in r] for r in vals]
         return re, im, lcm
 
     # -- evaluation and rendering ----------------------------------------

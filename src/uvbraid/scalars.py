@@ -5,10 +5,25 @@ Every quantity in this package lives somewhere in the tower
     Q(i)  <  Q(i)[x1, ..., xk]  <  Q(i)(x1, ..., xk)
 
 where the variables are free parameters of a representation family
-(``r2``, ``s1_1``, ...).  There is no floating point anywhere: rational
-parts are :class:`fractions.Fraction`, polynomials are dictionaries from
-exponent tuples to Gaussian-rational coefficients, and rational functions
-are numerator/denominator pairs compared by cross-multiplication.
+(``r2``, ``s1_1``, ...).  There is no floating point anywhere: polynomials
+are dictionaries from exponent tuples to Gaussian-rational coefficients,
+and rational functions are numerator/denominator pairs compared by
+cross-multiplication.
+
+A Gaussian rational is three Python ints ``(a, b, d)`` standing for
+(a + b*i)/d: an integer vector over one common denominator, the usual
+representation of number-field elements (Cohen, *A Course in Computational
+Algebraic Number Theory*, 4.2).  The form is canonical:
+
+* d > 0 and gcd(a, b, d) = 1, and zero is (0, 0, 1);
+* so equal values have equal triples, ``==`` compares the triples, and a
+  real value (b = 0) hashes like the int or Fraction a/d it equals.
+
+``+ - * /``, ``inverse``, ``**`` and the zero tests use int arithmetic
+only, and a sum, difference or product of two values with denominator 1
+computes no gcd.  No Fraction is built on that path: ``re``/``im`` return
+Fractions for readers who want them, and the constructor takes int,
+Fraction or string parts and refuses floats.
 
 Normalization contract for :class:`RatFunc` (no multivariate gcd is ever
 computed; these cheap reductions are what keep intermediate growth sane):
@@ -26,7 +41,12 @@ equal values may print apart (``1`` and ``(x*y - z)/(x*y - z)``).
 from __future__ import annotations
 
 import re as _re
+import sys
 from fractions import Fraction
+from math import gcd as _gcd
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 
 class VanishingDenominator(ZeroDivisionError):
@@ -40,34 +60,69 @@ class MissingVariable(LookupError):
     """An evaluation point fails to bind a variable that occurs."""
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 class GaussianRational:
-    """An element a + b*i of Q(i), with exact Fraction parts."""
+    """An element (a + b*i)/d of Q(i), stored as the three ints ``a, b, d``
+    in the canonical form of the module docstring; ``re`` and ``im`` read
+    the parts as Fractions."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else _exact(re)
-        self.im = im if type(im) is Fraction else _exact(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        p, q = _parts(re)
+        r, s = _parts(im)
+        # over the lcm of two lowest-terms denominators, gcd(a, b, d) is 1
+        d = q // _gcd(q, s) * s
+        self.a, self.b, self.d = p * (d // q), r * (d // s), d
+
+    @classmethod
+    def from_ints(cls, a: int, b: int, d: int = 1) -> GaussianRational:
+        """(a + b*i)/d for ints with d != 0, brought to canonical form."""
+        if not d:
+            raise ZeroDivisionError("zero denominator in Q(i)")
+        return _reduced(a, b, d) if d > 0 else _reduced(-a, -b, -d)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- arithmetic -------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            a, b = self.a + other.a, self.b + other.b
+            if d == 1:
+                return _make(a, b, 1)
+        else:
+            a, b, d = self.a * e + other.a * d, self.b * e + other.b * d, d * e
+        return _reduced(a, b, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            a, b = self.a - other.a, self.b - other.b
+            if d == 1:
+                return _make(a, b, 1)
+        else:
+            a, b, d = self.a * e - other.a * d, self.b * e - other.b * d, d * e
+        return _reduced(a, b, d)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -76,73 +131,90 @@ class GaussianRational:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.im and not other.im:  # real fast path
-            return GaussianRational(self.re * other.re, _ZERO)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if b or e:
+            a, b = a * c - b * e, a * e + b * c
+        else:  # real fast path
+            a *= c
+        d = self.d * other.d
+        if d == 1:
+            return _make(a, b, 1)
+        return _reduced(a, b, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _quotient(self, other)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other * self.inverse()
+        return _quotient(other, self)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = GaussianRational(1)
-        base = self
+        a, b, d = self.a, self.b, self.d
+        if not b:  # gcd(a, d) = 1 gives gcd(a^k, d^k) = 1
+            return _make(a ** k, 0, d ** k)
+        x, y, dk = 1, 0, d ** k  # x + y*i = (a + b*i)^k, by squaring
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                x, y = x * a - y * b, x * b + y * a
+            a, b = a * a - b * b, 2 * a * b
             k >>= 1
-        return out
+        return _reduced(x, y, dk)
 
     def inverse(self) -> GaussianRational:
-        if not self.re and not self.im:
+        a, b, d = self.a, self.b, self.d
+        if b:
+            return _reduced(d * a, -d * b, a * a + b * b)
+        if not a:
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        if not self.im:
-            return GaussianRational(1 / self.re, _ZERO)
-        n = self.re * self.re + self.im * self.im
-        return GaussianRational(self.re / n, -self.im / n)
+        return _make(d, 0, a) if a > 0 else _make(-d, 0, -a)
 
     # -- structure --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not (self.a or self.b)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        # a real value equals the int/Fraction it coerces from, so it must
-        # hash like one
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        a, b, d = self.a, self.b, self.d
+        if b:
+            return hash((a, b, d))
+        if d == 1:
+            return hash(a)
+        # a real value equals the Fraction a/d, so it hashes like one: this
+        # is the documented hash of a rational (Python's "Hashing of numeric
+        # types"), computed without building the Fraction
+        try:
+            h = hash(hash(abs(a)) * pow(d, -1, _HASH_MODULUS))
+        except ValueError:  # d is a multiple of the modulus
+            h = _HASH_INF
+        h = h if a >= 0 else -h
+        return -2 if h == -1 else h
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -151,16 +223,59 @@ class GaussianRational:
         return render_gaussian(self)
 
 
-def _exact(x) -> Fraction:
-    """A Fraction part; a float is refused, not read as its binary fraction."""
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d, already in canonical form."""
+    g = _new(GaussianRational)
+    g.a, g.b, g.d = a, b, d
+    return g
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, divided by gcd(a, b, d); zero comes out as
+    (0, 0, 1) since gcd(0, 0, d) = d."""
+    g = _gcd(a, b, d)
+    if g == 1:
+        return _make(a, b, d)
+    return _make(a // g, b // g, d // g)
+
+
+def _quotient(x: GaussianRational, y: GaussianRational) -> GaussianRational:
+    """x / y: (a + b*i)/d over (c + e*i)/f is (a + b*i)(c - e*i)*f over
+    d*(c^2 + e^2)."""
+    a, b, c, e, f = x.a, x.b, y.a, y.b, y.d
+    if e:
+        a, b, d = (a * c + b * e) * f, (b * c - a * e) * f, x.d * (c * c + e * e)
+    elif c:
+        if c < 0:
+            c, f = -c, -f
+        a, b, d = a * f, b * f, x.d * c
+    else:
+        raise ZeroDivisionError("inverse of zero in Q(i)")
+    if d == 1:
+        return _make(a, b, 1)
+    return _reduced(a, b, d)
+
+
+def _parts(x) -> tuple[int, int]:
+    """Numerator and positive denominator of an exact rational part; a float
+    is refused, not read as its binary fraction."""
+    if type(x) is int:
+        return x, 1
     if isinstance(x, float):
         raise TypeError(f"not an exact scalar: {x!r}")
-    return Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def _coerce(x):
     if type(x) is GaussianRational:
         return x
+    if type(x) is int:
+        return _make(x, 0, 1)
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
     if isinstance(x, GaussianRational):
@@ -175,18 +290,26 @@ G_I = GaussianRational(0, 1)
 
 def render_gaussian(g: GaussianRational) -> str:
     """Canonical string for an element of Q(i): ``p/q``, ``p/q*i``, ``p/q+r/s*i``."""
-    if not g.im:
-        return str(g.re)
-    if g.im == 1:
+    a, b, d = g.a, g.b, g.d
+    if not b:
+        return _ratio(a, d)
+    if b == d:
         imag = "i"
-    elif g.im == -1:
+    elif b == -d:
         imag = "-i"
     else:
-        imag = f"{g.im}*i"
-    if not g.re:
+        imag = f"{_ratio(b, d)}*i"
+    if not a:
         return imag
-    sign = "+" if g.im > 0 else ""
-    return f"{g.re}{sign}{imag}"
+    sign = "+" if b > 0 else ""
+    return f"{_ratio(a, d)}{sign}{imag}"
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, as ``str`` of the Fraction would print it."""
+    g = _gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 _GAUSS_RE = _re.compile(
@@ -211,10 +334,11 @@ def parse_gaussian(text: str) -> GaussianRational:
     # the imaginary coefficient, without its trailing "i" or "*i"
     im = (m.group("im1") or m.group("im2") or "0i")[:-1].removesuffix("*")
     im = {"": "1", "+": "1", "-": "-1"}.get(im, im)
-    try:
-        return GaussianRational(Fraction(m.group("re") or "0"), Fraction(im))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in Gaussian rational: {text!r}") from None
+    (p, _, q), (r, _, s) = (m.group("re") or "0").partition("/"), im.partition("/")
+    q, s = int(q or 1), int(s or 1)
+    if not q or not s:
+        raise ValueError(f"zero denominator in Gaussian rational: {text!r}")
+    return GaussianRational.from_ints(int(p) * s, int(r) * q, q * s)
 
 
 class PolyRing:
@@ -548,14 +672,14 @@ def _render_monomial(ring: PolyRing, exp: tuple[int, ...]) -> str:
 def _render_term(ring: PolyRing, exp: tuple[int, ...], c: GaussianRational) -> str:
     mono = _render_monomial(ring, exp)
     if not mono:
-        if c.im and c.re:
+        if c.a and c.b:
             return f"({render_gaussian(c)})"
         return render_gaussian(c)
     if c == G_ONE:
         return mono
     if c == -G_ONE:
         return "-" + mono
-    if c.im and c.re:
+    if c.a and c.b:
         return f"({render_gaussian(c)})*{mono}"
     return f"{render_gaussian(c)}*{mono}"
 
@@ -602,7 +726,8 @@ class RatFunc:
         if other is NotImplemented:
             return NotImplemented
         if self.den.terms == other.den.terms:
-            return RatFunc(self.num + other.num, self.den)
+            # over the denominator 1 the sum is already normalized
+            return RatFunc(self.num + other.num, self.den, _normalized=self.den.is_one())
         return RatFunc(
             self.num * other.den + other.num * self.den, self.den * other.den
         )

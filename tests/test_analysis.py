@@ -559,8 +559,18 @@ class TestModP:
             enumerate_solutions_mod_p(system, 4)
         with pytest.raises(ValueError):
             enumerate_solutions_mod_p(system, 17)
-        with pytest.raises(ValueError, match="desk scale"):
-            enumerate_solutions_mod_p(system, 13)  # 13^8 grid points
+        # 13^8 grid points, but 13 cells: the grid size alone refuses nothing
+        assert enumerate_solutions_mod_p(system, 13).count == 1 + 12 * 13 ** 4
+
+    def test_a_scan_over_the_work_budget_is_refused(self, monkeypatch):
+        system = generate_constraints(2, make_spec("uv", 3, 1))
+        monkeypatch.setattr(uvbraid.analysis, "_SCAN_BUDGET", 1000)
+        # at p=5 the invertible scan visits 3400 partial points, 5 by 5
+        with pytest.raises(ValueError, match=r"desk scale: 1005 partial points visited, "
+                           r"over the budget of 1000"):
+            enumerate_solutions_mod_p(system, 5, system.invertibility)
+        # the dense scan is 5 cells and stays well under it
+        assert enumerate_solutions_mod_p(system, 5).count == 1 + 4 * 5 ** 4
 
     def test_dense_scans_collapse_to_few_cells(self):
         """An antidiagonal virtual block leaves every crossing block free,
@@ -574,6 +584,10 @@ class TestModP:
         two = enumerate_solutions_mod_p(uv32, 3)
         assert two.count == 1 + 2 * 3 ** 8
         assert len(two.cells) <= 3
+        # 5^12 = 244 140 625 grid points, 5 cells
+        five = enumerate_solutions_mod_p(uv32, 5)
+        assert five.count == 1_562_501 == 4 * 5 ** 8 + 1
+        assert len(five.cells) == 5
 
     def test_pending_invertibility_test_keeps_every_cell_a_point(self):
         system = generate_constraints(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from contextlib import ExitStack
 from pathlib import Path
@@ -264,6 +265,27 @@ class TestEnumerateCommand:
         assert "classification" not in payload
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "virtual-block classes" not in out
+
+    def test_dense_scan_is_not_refused_by_its_grid_size(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--n", "3", "--c", "2", "--mod", "5")
+        assert code == 0
+        assert out.startswith("1562501 solutions mod 5\n")
+
+    def test_scan_over_the_work_budget_exits_2_within_30_s(self, capsys):
+        """With invertible blocks uv(3,2) at p=5 has 921 601 points, one cell
+        each; the descent is stopped at its budget of 500 000 visited partial
+        points (about 2-3 s on a 2-core host), not run to the end (8 s)."""
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "enumerate", "--n", "3", "--c", "2", "--mod", "5",
+            "--invertible-blocks",
+        )
+        assert time.monotonic() - start < 30
+        assert code == 2 and out == ""
+        assert err == (
+            "error: scan of 12 unknowns mod 5 exceeds desk scale: "
+            "500005 partial points visited, over the budget of 500000\n"
+        )
 
     def test_composite_modulus_is_usage_error(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "3", "--mod", "9")

@@ -1,12 +1,17 @@
 """Exact arithmetic tower: Gaussian rationals, polynomials, rational functions."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import uvbraid.scalars
+from uvbraid.analysis import burnside_dim, generate_constraints, spin, verify_relations
+from uvbraid.groups import make_spec
 from uvbraid.matrices import Matrix
+from uvbraid.reps import build_local_rep
 from uvbraid.scalars import (
     G_I,
     G_ONE,
@@ -106,6 +111,237 @@ class TestGaussianRational:
         with pytest.raises(ValueError, match="zero denominator") as exc:
             parse_gaussian(text)
         assert repr(text) in str(exc.value)
+
+
+class FractionGaussian:
+    """Reference Q(i): a pair of Fraction parts, the form GaussianRational
+    had before it moved to (a + b*i)/d over ints."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return FractionGaussian(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return FractionGaussian(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return FractionGaussian(
+            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
+        )
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        return FractionGaussian(self.re / n, -self.im / n)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** -k
+        out = FractionGaussian(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def is_zero(self):
+        return not self.re and not self.im
+
+    def __str__(self):
+        if not self.im:
+            return str(self.re)
+        imag = {1: "i", -1: "-i"}.get(self.im, f"{self.im}*i")
+        if not self.re:
+            return imag
+        return f"{self.re}{'+' if self.im > 0 else ''}{imag}"
+
+
+# denominators up to 12 share factors often, so sums and products reduce
+wide_fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+wide_gaussians = st.one_of(
+    st.builds(GaussianRational, wide_fractions, wide_fractions),
+    st.builds(GaussianRational, wide_fractions),
+    st.builds(GaussianRational, st.integers(-9, 9), st.integers(-9, 9)),
+    st.just(G_ZERO),
+)
+
+
+def _ref(g: GaussianRational) -> FractionGaussian:
+    return FractionGaussian(g.re, g.im)
+
+
+def _assert_canonical(g):
+    assert type(g) is GaussianRational
+    assert all(type(x) is int for x in (g.a, g.b, g.d))
+    assert g.d > 0 and math.gcd(g.a, g.b, g.d) == 1
+    if not g.a and not g.b:
+        assert (g.a, g.b, g.d) == (0, 0, 1)
+
+
+def _assert_agrees(g, ref):
+    _assert_canonical(g)
+    assert (g.re, g.im) == (ref.re, ref.im)
+
+
+class TestGaussianRationalAgainstFractionPairs:
+    """The (a + b*i)/d kernel against the Fraction-pair reference."""
+
+    @given(wide_gaussians, wide_gaussians)
+    @settings(max_examples=300)
+    def test_field_operations(self, x, y):
+        rx, ry = _ref(x), _ref(y)
+        _assert_agrees(x + y, rx + ry)
+        _assert_agrees(x - y, rx - ry)
+        _assert_agrees(x * y, rx * ry)
+        _assert_agrees(-x, FractionGaussian(0) - rx)
+        if y.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            with pytest.raises(ZeroDivisionError):
+                y.inverse()
+        else:
+            _assert_agrees(x / y, rx / ry)
+            _assert_agrees(y.inverse(), ry.inverse())
+        assert (x == y) == ((rx.re, rx.im) == (ry.re, ry.im))
+        assert x == GaussianRational(x.re, x.im)
+
+    @given(wide_gaussians, st.one_of(st.integers(-30, 30), wide_fractions))
+    def test_mixed_operands(self, x, q):
+        rx, rq = _ref(x), FractionGaussian(q)
+        _assert_agrees(x + q, rx + rq)
+        _assert_agrees(q + x, rx + rq)
+        _assert_agrees(x - q, rx - rq)
+        _assert_agrees(q - x, rq - rx)
+        _assert_agrees(x * q, rx * rq)
+        _assert_agrees(q * x, rx * rq)
+        if q:
+            _assert_agrees(x / q, rx / rq)
+        if not x.is_zero():
+            _assert_agrees(q / x, rq / rx)
+        assert (x == q) == (rx.re == q and not rx.im)
+
+    @given(wide_gaussians, st.integers(-6, 6))
+    def test_powers(self, x, k):
+        if x.is_zero() and k < 0:
+            with pytest.raises(ZeroDivisionError):
+                x ** k
+        else:
+            _assert_agrees(x ** k, _ref(x) ** k)
+
+    @given(wide_gaussians)
+    def test_str_and_parse_round_trip(self, x):
+        text = str(x)
+        assert text == render_gaussian(x) == str(_ref(x))
+        _assert_agrees(parse_gaussian(text), _ref(x))
+        assert repr(x) == f"GaussianRational({x.re!r}, {x.im!r})"
+
+    @given(wide_fractions, wide_fractions, st.integers(1, 6))
+    def test_parse_reduces_unreduced_text(self, re, im, k):
+        # "2/4+6/8*i" reads as 1/2+3/4*i, the canonical form
+        text = f"{re.numerator * k}/{re.denominator * k}"
+        if im:
+            sign = "+" if im > 0 else "-"
+            text += f"{sign}{abs(im.numerator) * k}/{im.denominator * k}*i"
+        _assert_agrees(parse_gaussian(text), FractionGaussian(re, im))
+
+    @pytest.mark.parametrize("value", [
+        GaussianRational(0), GaussianRational(-0), G_ONE - G_ONE,
+        GaussianRational(Fraction(1, 3), Fraction(-1, 3)) * 0,
+        G_I * G_I + 1, GaussianRational(Fraction(0, 5), Fraction(0, 7)),
+    ])
+    def test_zero_is_zero_zero_one(self, value):
+        assert (value.a, value.b, value.d) == (0, 0, 1)
+        assert value.is_zero() and not value
+
+    def test_constructor_reaches_canonical_form(self):
+        g = GaussianRational(Fraction(1, 6), Fraction(-3, 4))
+        assert (g.a, g.b, g.d) == (2, -9, 12)
+        g = GaussianRational(Fraction(5, 2), 3)
+        assert (g.a, g.b, g.d) == (5, 6, 2)
+        assert GaussianRational(True).a == 1 and type(GaussianRational(True).a) is int
+        assert GaussianRational("3/9", "-2") == GaussianRational(Fraction(1, 3), -2)
+
+    def test_from_ints_normalizes_sign_and_gcd(self):
+        g = GaussianRational.from_ints(4, -6, -8)
+        assert (g.a, g.b, g.d) == (-2, 3, 4)
+        assert GaussianRational.from_ints(0, 0, -7) == G_ZERO
+        with pytest.raises(ZeroDivisionError):
+            GaussianRational.from_ints(1, 1, 0)
+
+    def test_parts_are_read_only_fractions(self):
+        g = GaussianRational(Fraction(1, 2), Fraction(3, 4))
+        assert (g.re, g.im) == (Fraction(1, 2), Fraction(3, 4))
+        assert type(g.re) is Fraction
+        with pytest.raises(AttributeError):
+            g.re = Fraction(1)
+
+    @given(st.one_of(st.integers(), st.fractions()))
+    @example(2 ** 61 - 1)
+    @example(Fraction(1, 2 ** 61 - 1))  # the denominator is the hash modulus
+    @example(Fraction(-7, 3 * (2 ** 61 - 1)))
+    @example(-1)  # hash(-1) is -2
+    @example(Fraction(-1, 1))
+    def test_real_values_hash_like_the_rational(self, x):
+        g = GaussianRational(x)
+        assert g == x and hash(g) == hash(x)
+
+    @given(st.lists(st.lists(wide_gaussians, min_size=3, max_size=3),
+                    min_size=1, max_size=3))
+    @settings(max_examples=60)
+    def test_integer_entries_match_the_fraction_lcm(self, rows):
+        """The old computation: lcm of every part's Fraction denominator."""
+        m = Matrix.from_rows(PolyRing(("x",)), rows)
+        parts = [[x.re for x in r] for r in rows], [[x.im for x in r] for r in rows]
+        lcm = math.lcm(*(q.denominator for part in parts for r in part for q in r))
+        want = tuple([[q.numerator * (lcm // q.denominator) for q in r] for r in part]
+                     for part in parts)
+        assert m.integer_entries() == (*want, lcm)
+
+
+@pytest.fixture
+def fraction_builds(monkeypatch):
+    """Every Fraction built while the fixture is live, through a counting
+    wrapper of ``Fraction.__new__`` on the class ``uvbraid.scalars`` uses
+    (Fraction arithmetic builds its results there too)."""
+    cls = uvbraid.scalars.Fraction
+    original = cls.__new__
+    built = []
+
+    def counted(klass, *args, **kwargs):
+        built.append(args)
+        return original(klass, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__new__", staticmethod(counted))
+    return built
+
+
+class TestNoFractionInTheArithmeticPath:
+    def test_the_counter_sees_fractions(self, fraction_builds):
+        assert (G_ONE / 2).re == Fraction(1, 2)
+        assert len(fraction_builds) >= 1
+
+    def test_symbolic_verification(self, fraction_builds):
+        spec = make_spec("uv", 6, 3)
+        assert verify_relations(build_local_rep("upsilon", spec), spec).all_passed
+        assert fraction_builds == []
+
+    def test_constraint_generation(self, fraction_builds):
+        system = generate_constraints(2, make_spec("uv", 4, 1))
+        assert len(system.equations) == 15
+        assert fraction_builds == []
+
+    def test_span_engines_at_an_integer_point(self, fraction_builds):
+        rep = build_local_rep(
+            "upsilon-prime", make_spec("uv", 5, 1),
+            {"s1_1": 2, "s2_1": -3, "s3_1": 5, "s4_1": 7},
+        )
+        mats = [m for _g, m in rep.generator_images()]
+        assert burnside_dim(mats) == 25
+        e1 = Matrix.column(rep.ring, [1, 0, 0, 0, 0])
+        assert len(spin(mats, [e1])) == 5
+        assert fraction_builds == []
 
 
 @pytest.fixture
