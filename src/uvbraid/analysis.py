@@ -3,9 +3,15 @@ scans, irreducibility criteria with an independent algebra-dimension oracle,
 invariant-vector computations, and quotient-factoring checks.
 
 The engines are deliberately redundant in pairs: a closed-form criterion is
-always checkable against a dimension oracle, a symbolic verification against
-a sampled one, a derived constraint system against a finite-field scan.  The
-pairs are kept separate so that one route can catch a bug in the other.
+always checkable against a dimension oracle, a derived constraint system
+against a finite-field scan, and a symbolic verification against two
+partners.  One substitutes a family's blocks into the equations of
+``generate_constraints(k, spec)``, which were expanded over generic unknowns,
+not over the family's ring; it shares the schema and window walk with
+``verify_relations``.  The other, the full-degree reference
+``_full_degree_outcomes`` in ``tests/test_analysis.py``, shares neither: it
+multiplies every relation out at full degree.  The pairs are kept separate
+so that one route can catch a bug in the other.
 
 Exactness policy: everything symbolic runs over rational functions; the
 oracles (Burnside dimension, spin) run over Q(i) after specialization.
@@ -32,14 +38,13 @@ from .groups import (  # forbidden_moves is re-exported, not used here
     relations,
 )
 from .matrices import Echelon, Matrix, place
-from .reps import LocalRep, build_local_rep, eval_word, specialize
+from .reps import LocalRep, build_local_rep, eval_word
 from .scalars import (
     GaussianRational,
     MultiPoly,
     PolyRing,
     RatFunc,
     VanishingDenominator,
-    _fmt_point,
 )
 
 # ---------------------------------------------------------------------------
@@ -61,8 +66,7 @@ class RelationOutcome:
 class VerificationReport:
     rep: str
     spec: GroupSpec
-    mode: str
-    seed: int | None
+    mode: str  # "symbolic" | "specialized"
     outcomes: list[RelationOutcome]
 
     @property
@@ -91,7 +95,6 @@ class VerificationReport:
             "rep": self.rep,
             "group": self.spec.to_dict(),
             "mode": self.mode,
-            "seed": self.seed,
             "checks": [
                 {
                     "tag": o.tag,
@@ -108,10 +111,13 @@ class VerificationReport:
         }
 
 
-def sample_point(rep: LocalRep, rng: random.Random, tries: int = 500) -> dict:
+_SAMPLE_TRIES = 500
+
+
+def sample_point(rep: LocalRep, rng: random.Random) -> dict:
     """A random integer parameter point avoiding all side-condition zeros.
-    Raises ValueError when none of ``tries`` draws avoids them."""
-    for _ in range(tries):
+    Raises ValueError when none of ``_SAMPLE_TRIES`` draws avoids them."""
+    for _ in range(_SAMPLE_TRIES):
         point = {
             p: GaussianRational(rng.choice([x for x in range(-9, 10) if x]))
             for p in rep.params
@@ -163,20 +169,13 @@ def _residue(rep: LocalRep, rel: Relation, start: int, size: int) -> Matrix:
     return eval_word(rep, rel.lhs, start, size) - eval_word(rep, rel.rhs, start, size)
 
 
-def verify_relations(
-    rep: LocalRep,
-    spec: GroupSpec | None = None,
-    mode: str = "symbolic",
-    seed: int = 0,
-    samples: int = 3,
-) -> VerificationReport:
+def verify_relations(rep: LocalRep, spec: GroupSpec | None = None) -> VerificationReport:
     """Check every relation of ``spec`` (default: the rep's own group).
 
-    Symbolic mode expands residues exactly over the parameter ring and is
-    a proof.  Sampled mode evaluates at ``samples`` random integer points
-    avoiding side-condition zeros; it is advisory only.  Relations touching
-    a generator the family does not represent (e.g. rho under Burau) are
-    reported as skipped, not checked.
+    Residues are expanded exactly over the rep's own ring: symbolic
+    parameters, or Q(i) once the rep is specialized.  Either way the check
+    is a proof.  Relations touching a generator the family does not
+    represent (e.g. rho under Burau) are reported as skipped, not checked.
 
     Locality does the rest (see ``_window``).  The relations come from the
     schema walk (``groups.placements``), and each placement's window class
@@ -195,17 +194,6 @@ def verify_relations(
         raise ValueError("strand counts differ between rep and requested spec")
     if spec.c > rep.spec.c:
         raise ValueError("requested spec has more crossing types than the rep")
-    if mode not in ("symbolic", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and samples < 1:
-        raise ValueError(f"sampled mode needs at least one sample; got {samples}")
-    reps: list[LocalRep]
-    sampled = mode == "sampled" and rep.assignment is None
-    if sampled:
-        rng = random.Random(seed)
-        reps = [specialize(rep, sample_point(rep, rng)) for _ in range(samples)]
-    else:
-        reps = [rep]
     zeros = Matrix.zeros(rep.ring, rep.degree, rep.degree)
     # (row, shape, type values) -> the first shape letter the family has no
     # block for, or None: blocks depend on kind and type, not on strands
@@ -224,13 +212,13 @@ def verify_relations(
             todo.append((p, detail, None))
         else:
             todo.append((p, None, _window(p, rep.block_size)))
-    # class key -> (tag of its first member, None or the first rep it fails
-    # at with its window residue there)
-    verdicts: dict[tuple, tuple[str, tuple[LocalRep, Matrix] | None]] = {}
+    # class key -> (tag of its first member, its window residue or None
+    # when that is zero)
+    verdicts: dict[tuple, tuple[str, Matrix | None]] = {}
     windowed = [(p, window) for p, _d, window in todo if window is not None]
     for cls, (rel, start, size) in _first_members(spec, windowed).items():
-        residues = ((r, _residue(r, rel, start, size)) for r in reps)
-        verdicts[cls] = rel.tag, next(((r, w) for r, w in residues if not w.is_zero()), None)
+        w = _residue(rep, rel, start, size)
+        verdicts[cls] = rel.tag, None if w.is_zero() else w
     outcomes = []
     for p, detail, window in todo:
         if detail is not None:
@@ -240,12 +228,11 @@ def verify_relations(
             outcomes.append(RelationOutcome(p.tag, "pass", how="disjoint supports"))
             continue
         cls, start, _size = window
-        first, failing = verdicts[cls]
+        first, window_residue = verdicts[cls]
         how = "window" if first == p.tag else f"class of {first}"
-        if failing is None:
+        if window_residue is None:
             outcomes.append(RelationOutcome(p.tag, "pass", how=how))
             continue
-        r, window_residue = failing
         residue = place(window_residue, start, zeros)
         bad = next(
             (i, j)
@@ -254,14 +241,11 @@ def verify_relations(
             if not residue.rows[i][j].is_zero()
         )
         detail = f"entry {bad}: {residue.rows[bad[0]][bad[1]]}"
-        if r.assignment is not None and rep.assignment is None:
-            detail += f" at {_fmt_point(r.assignment)}"
         outcomes.append(RelationOutcome(p.tag, "fail", detail, residue, how))
     return VerificationReport(
         rep=rep.describe(),
         spec=spec,
-        mode=mode if rep.assignment is None else "specialized",
-        seed=seed if sampled else None,
+        mode="symbolic" if rep.assignment is None else "specialized",
         outcomes=outcomes,
     )
 

@@ -110,10 +110,7 @@ def cmd_verify(args) -> int:
     params = _bindings(args.param, "--param", parse_gaussian)
     if params:
         rep = specialize(rep, params)
-    report = verify_relations(
-        rep, mode="sampled" if args.sampled else "symbolic",
-        seed=args.seed, samples=args.samples,
-    )
+    report = verify_relations(rep)
     payload = {"command": "verify", "family": canonical_family(args.family)}
     payload.update(report.to_dict())
     payload["lines"] = [report.summary()]
@@ -445,10 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help=f"one of {', '.join(FAMILY_NAMES)}")
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="bind a parameter; repeat to bind every one")
-    p.add_argument("--sampled", action="store_true",
-                   help="advisory check at random points instead of a symbolic proof")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=3)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("constraints", help="derive the generic-block equations")

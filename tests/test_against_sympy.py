@@ -2,8 +2,9 @@
 
 sympy is a test-only reference: ``RatFunc`` arithmetic is checked against
 ``sympy.cancel`` and ``Matrix.det`` against sympy's determinant, on random
-small inputs with Gaussian-rational coefficients.  Skipped when sympy is not
-installed; nothing in ``src/`` imports it.
+small inputs with Gaussian-rational coefficients, and the generic 2x2
+constraint system against relations multiplied out in sympy.  Skipped when
+sympy is not installed; nothing in ``src/`` imports it.
 """
 
 from fractions import Fraction
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uvbraid.analysis import generate_constraints
+from uvbraid.groups import make_spec, relations
 from uvbraid.matrices import Matrix
 from uvbraid.scalars import GaussianRational, MultiPoly, PolyRing, RatFunc
 
@@ -30,14 +33,15 @@ nonzero_polynomials = polynomials.filter(lambda p: not p.is_zero())
 ratfuncs = st.builds(RatFunc, polynomials, nonzero_polynomials)
 
 
-def to_sympy(f) -> "sympy.Expr":
-    """A MultiPoly or RatFunc as a sympy expression over Q(i)."""
+def to_sympy(f, symbols=SYMBOLS) -> "sympy.Expr":
+    """A MultiPoly or RatFunc as a sympy expression over Q(i), its ring's
+    variables read as ``symbols``."""
     if isinstance(f, RatFunc):
-        return to_sympy(f.num) / to_sympy(f.den)
+        return to_sympy(f.num, symbols) / to_sympy(f.den, symbols)
     total = sympy.Integer(0)
     for exp, c in f.terms.items():
         coeff = sympy.Rational(c.a, c.d) + sympy.I * sympy.Rational(c.b, c.d)
-        total += coeff * sympy.Mul(*(s ** e for s, e in zip(SYMBOLS, exp)))
+        total += coeff * sympy.Mul(*(s ** e for s, e in zip(symbols, exp)))
     return total
 
 
@@ -96,3 +100,40 @@ class TestDeterminantAgainstSympy:
             [[to_sympy(RING.rf(a)) for a in r] for r in rows]
         ).det()
         assert ours.is_constant() and same(ours, theirs)
+
+
+class TestConstraintSystemAgainstSympy:
+    def test_k2_system_of_uv3(self):
+        """The 15 equations of the generic 2x2 system of uv(3,1) are the
+        numerators of every relation multiplied out at full degree in sympy,
+        each made monic with the same generators and order, as a set."""
+        spec = make_spec("uv", 3, 1)
+        system = generate_constraints(2, spec)
+        gens = sympy.symbols(system.ring.vars)
+        names = dict(zip(system.ring.vars, gens))
+        blocks = {
+            "rho": sympy.Matrix(2, 2, [names[f"r{j}"] for j in range(1, 5)]),
+            "sigma": sympy.Matrix(2, 2, [names[f"s{j}_1"] for j in range(1, 5)]),
+        }
+        degree = spec.n  # n + k - 2 at k = 2
+
+        def image(word):
+            out = sympy.eye(degree)
+            for g, e in word.letters:
+                m = sympy.eye(degree)
+                m[g.index - 1:g.index + 1, g.index - 1:g.index + 1] = blocks[g.kind]
+                out = out * m ** e
+            return out
+
+        def monic(expr):
+            return sympy.Poly(expr, *gens).monic().as_expr()
+
+        theirs = set()
+        for rel in relations(spec):
+            for entry in image(rel.lhs) - image(rel.rhs):
+                num = sympy.expand(sympy.fraction(sympy.together(entry))[0])
+                if num != 0:
+                    theirs.add(monic(num))
+        ours = {monic(to_sympy(e, gens)) for e in system.equations}
+        assert len(system) == 15
+        assert ours == theirs

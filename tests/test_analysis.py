@@ -27,7 +27,6 @@ from uvbraid.analysis import (
     generic_rep,
     invariant_check,
     reducibility_criterion,
-    sample_point,
     spin,
     verify_relations,
 )
@@ -43,7 +42,7 @@ from uvbraid.groups import (
     word,
 )
 from uvbraid.matrices import Matrix
-from uvbraid.reps import build_local_rep, canonical_family, eval_word, specialize
+from uvbraid.reps import build_local_rep, canonical_family, eval_word
 from uvbraid.scalars import G_ONE, G_ZERO, GaussianRational, PolyRing, parse_gaussian
 
 from test_matrices import FractionEchelon, qi_entries
@@ -76,20 +75,6 @@ class TestVerifyRelations:
         assert statuses["PR1[i=1]"] == "skipped"
         assert statuses["BR[i=1,t=1]"] == "pass"
 
-    def test_sampled_mode_is_deterministic_per_seed(self):
-        rep = build_local_rep("upsilon", make_spec("uv", 3, 2))
-        r1 = verify_relations(rep, mode="sampled", seed=7, samples=4)
-        r2 = verify_relations(rep, mode="sampled", seed=7, samples=4)
-        assert r1.to_dict() == r2.to_dict()
-        assert r1.all_passed and r1.mode == "sampled"
-
-    def test_sampled_mode_catches_generic_failure(self):
-        vt = make_spec("vt", 3, 1)
-        rep = build_local_rep("upsilon", vt)
-        report = verify_relations(rep, mode="sampled", seed=0)
-        assert {o.tag for o in report.failed} == {"INV[i=1,t=1]", "INV[i=2,t=1]"}
-        assert "at {" in report.failed[0].detail
-
     def test_quotient_spec_override(self):
         # verify a virtual-group family against the welded relation set
         uv = make_spec("uv", 3, 1)
@@ -102,18 +87,6 @@ class TestVerifyRelations:
         rep = build_local_rep("upsilon", make_spec("uv", 3, 1))
         with pytest.raises(ValueError):
             verify_relations(rep, spec=make_spec("uv", 4, 1))
-
-    @pytest.mark.parametrize("samples", [0, -1])
-    def test_sampled_mode_needs_a_sample(self, samples):
-        # with no point to check, every window relation would pass
-        rep = build_local_rep("upsilon", make_spec("vt", 3, 1))
-        with pytest.raises(ValueError, match="at least one sample"):
-            verify_relations(rep, mode="sampled", samples=samples)
-
-    def test_unknown_mode_rejected(self):
-        rep = build_local_rep("upsilon", make_spec("uv", 3, 1))
-        with pytest.raises(ValueError):
-            verify_relations(rep, mode="fuzzy")
 
 
 def _full_degree_residue(rep, rel):
@@ -195,13 +168,9 @@ class TestWindowClassAgainstReference:
         assert checked == (7 if flavor in _FIXED_C else 21)
 
 
-def _full_degree_outcomes(rep, spec, mode, seed):
+def _full_degree_outcomes(rep, spec):
     """Reference ``(tag, status, detail, residue)`` per relation of ``spec``,
-    with every relation expanded at full degree at every sample."""
-    reps = [rep]
-    if mode == "sampled":
-        rng = random.Random(seed)
-        reps = [specialize(rep, sample_point(rep, rng)) for _ in range(3)]
+    with every relation expanded at full degree."""
     out = []
     for rel in relations(spec):
         letters = [g for w in (rel.lhs, rel.rhs) for g, _e in w.letters]
@@ -210,21 +179,15 @@ def _full_degree_outcomes(rep, spec, mode, seed):
             detail = f"family {rep.name!r} has no block for {gap}"
             out.append((rel.tag, "skipped", detail, None))
             continue
-        for r in reps:
-            residue = _full_degree_residue(r, rel)
-            bad = [
-                (i, j)
-                for i in range(rep.degree)
-                for j in range(rep.degree)
-                if not residue[i, j].is_zero()
-            ]
-            if bad:
-                detail = f"entry {bad[0]}: {residue[bad[0]]}"
-                if r is not rep:
-                    point = sorted(r.assignment.items())
-                    detail += " at {" + ", ".join(f"{k}={v}" for k, v in point) + "}"
-                out.append((rel.tag, "fail", detail, residue))
-                break
+        residue = _full_degree_residue(rep, rel)
+        bad = [
+            (i, j)
+            for i in range(rep.degree)
+            for j in range(rep.degree)
+            if not residue[i, j].is_zero()
+        ]
+        if bad:
+            out.append((rel.tag, "fail", f"entry {bad[0]}: {residue[bad[0]]}", residue))
         else:
             out.append((rel.tag, "pass", "", None))
     return out
@@ -293,13 +256,12 @@ class TestLocalityAgainstFullDegree:
     """Window and class checks against full-degree products of every
     relation (the reference lives here, not behind an option)."""
 
-    @pytest.mark.parametrize("mode", ["symbolic", "sampled"])
     @pytest.mark.parametrize("fam,group,checked", _AGREEMENT_CASES, ids=_case_id)
-    def test_verify_agrees_with_full_degree_products(self, fam, group, checked, mode):
+    def test_verify_agrees_with_full_degree_products(self, fam, group, checked):
         rep = build_local_rep(fam, make_spec(*group))
         spec = make_spec(*checked)
-        report = verify_relations(rep, spec=spec, mode=mode, seed=spec.n)
-        reference = _full_degree_outcomes(rep, spec, mode, seed=spec.n)
+        report = verify_relations(rep, spec=spec)
+        reference = _full_degree_outcomes(rep, spec)
         assert [(o.tag, o.status, o.detail) for o in report.outcomes] == [
             ref[:3] for ref in reference
         ]
@@ -309,33 +271,16 @@ class TestLocalityAgainstFullDegree:
             else:
                 assert o.residue is None
 
-    @pytest.mark.parametrize("mode", ["symbolic", "sampled"])
-    def test_pairings_fail_or_skip_as_listed(self, mode):
+    def test_pairings_fail_or_skip_as_listed(self):
         for pairings, failing in (
             (_FAILING_PAIRINGS, True),
             (_SKIPPING_PAIRINGS, False),
         ):
             for fam, group, checked in pairings:
                 rep = build_local_rep(fam, make_spec(*group))
-                report = verify_relations(rep, spec=make_spec(*checked), mode=mode)
+                report = verify_relations(rep, spec=make_spec(*checked))
                 assert bool(report.failed) == failing, fam
                 assert failing or report.skipped
-
-    def test_a_class_fails_at_its_first_failing_sample(self, monkeypatch):
-        # INV holds at the first point (an involutive crossing block) and
-        # fails at the second, for every member of the class
-        on_locus = {"r2": 2, "s1_1": 0, "s2_1": 1, "s3_1": 1, "s4_1": 0}
-        off_locus = {"r2": 3, "s1_1": 1, "s2_1": 2, "s3_1": -1, "s4_1": 5}
-        points = iter([on_locus, off_locus, on_locus])
-        def sample(rep, rng):
-            return {k: GaussianRational(v) for k, v in next(points).items()}
-
-        monkeypatch.setattr(uvbraid.analysis, "sample_point", sample)
-        rep = build_local_rep("upsilon", make_spec("vt", 4))
-        report = verify_relations(rep, mode="sampled")
-        at = " at {" + ", ".join(f"{k}={v}" for k, v in sorted(off_locus.items()))
-        assert [o.tag for o in report.failed] == [f"INV[i={i},t=1]" for i in (1, 2, 3)]
-        assert all(o.detail.endswith(at + "}") for o in report.failed)
 
     @pytest.mark.parametrize(
         "k,flavor,n,c,rho_form",
@@ -403,7 +348,44 @@ class TestLocalityAgainstFullDegree:
         assert counts[0] == counts[1]
 
 
+def _block_mapping(rep, spec):
+    """The family's block entries for the unknowns of ``generic_rep``:
+    r1..r(k^2) from the virtual block and s1_t..s(k^2)_t from the crossing
+    block of type t, row-major."""
+    blocks = [("r{}", rep.rho_block)]
+    blocks += [(f"s{{}}_{t}", rep.sigma_blocks[t]) for t in range(1, spec.c + 1)]
+    return {
+        name.format(j + 1): entry
+        for name, block in blocks
+        for j, entry in enumerate(x for row in block.rows for x in row)
+    }
+
+
+# (family, k, group of the rep, group whose relations are checked)
+_SUBSTITUTION_CASES = [
+    *((fam, 2, ("uv", 3, 2), ("uv", 3, 2)) for fam in ("upsilon", "upsilon-prime")),
+    *((f"omega{j}{p}", 2, ("uw", 3, 1), ("uw", 3, 1)) for p in ("", "p") for j in (1, 2, 3)),
+    *((f"epsilon{j}", 3, ("uv", 4, 2), ("uv", 4, 2)) for j in (1, 2, 3, 4)),
+    ("upsilon", 2, ("uv", 3, 1), ("uw", 3, 1)),
+    ("epsilon1", 3, ("uv", 4, 2), ("uw", 4, 2)),
+    ("epsilon3", 3, ("uv", 4, 2), ("uw", 4, 2)),
+]
+
+
 class TestGenerateConstraints:
+    @pytest.mark.parametrize("fam,k,group,checked", _SUBSTITUTION_CASES, ids=_case_id)
+    def test_substitution_agrees_with_verify(self, fam, k, group, checked):
+        """The family's blocks solve the generic system exactly when the
+        family verifies: the same relations, expanded over generic unknowns
+        instead of over the family's ring."""
+        rep = build_local_rep(fam, make_spec(*group))
+        spec = make_spec(*checked)
+        system = generate_constraints(k, spec)
+        values = system.substitute(_block_mapping(rep, spec), rep.ring)
+        solves = all(v.is_zero() for v in values)
+        assert solves == verify_relations(rep, spec).all_passed
+        assert solves == (group == checked)
+
     def test_fifteen_equations_in_eight_unknowns(self):
         system = generate_constraints(2, make_spec("uv", 3, 1))
         assert len(system.equations) == 15

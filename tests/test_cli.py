@@ -74,31 +74,15 @@ class TestVerifyCommand:
         assert "[skipped] PR3[i=1]" in out
 
     def test_specialized_point(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--family", "upsilon-prime", "--n", "3", "--c", "1",
-            "--param", "s1_1=1", "--param", "s2_1=2",
-            "--param", "s3_1=3", "--param", "s4_1=4",
-        )
+        argv = ("verify", "--family", "upsilon-prime", "--n", "3", "--c", "1",
+                "--param", "s1_1=1", "--param", "s2_1=2",
+                "--param", "s3_1=3", "--param", "s4_1=4")
+        code, out, _ = run(capsys, *argv)
         assert code == 0 and "specialized" in out
-
-    def test_sampled_mode(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--family", "epsilon1", "--n", "3", "--c", "2",
-            "--sampled", "--seed", "3",
-        )
-        assert code == 0 and "sampled" in out
-
-    def test_seed_is_reported_only_when_points_were_sampled(self, capsys):
-        argv = ("verify", "--family", "upsilon", "--n", "3", "--c", "1",
-                "--sampled", "--seed", "7", "--json")
-        point = ("--param", "r2=2", "--param", "s1_1=1", "--param", "s2_1=2",
-                 "--param", "s3_1=3", "--param", "s4_1=5")
-        _, out, _ = run(capsys, *argv, *point)
+        code, out, _ = run(capsys, *argv, "--json")
         payload = json.loads(out)
-        assert payload["mode"] == "specialized" and payload["seed"] is None
-        _, out, _ = run(capsys, *argv)
-        payload = json.loads(out)
-        assert payload["mode"] == "sampled" and payload["seed"] == 7
+        assert code == 0 and payload["mode"] == "specialized"
+        assert "seed" not in payload
 
     def test_unknown_family_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "zeta", "--n", "3")
@@ -110,26 +94,6 @@ class TestVerifyCommand:
             capsys, "verify", "--family", "upsilon", "--n", "3", "--param", "s1_1"
         )
         assert code == 2 and "want name=value" in err
-
-    def test_sampled_mode_without_samples_is_usage_error(self, capsys):
-        code, out, err = run(
-            capsys, "verify", "--family", "upsilon", "--group", "vt", "--n", "3",
-            "--sampled", "--samples", "0",
-        )
-        assert code == 2 and out == ""
-        assert "at least one sample" in err
-
-    def test_failed_sampling_is_an_error(self, capsys, monkeypatch):
-        # no draw at all: the sampler gives up as it would after 500 misses
-        sample = analysis.sample_point
-        monkeypatch.setattr(analysis, "sample_point",
-                            lambda rep, rng: sample(rep, rng, tries=0))
-        code, out, err = run(
-            capsys, "verify", "--family", "upsilon", "--group", "vt", "--n", "3",
-            "--sampled",
-        )
-        assert code == 2 and out == ""
-        assert err == "error: could not sample a valid point for upsilon\n"
 
     @pytest.mark.parametrize(
         "command,family", [("verify", "upsilon"), ("irreducibility", "upsilon-prime")]
@@ -529,11 +493,6 @@ class TestJsonGoldens:
         "verify_upsilon_vt5": (
             1, ("verify", "--family", "upsilon", "--group", "vt", "--n", "5"),
         ),
-        "verify_upsilon_vt5_sampled": (
-            1,
-            ("verify", "--family", "upsilon", "--group", "vt", "--n", "5",
-             "--sampled"),
-        ),
         "verify_epsilon1_uw4_c2": (
             1,
             ("verify", "--family", "epsilon1", "--group", "uw", "--n", "4",
@@ -638,6 +597,13 @@ class TestJsonGoldens:
         got, out, _ = run(capsys, *argv, "--json")
         assert got == code
         assert out.encode() == (_GOLDEN / f"{name}.json").read_bytes()
+
+    def test_every_committed_file_is_read(self):
+        # families.json is read by tests/test_reps.py and suite_all.txt by
+        # TestSuites; a case deleted without its file fails here
+        stems = set(self.CASES) | {"families", "suite_all"}
+        want = {f"{stem}.json" for stem in stems} | {"suite_all.txt"}
+        assert {p.name for p in _GOLDEN.iterdir()} == want
 
 
 def test_import_leaves_numpy_unloaded():
