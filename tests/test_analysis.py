@@ -27,6 +27,7 @@ from uvbraid.analysis import (
     generic_rep,
     invariant_check,
     reducibility_criterion,
+    sample_point,
     spin,
     verify_relations,
 )
@@ -42,7 +43,7 @@ from uvbraid.groups import (
     word,
 )
 from uvbraid.matrices import Matrix
-from uvbraid.reps import build_local_rep, canonical_family, eval_word
+from uvbraid.reps import build_local_rep, canonical_family, eval_word, specialize
 from uvbraid.scalars import G_ONE, G_ZERO, GaussianRational, PolyRing, parse_gaussian
 
 from test_matrices import FractionEchelon, qi_entries
@@ -252,16 +253,27 @@ def _case_id(value):
     return value
 
 
+def _rep_over(ring, fam, group, seed):
+    """The family on ``group``: symbolic, or specialized at a point drawn
+    with ``seed`` so that every block is over Q(i)."""
+    rep = build_local_rep(fam, make_spec(*group))
+    if ring == "specialized":
+        rep = specialize(rep, sample_point(rep, random.Random(seed)))
+    return rep
+
+
 class TestLocalityAgainstFullDegree:
     """Window and class checks against full-degree products of every
     relation (the reference lives here, not behind an option)."""
 
+    @pytest.mark.parametrize("mode", ["symbolic", "specialized"])
     @pytest.mark.parametrize("fam,group,checked", _AGREEMENT_CASES, ids=_case_id)
-    def test_verify_agrees_with_full_degree_products(self, fam, group, checked):
-        rep = build_local_rep(fam, make_spec(*group))
+    def test_verify_agrees_with_full_degree_products(self, fam, group, checked, mode):
         spec = make_spec(*checked)
+        rep = _rep_over(mode, fam, group, seed=spec.n)
         report = verify_relations(rep, spec=spec)
         reference = _full_degree_outcomes(rep, spec)
+        assert report.mode == mode
         assert [(o.tag, o.status, o.detail) for o in report.outcomes] == [
             ref[:3] for ref in reference
         ]
@@ -271,16 +283,28 @@ class TestLocalityAgainstFullDegree:
             else:
                 assert o.residue is None
 
-    def test_pairings_fail_or_skip_as_listed(self):
+    @pytest.mark.parametrize("mode", ["symbolic", "specialized"])
+    def test_pairings_fail_or_skip_as_listed(self, mode):
         for pairings, failing in (
             (_FAILING_PAIRINGS, True),
             (_SKIPPING_PAIRINGS, False),
         ):
             for fam, group, checked in pairings:
-                rep = build_local_rep(fam, make_spec(*group))
+                rep = _rep_over(mode, fam, group, seed=0)
                 report = verify_relations(rep, spec=make_spec(*checked))
                 assert bool(report.failed) == failing, fam
                 assert failing or report.skipped
+
+    def test_a_class_passes_or_fails_with_its_point(self):
+        # INV holds at an involutive crossing block and fails off that
+        # locus, for every member of the window class at once
+        on_locus = {"r2": 2, "s1_1": 0, "s2_1": 1, "s3_1": 1, "s4_1": 0}
+        off_locus = {"r2": 3, "s1_1": 1, "s2_1": 2, "s3_1": -1, "s4_1": 5}
+        rep = build_local_rep("upsilon", make_spec("vt", 4))
+        on = verify_relations(specialize(rep, on_locus))
+        off = verify_relations(specialize(rep, off_locus))
+        assert on.all_passed and on.mode == "specialized"
+        assert [o.tag for o in off.failed] == [f"INV[i={i},t=1]" for i in (1, 2, 3)]
 
     @pytest.mark.parametrize(
         "k,flavor,n,c,rho_form",
