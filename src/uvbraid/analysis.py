@@ -81,9 +81,15 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return not self.failed
 
+    @property
+    def checked(self) -> bool:
+        """At least one relation passed; a report whose every relation was
+        skipped checked nothing."""
+        return any(o.status == "pass" for o in self.outcomes)
+
     def summary(self) -> str:
         n_pass = sum(1 for o in self.outcomes if o.status == "pass")
-        out = f"{self.rep}: {self.mode} check, {n_pass}/{len(self.outcomes)} relations pass"
+        out = f"{self.rep}: {n_pass}/{len(self.outcomes)} relations pass"
         if self.skipped:
             out += f" ({len(self.skipped)} skipped)"
         if self.failed:
@@ -323,9 +329,7 @@ def generic_rep(
         name=f"generic-{k}-local" + ("-antidiagonal" if rho_form != "generic" else ""),
         spec=spec,
         block_size=k,
-        degree=spec.n + k - 2,
         ring=ring,
-        params=tuple(names),
         side_conditions=(),
         rho_block=Matrix.from_rows(ring, rho_rows),
         sigma_blocks=sigma_blocks,

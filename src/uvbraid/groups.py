@@ -19,8 +19,9 @@ and the named quotients are reached through three optional flags: braid
 relations per type (BR), involutive types sigma_{i,t}^2 = 1 (INV), and the
 three singular mixed relations for c = 2 (SG1-SG3).
 
-A :class:`GroupSpec` is just this flag bundle; :func:`relations` enumerates
-the finite presentation it denotes from ``_SCHEMA``, which states each family
+A :class:`GroupSpec` is a flavor, n and c; its flags are read from the
+flavor's one row of ``_FLAVORS``.  :func:`relations` enumerates the finite
+presentation it denotes from ``_SCHEMA``, which states each family
 above once, as a shape at strand 1.  One walk places the shapes: it yields
 each relation as a :class:`Placement` (tag, row, shape, strand/type binding)
 and builds its words only on request, so a verifier that needs one member
@@ -45,9 +46,6 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
-
-FLAVORS = ("uv", "uw", "vb", "wb", "vt", "wt", "vsg", "wsg", "mvb", "mwb")
-
 
 @dataclass(frozen=True)
 class Generator:
@@ -101,28 +99,70 @@ def word(*gens: Generator) -> Word:
     return Word(tuple((g, 1) for g in gens))
 
 
+class _Flavor(NamedTuple):
+    """A named quotient's presentation flags (see ``_SCHEMA``), and the c it
+    fixes or None.  In ``braid``, "c" stands for the top type c: ``mvb`` and
+    ``mwb`` take k = c, type k being the braided one and lower types acting
+    as extra virtual families."""
+
+    welded: bool
+    fixed_c: int | None
+    braid: tuple
+    involutive: tuple
+    singular: bool
+
+
+_FLAVORS = {
+    "uv": _Flavor(False, None, (), (), False),
+    "uw": _Flavor(True, None, (), (), False),
+    "vb": _Flavor(False, 1, (1,), (), False),
+    "wb": _Flavor(True, 1, (1,), (), False),
+    "vt": _Flavor(False, 1, (), (1,), False),
+    "wt": _Flavor(True, 1, (), (1,), False),
+    "vsg": _Flavor(False, 2, (1, 2), (), True),
+    "wsg": _Flavor(True, 2, (1, 2), (), True),
+    "mvb": _Flavor(False, None, ("c",), (), False),
+    "mwb": _Flavor(True, None, ("c",), (), False),
+}
+FLAVORS = tuple(_FLAVORS)
+_FIXED_C = {f: row.fixed_c for f, row in _FLAVORS.items() if row.fixed_c}
+
+
 @dataclass(frozen=True)
 class GroupSpec:
-    """Presentation flags for one group in the universal family."""
+    """One group in the universal family: its flavor, n strands and c
+    crossing types.  The presentation flags are the flavor's."""
 
     flavor: str
     n: int
     c: int
-    welded: bool = False
-    braid_types: frozenset[int] = frozenset()
-    involutive_types: frozenset[int] = frozenset()
-    singular: bool = False
 
     def __post_init__(self):
+        if self.flavor not in _FLAVORS:
+            raise ValueError(f"unknown flavor {self.flavor!r}; expected one of {FLAVORS}")
+        fixed = _FLAVORS[self.flavor].fixed_c
+        if fixed is not None and self.c != fixed:
+            raise ValueError(f"{self.flavor} fixes c = {fixed}; got {self.c}")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got n = {self.n}")
         if self.c < 1:
             raise ValueError(f"need c >= 1, got c = {self.c}")
-        if self.singular and self.c != 2:
-            raise ValueError("singular relations require exactly c = 2")
-        for t in self.braid_types | self.involutive_types:
-            if not 1 <= t <= self.c:
-                raise ValueError(f"flagged type {t} outside 1..{self.c}")
+
+    @property
+    def welded(self) -> bool:
+        return _FLAVORS[self.flavor].welded
+
+    @property
+    def braid_types(self) -> frozenset[int]:
+        return frozenset(self.c if t == "c" else t for t in _FLAVORS[self.flavor].braid)
+
+    @property
+    def involutive_types(self) -> frozenset[int]:
+        return frozenset(_FLAVORS[self.flavor].involutive)
+
+    @property
+    def singular(self) -> bool:
+        return _FLAVORS[self.flavor].singular
 
     def describe(self) -> str:
         return f"{self.flavor}(n={self.n}, c={self.c})"
@@ -131,40 +171,14 @@ class GroupSpec:
         return {"flavor": self.flavor, "n": self.n, "c": self.c}
 
 
-_FIXED_C = {"vb": 1, "wb": 1, "vt": 1, "wt": 1, "vsg": 2, "wsg": 2}
-
-
 def make_spec(flavor: str, n: int, c_or_k: int | None = None) -> GroupSpec:
-    """Build the GroupSpec for a named quotient.
-
-    ``uv``/``uw`` take the number of crossing types c; ``mvb``/``mwb`` take k
-    (type k is the braided one, lower types act as extra virtual families);
-    the remaining flavors have their c fixed by definition.
-    """
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
-    welded = flavor in ("uw", "wb", "wt", "wsg", "mwb")
-    if flavor in _FIXED_C:
-        c = _FIXED_C[flavor]
-        if c_or_k is not None and c_or_k != c:
-            raise ValueError(f"{flavor} fixes c = {c}; got {c_or_k}")
-    else:
-        if c_or_k is None:
-            raise ValueError(f"{flavor} needs the number of crossing types")
-        c = c_or_k
-    braid: frozenset[int] = frozenset()
-    involutive: frozenset[int] = frozenset()
-    singular = False
-    if flavor in ("vb", "wb"):
-        braid = frozenset({1})
-    elif flavor in ("vt", "wt"):
-        involutive = frozenset({1})
-    elif flavor in ("vsg", "wsg"):
-        braid = frozenset({1, 2})
-        singular = True
-    elif flavor in ("mvb", "mwb"):
-        braid = frozenset({c})
-    return GroupSpec(flavor, n, c, welded, braid, involutive, singular)
+    """The GroupSpec of a named quotient: ``uv``/``uw`` take the number of
+    crossing types c, ``mvb``/``mwb`` take k (see ``_FLAVORS``); the other
+    flavors fix c, which may be left out."""
+    c = _FIXED_C.get(flavor) if c_or_k is None else c_or_k
+    if c is None and flavor in _FLAVORS:
+        raise ValueError(f"{flavor} needs the number of crossing types")
+    return GroupSpec(flavor, n, c)
 
 
 @dataclass(frozen=True)
@@ -526,18 +540,12 @@ def phi(w: Word, t0: int, spec: GroupSpec) -> PhiImage:
     """The splitting homomorphism onto Z x S_n for a chosen type t0.
 
     rho_i goes to (0, s_i); sigma_{i,t0} to (1, id); every other sigma type
-    to (0, id).  Inverse t0-letters count -1.
+    to (0, id).  Inverse t0-letters count -1.  The permutation is piK's.
     """
     if not 1 <= t0 <= spec.c:
         raise ValueError(f"type {t0} out of range 1..{spec.c}")
-    count = 0
-    acc = Permutation.identity(spec.n)
-    for g, e in w.letters:
-        if g.kind == "rho":
-            acc = acc * Permutation.transposition(spec.n, g.index)
-        elif g.type == t0:
-            count += e
-    return PhiImage(count, acc)
+    count = sum(e for g, e in w.letters if g.kind == "sigma" and g.type == t0)
+    return PhiImage(count, perm_image(w, spec, "piK"))
 
 
 @dataclass(frozen=True)

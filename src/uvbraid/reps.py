@@ -38,19 +38,29 @@ as an update of the k columns the block covers, on the whole degree or on a
 diagonal window of it; embedded degree-m generator matrices
 (``LocalRep.matrix``) are built only for the engines that take them whole.
 
+A :class:`LocalRep` stores its blocks over its ring; its parameters are
+the ring's variables and its degree is n + k - 2, both read, not stored.
+
 Conjugation equivalence is searched over geometric diagonal matrices
 Q = diag(1, q, q^2, ...) -- exactly the shape that relates each family to
 its primed form -- and returns the witness Q together with the parameter
-relabeling it induces.
+binding it induces, accepted only when B's blocks, substituted through
+that binding, equal A's conjugated blocks entry by entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .groups import Generator, GroupSpec, Word, rho as _rho, sigma as _sigma
 from .matrices import Matrix, block_embed
-from .scalars import GaussianRational, PolyRing, RatFunc
+from .scalars import (
+    GaussianRational,
+    MissingVariable,
+    PolyRing,
+    RatFunc,
+    VanishingDenominator,
+)
 
 # Each entry: (block size, type-independent parameters, crossing stems,
 # rho block | None, sigma_t block, sigma_t side conditions).  Blocks and
@@ -150,19 +160,26 @@ def canonical_family(name: str) -> str:
 
 @dataclass
 class LocalRep:
-    """A concrete (symbolic or specialized) k-local representation."""
+    """A concrete (symbolic or specialized) k-local representation; its
+    parameters are its ring's variables."""
 
     name: str
     spec: GroupSpec
     block_size: int
-    degree: int
     ring: PolyRing
-    params: tuple[str, ...]
     side_conditions: tuple[RatFunc, ...]
     rho_block: Matrix | None
     sigma_blocks: dict[int, Matrix]
     assignment: dict[str, GaussianRational] | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def degree(self) -> int:
+        return self.spec.n + self.block_size - 2
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        return self.ring.vars
 
     def has_block(self, g: Generator) -> bool:
         if g.kind == "rho":
@@ -257,9 +274,7 @@ def build_local_rep(
         name=name,
         spec=spec,
         block_size=k,
-        degree=spec.n + k - 2,
         ring=ring,
-        params=tuple(names),
         side_conditions=tuple(conds),
         rho_block=Matrix.from_rows(ring, rho_rows(ring.rf)) if rho_rows else None,
         sigma_blocks=sigma_blocks,
@@ -285,18 +300,10 @@ def specialize(rep: LocalRep, assignment: dict) -> LocalRep:
             raise ValueError(
                 f"assignment violates side condition {cond} != 0 for {rep.name}"
             )
-    rho_block = rep.rho_block.evaluate(point) if rep.rho_block is not None else None
-    sigma_blocks = {t: b.evaluate(point) for t, b in rep.sigma_blocks.items()}
-    return LocalRep(
-        name=rep.name,
-        spec=rep.spec,
-        block_size=rep.block_size,
-        degree=rep.degree,
-        ring=rep.ring,
-        params=rep.params,
-        side_conditions=rep.side_conditions,
-        rho_block=rho_block,
-        sigma_blocks=sigma_blocks,
+    return replace(
+        rep,
+        rho_block=None if rep.rho_block is None else rep.rho_block.evaluate(point),
+        sigma_blocks={t: b.evaluate(point) for t, b in rep.sigma_blocks.items()},
         assignment=point,
     )
 
@@ -355,8 +362,9 @@ def eval_word(
 class ConjugationWitness:
     """A successful equivalence: B(g) = Q^-1 A(g) Q for every generator.
 
-    ``binding`` records how B's bare parameters read in A's ring after
-    conjugation (the parameter relabeling the witness induces).
+    ``binding`` records how B's parameters read in A's ring after
+    conjugation (the parameter relabeling the witness induces): B's blocks,
+    substituted through it, are A's conjugated blocks.
     """
 
     q: RatFunc
@@ -383,52 +391,18 @@ def _conjugate_block(block: Matrix, q: RatFunc) -> Matrix:
     return Matrix(block.ring, tuple(rows))
 
 
-def _inject(rf: RatFunc, target: PolyRing) -> RatFunc | None:
-    """Re-express a rational function in another ring by variable name."""
-    names = set(rf.num.variables()) | set(rf.den.variables())
-    if not names <= set(target.vars):
-        return None
-    mapping = {v: target.rf(v) for v in names}
-    num = rf.num.substitute(mapping, target)
-    den = rf.den.substitute(mapping, target)
-    return num / den
-
-
-def _match_blocks(
-    a_conj: Matrix, b: Matrix, target: PolyRing, binding: dict[str, RatFunc]
-) -> bool:
-    for ra, rb in zip(a_conj.rows, b.rows):
-        for ea, eb in zip(ra, rb):
-            v = eb.as_variable()
-            if v is not None:
-                bound = binding.get(v)
-                if bound is None:
-                    binding[v] = ea
-                elif bound != ea:
-                    return False
-                continue
-            if eb.is_constant():
-                if not (ea.is_constant() and ea == target.rf(eb.constant_value())):
-                    return False
-                continue
-            img = _inject(eb, target)
-            if img is None or img != ea:
-                return False
-    return True
-
-
 def conjugation_equivalence(
     rep_a: LocalRep, rep_b: LocalRep
 ) -> ConjugationWitness | None:
     """Search for Q = diag(1, q, ..., q^(m-1)) with B = Q^-1 A Q generator-wise.
 
     Candidate ratios q are 1 and the inverses of A's rho-parameters (the
-    shapes that arise for this family zoo).  B's entries are compared after
-    conjugation: bare parameters of B bind to whatever A-expression lands in
-    that slot (consistently across all generators); composite or constant
-    entries must match exactly.  The returned binding is total on B's
-    parameters (shared names bind to themselves).  Returns None when no
-    candidate works.
+    shapes that arise for this family zoo).  Each bare parameter of B binds
+    to the first conjugated A entry in its slot, and B's other parameters
+    that A's ring has bind to themselves.  A candidate is accepted only when
+    every entry of B, substituted through that binding, equals the
+    conjugated A entry in its slot: the check a caller makes to certify the
+    witness.  Returns None when no candidate passes.
     """
     if rep_a.spec != rep_b.spec or rep_a.block_size != rep_b.block_size:
         raise ValueError("representations live over different groups or block sizes")
@@ -437,26 +411,32 @@ def conjugation_equivalence(
     if sorted(rep_a.sigma_blocks) != sorted(rep_b.sigma_blocks):
         raise ValueError("crossing-type coverage differs")
     ring = rep_a.ring
-    candidates = [ring.rf(1)]
-    for p in rep_a.params:
-        if p.startswith("r"):
-            candidates.append(1 / ring.rf(p))
+    pairs = [] if rep_a.rho_block is None else [(rep_a.rho_block, rep_b.rho_block)]
+    pairs += [(rep_a.sigma_blocks[t], rep_b.sigma_blocks[t]) for t in sorted(rep_a.sigma_blocks)]
+    candidates = [ring.rf(1)] + [1 / ring.rf(p) for p in rep_a.params if p.startswith("r")]
     for q in candidates:
+        slots = [
+            (x, y)
+            for blk_a, blk_b in pairs
+            for row_a, row_b in zip(_conjugate_block(blk_a, q).rows, blk_b.rows)
+            for x, y in zip(row_a, row_b)
+        ]
         binding: dict[str, RatFunc] = {}
-        ok = True
-        pairs = []
-        if rep_a.rho_block is not None:
-            pairs.append((rep_a.rho_block, rep_b.rho_block))
-        for t in sorted(rep_a.sigma_blocks):
-            pairs.append((rep_a.sigma_blocks[t], rep_b.sigma_blocks[t]))
-        for blk_a, blk_b in pairs:
-            if not _match_blocks(_conjugate_block(blk_a, q), blk_b, ring, binding):
-                ok = False
-                break
+        for x, y in slots:
+            v = y.as_variable()
+            if v is not None:
+                binding.setdefault(v, x)
+        for p in rep_b.params:
+            if p in ring.vars:
+                binding.setdefault(p, ring.rf(p))
+        try:
+            ok = all(
+                y.num.substitute(binding, ring) / y.den.substitute(binding, ring) == x
+                for x, y in slots
+            )
+        except (MissingVariable, VanishingDenominator):
+            ok = False
         if ok:
-            for p in rep_b.params:
-                if p not in binding and p in ring.vars:
-                    binding[p] = ring.rf(p)
             m = rep_a.degree
             Q = Matrix.from_rows(
                 ring,

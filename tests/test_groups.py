@@ -1,6 +1,7 @@
 """Group presentations: flavor table, relation enumeration, word parsing and
 rewriting, permutation/splitting/abelianization homomorphisms."""
 
+import dataclasses
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from uvbraid import analysis, groups
 from uvbraid.groups import (
     _FIXED_C,
     FLAVORS,
+    GroupSpec,
     Permutation,
     Relation,
     Word,
@@ -76,6 +78,58 @@ class TestSpecs:
             make_spec("uv", 1, 1)
         with pytest.raises(ValueError):
             make_spec("uv", 3, 0)
+
+    # (flavor, c) -> (welded, braided types, involutive types, singular), as
+    # the flavor-by-flavor branches of an earlier make_spec set them; a
+    # flavor that fixes c appears at that c only
+    _FLAGS = {
+        ("uv", 1): (False, set(), set(), False),
+        ("uv", 2): (False, set(), set(), False),
+        ("uv", 3): (False, set(), set(), False),
+        ("uw", 1): (True, set(), set(), False),
+        ("uw", 2): (True, set(), set(), False),
+        ("uw", 3): (True, set(), set(), False),
+        ("vb", 1): (False, {1}, set(), False),
+        ("wb", 1): (True, {1}, set(), False),
+        ("vt", 1): (False, set(), {1}, False),
+        ("wt", 1): (True, set(), {1}, False),
+        ("vsg", 2): (False, {1, 2}, set(), True),
+        ("wsg", 2): (True, {1, 2}, set(), True),
+        ("mvb", 1): (False, {1}, set(), False),
+        ("mvb", 2): (False, {2}, set(), False),
+        ("mvb", 3): (False, {3}, set(), False),
+        ("mwb", 1): (True, {1}, set(), False),
+        ("mwb", 2): (True, {2}, set(), False),
+        ("mwb", 3): (True, {3}, set(), False),
+    }
+
+    _FIXED = {"vb": 1, "wb": 1, "vt": 1, "wt": 1, "vsg": 2, "wsg": 2}
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_flags_and_fixed_c_per_flavor(self, flavor):
+        fixed = self._FIXED.get(flavor)
+        assert _FIXED_C.get(flavor) == fixed
+        if fixed is not None:
+            assert make_spec(flavor, 3).c == fixed
+        for c in (1, 2, 3):
+            if fixed not in (None, c):
+                with pytest.raises(ValueError, match=f"{flavor} fixes c = {fixed}; got {c}"):
+                    make_spec(flavor, 3, c)
+                continue
+            s = make_spec(flavor, 3, c)
+            got = s.welded, s.braid_types, s.involutive_types, s.singular
+            assert got == self._FLAGS[flavor, c]
+
+    def test_spec_is_flavor_n_and_c(self):
+        assert [f.name for f in dataclasses.fields(GroupSpec)] == ["flavor", "n", "c"]
+        assert make_spec("vb", 3) == GroupSpec("vb", 3, 1)
+        assert hash(make_spec("vb", 3)) == hash(GroupSpec("vb", 3, 1))
+        with pytest.raises(ValueError, match="vb fixes c = 1; got 2"):
+            GroupSpec("vb", 3, 2)
+        with pytest.raises(TypeError):
+            GroupSpec("uv", 3, 1, welded=True)
+        with pytest.raises(ValueError, match="unknown flavor"):
+            GroupSpec("xx", 3, 1)
 
 
 class TestRelations:

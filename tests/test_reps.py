@@ -1,6 +1,7 @@
 """Local representation families: block tables, embedding, specialization,
 word evaluation, and diagonal conjugation equivalences."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -278,6 +279,15 @@ class TestSpecialization:
         with pytest.raises(TypeError, match="not an exact scalar: 0.1"):
             build_local_rep("upsilon", spec, point)
 
+    def test_specialized_rep_starts_with_an_empty_cache(self):
+        spec = make_spec("uv", 3, 1)
+        rep = build_local_rep("upsilon", spec)
+        rep.letter_block(rho(1), -1)  # caches the symbolic inverse
+        at = specialize(rep, {"r2": 2, "s1_1": 1, "s2_1": 0, "s3_1": 0, "s4_1": 1})
+        half = GaussianRational(1) / 2
+        assert at.letter_block(rho(1), -1) == Matrix.from_rows(at.ring, [[0, 2], [half, 0]])
+        assert str(at.letter_block(rho(1), -1)) == "[0, 2; 1/2, 0]"
+
     def test_build_local_rep_accepts_assignment_directly(self):
         spec = make_spec("uv", 3, 1)
         rep = build_local_rep(
@@ -324,6 +334,18 @@ class TestConjugation:
                         wit.binding, a.ring
                     )
                     assert x == image
+
+    def test_witness_binds_each_name_once(self):
+        """A B whose s4_1 slot reads s2_1 has s2_1 in two slots that ask
+        for different A entries, so no binding certifies it."""
+        spec = make_spec("uw", 3, 1)
+        b = build_local_rep("omega2p", spec)
+        rows = [list(r) for r in b.sigma_blocks[1].rows]
+        rows[1][1] = b.ring.rf("s2_1")
+        renamed = dataclasses.replace(
+            b, sigma_blocks={1: Matrix(b.ring, tuple(map(tuple, rows)))}
+        )
+        assert conjugation_equivalence(build_local_rep("omega2", spec), renamed) is None
 
     def test_unrelated_families_do_not_match(self):
         spec = make_spec("uw", 3, 1)
