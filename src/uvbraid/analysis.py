@@ -412,31 +412,42 @@ def generate_constraints(
 
 @dataclass
 class ModPScan:
-    """The points of F_p^u a scan found, as cells.
+    """The points of F_p^u a scan found, as cells minus holes.
 
     A cell ``(prefix, f)`` stands for p^f points: the scanned unknowns
     start with the values ``prefix`` and the last ``f`` run over all of
-    F_p, in lexicographic order.  The cells come in scan order, so listing
-    them in turn lists every point in lexicographic order.
+    F_p, in lexicographic order.  A hole has the same form and lies inside
+    one cell; its points are the cell's points where an invertibility test
+    fails, and they are not solutions.  Cells and holes each come in scan
+    order, so listing the cells in turn, less the holes, lists every point
+    in lexicographic order.
     """
 
     p: int
     unknowns: tuple[str, ...]
     fixed: dict[str, int]
     cells: list[tuple[tuple[int, ...], int]]
+    holes: list[tuple[tuple[int, ...], int]]
 
     @property
     def count(self) -> int:
-        return sum(self.p ** f for _prefix, f in self.cells)
+        return sum(self.p ** f for _prefix, f in self.cells) - sum(
+            self.p ** f for _prefix, f in self.holes
+        )
 
     @property
     def solutions(self) -> list[dict[str, int]]:
         """Every point, built on each call: the scanned unknowns, then the
         fixed ones."""
+        holes: dict[int, set] = {}
+        for prefix, _f in self.holes:
+            holes.setdefault(len(prefix), set()).add(prefix)
         return [
-            dict(zip(self.unknowns, prefix + suffix)) | self.fixed
+            dict(zip(self.unknowns, point)) | self.fixed
             for prefix, f in self.cells
             for suffix in product(range(self.p), repeat=f)
+            for point in [prefix + suffix]
+            if not any(point[:n] in same for n, same in holes.items())
         ]
 
 
@@ -488,25 +499,97 @@ def _value_mod_p(terms: list, point: list[int], p: int) -> int:
     return total % p
 
 
-def _residue_coefficients(equations: list[list], depth: int) -> list[list]:
-    """Split the terms of each of ``equations`` by their monomial in the
-    scanned unknowns at positions ``depth`` and later; each part, read as
-    terms, is that monomial's coefficient, a polynomial in the first
-    ``depth`` unknowns.  Once those are bound, an equation's residue is
-    the zero polynomial exactly where all of its coefficients vanish."""
-    out = []
-    for terms in equations:
-        split: dict = {}
-        for c, mono in terms:
-            cut = next((i for i, (pos, _d) in enumerate(mono) if pos >= depth), len(mono))
-            split.setdefault(mono[cut:], []).append((c, mono[:cut]))
-        out += split.values()
-    return out
+def _split_at(terms: list, depth: int) -> dict:
+    """Group ``terms`` by their monomial in the scanned unknowns at
+    positions ``depth`` and later; each group, read as terms, is that
+    monomial's coefficient, a polynomial in the first ``depth`` unknowns.
+    Once those are bound, the residue is the zero polynomial exactly where
+    all of its coefficients vanish."""
+    split: dict = {}
+    for c, mono in terms:
+        cut = next((i for i, (pos, _d) in enumerate(mono) if pos >= depth), len(mono))
+        split.setdefault(mono[cut:], []).append((c, mono[:cut]))
+    return split
 
 
-# partial points a mod-p scan may visit before it is refused: 2-3 s of descent
-# on a 2-core x86 host (Python 3.11), and a bound on the cells the scan can
-# hold, since each cell is a visited point
+def _mul_mod_p(a: list, b: list, p: int) -> list:
+    out: dict = {}
+    for c1, m1 in a:
+        for c2, m2 in b:
+            degrees = dict(m1)
+            for pos, d in m2:
+                degrees[pos] = degrees.get(pos, 0) + d
+            mono = tuple(sorted(degrees.items()))
+            out[mono] = (out.get(mono, 0) + c1 * c2) % p
+    return [(c, mono) for mono, c in out.items() if c]
+
+
+def _plan(tests: list, depth: int, p: int, start: int = 0) -> list:
+    """What the descent needs at each depth d from ``start`` to ``depth``
+    (entry d; the entries before ``start`` are None), given ``tests`` as
+    ``(stage, terms, must the value be zero?)``:
+
+    - the residue coefficients (``_split_at``) of the equations pending at
+      d, those of stage >= d;
+    - the plan of the holes of a cell at d: that of one equation, the
+      product of the invertibility tests pending at d (None if there are
+      none);
+    - the tests of stage d, as ``(terms, must be zero?)``;
+    - the same tests as ``(a0, a1, must be zero?)``, each test a0 + a1*x in
+      the unknown x of stage d, or None when one has x to a higher power.
+    """
+    plan: list = [None] * start
+    for d in range(start, depth + 1):
+        pending = [t for t in tests if t[0] >= d]
+        coeffs = [
+            c for _s, terms, zero in pending if zero for c in _split_at(terms, d).values()
+        ]
+        inverts = [(s, terms) for s, terms, zero in pending if not zero]
+        holes = None
+        if inverts:
+            product = [(1, ())]
+            for _s, terms in inverts:
+                product = _mul_mod_p(product, terms, p)
+            holes = _plan([(max(s for s, _t in inverts), product, True)], depth, p, d)
+        here = [(terms, zero) for s, terms, zero in pending if s == d]
+        splits = [(_split_at(terms, d), zero) for terms, zero in here]
+        x = ((d, 1),)
+        linear = (
+            None
+            if any(set(split) - {(), x} for split, _z in splits)
+            else [(split.get((), []), split.get(x, []), z) for split, z in splits]
+        )
+        plan.append((coeffs, holes, here, linear))
+    return plan
+
+
+def _linear_values(forms: list, point: list[int], p: int) -> list[int]:
+    """The values of a stage's unknown x that pass its tests, each test
+    ``(a0, a1, must be zero?)`` being a0 + a1*x with a0, a1 read at the
+    bound prefix: an equation with a1 != 0 admits only -a0/a1, an
+    invertibility test with a1 != 0 excludes that value, and with a1 = 0 a
+    test keeps every value or none."""
+    root, excluded = None, set()
+    for a0, a1, zero in forms:
+        a0, a1 = _value_mod_p(a0, point, p), _value_mod_p(a1, point, p)
+        if not a1:
+            if (not a0) != zero:
+                return []
+        elif zero:
+            x = -a0 * pow(a1, -1, p) % p
+            if root not in (None, x):
+                return []
+            root = x
+        else:
+            excluded.add(-a0 * pow(a1, -1, p) % p)
+    if root is None:
+        return [x for x in range(p) if x not in excluded]
+    return [] if root in excluded else [root]
+
+
+# values a mod-p scan may bind before it is refused, holes' points counted
+# too: 2-3 s of descent on a 2-core x86 host (Python 3.11), and a bound on
+# the cells and holes the scan can hold, since each is a visited point
 _SCAN_BUDGET = 500_000
 
 
@@ -527,19 +610,27 @@ def enumerate_solutions_mod_p(
     unknowns are bound one at a time in ring order, every polynomial is
     reduced mod p once and tested at the stage where its last unknown is
     bound, and a partial point is dropped as soon as one test there fails.
-    A partial point where every test still to come is an equation whose
-    residue is the zero polynomial is not descended: every completion
-    solves the system, and it is recorded as one cell (see ``ModPScan``).
-    A pending invertibility test turns this off, and a residue that
-    vanishes on F_p without being zero (x^p - x) is descended as usual.
-    Live memory is the current point plus the cells, and the cells come
-    out in lexicographic order of the scanned unknowns.
+    When every test of a stage is linear in its unknown x, each is read as
+    a0 + a1*x at the bound prefix and only the values they admit are bound:
+    one, if an equation has a1 != 0.
 
-    "Desk scale" is a bound on work, not on the grid: each partial point
-    the descent tries counts, a scan that passes ``_SCAN_BUDGET`` of them
-    is refused with a ValueError that gives the count, and a cell of p^f
-    points costs what its prefix cost (uv(3,2) at p=5, 1 562 501 points,
-    visits 340).
+    A partial point where every pending equation (one still to be tested)
+    has the zero polynomial as its residue is not descended: every
+    completion solves the equations, and it is recorded as one cell (see
+    ``ModPScan``).  If invertibility tests are pending too, the same
+    descent runs over the cell's unknowns with one equation, the product of
+    their residues, and its cells are the cell's holes: the completions
+    where one of them fails.  A residue that vanishes on F_p without being
+    zero (x^p - x) is descended as usual.  Live memory is the current
+    point plus the cells and holes, and both come out in lexicographic
+    order of the scanned unknowns.
+
+    "Desk scale" is a bound on work, not on the grid: each value the
+    descent binds counts, holes' included, a scan that passes
+    ``_SCAN_BUDGET`` of them is refused with a ValueError that gives the
+    count, and a cell of p^f points costs what its prefix cost (uv(3,2) at
+    p=5, 1 562 501 points, visits 340; with invertible blocks, 921 601
+    points in 5 cells less their holes).
     """
     if p < 3 or p > 13 or any(p % q == 0 for q in range(2, p)):
         raise ValueError("p must be an odd prime at desk scale (3..13)")
@@ -557,52 +648,49 @@ def enumerate_solutions_mod_p(
     scan_vars = tuple(v for v in system.ring.vars if v in needed and v not in fixed)
     position = {v: i for i, v in enumerate(scan_vars)}
     depth = len(scan_vars)
-    # tests[stage]: (terms, must the value be zero?) of every polynomial
-    # whose last scanned unknown is bound at that stage
-    tests: list[list] = [[] for _ in scan_vars]
+    # (stage, terms, must the value be zero?) of every polynomial; its stage
+    # is the position of its last scanned unknown
+    tests = []
     consistent = True
     for poly, want_zero in [(eq, True) for eq in system.equations] + [
         (poly, False) for poly in invertibility
     ]:
         stage, terms = _terms_mod_p(poly, p, position, fixed)
         if stage >= 0:
-            tests[stage].append((terms, want_zero))
+            tests.append((stage, terms, want_zero))
         elif (not terms) != want_zero:
             consistent = False
-    # zero[d]: the residue coefficients of the tests pending at depth d
-    # (those of stage >= d), or None when one of them is an invertibility test
-    zero: list[list | None] = [[] for _ in range(depth + 1)]
-    for d in reversed(range(depth)):
-        if zero[d + 1] is None or not all(z for _t, z in tests[d]):
-            zero[d] = None
-        else:
-            pending = [t for stage in tests[d:] for t, _z in stage]
-            zero[d] = _residue_coefficients(pending, d)
     cells: list[tuple[tuple[int, ...], int]] = []
+    holes: list[tuple[tuple[int, ...], int]] = []
     point = [0] * depth
     visited = 0
 
-    def descend(stage: int) -> None:
+    def descend(plan: list, stage: int, out: list) -> None:
         nonlocal visited
-        coeffs = zero[stage]
-        if coeffs is not None and not any(_value_mod_p(c, point, p) for c in coeffs):
-            cells.append((tuple(point[:stage]), depth - stage))
+        coeffs, hole_plan, here, linear = plan[stage]
+        if not any(_value_mod_p(c, point, p) for c in coeffs):
+            out.append((tuple(point[:stage]), depth - stage))
+            if hole_plan is not None:
+                descend(hole_plan, stage, holes)
             return
-        visited += p
+        if linear is None:
+            values = range(p)
+        else:
+            values, here = _linear_values(linear, point, p), ()
+        visited += len(values)
         if visited > _SCAN_BUDGET:
             raise ValueError(
                 f"scan of {len(scan_vars)} unknowns mod {p} exceeds desk scale: "
                 f"{visited} partial points visited, over the budget of {_SCAN_BUDGET}"
             )
-        here = tests[stage]
-        for x in range(p):
+        for x in values:
             point[stage] = x
-            if all((not _value_mod_p(t, point, p)) == z for t, z in here):
-                descend(stage + 1)
+            if not here or all((not _value_mod_p(t, point, p)) == z for t, z in here):
+                descend(plan, stage + 1, out)
 
     if consistent:
-        descend(0)
-    return ModPScan(p=p, unknowns=scan_vars, fixed=fixed, cells=cells)
+        descend(_plan(tests, depth, p), 0, cells)
+    return ModPScan(p=p, unknowns=scan_vars, fixed=fixed, cells=cells, holes=holes)
 
 
 _VIRTUAL = ("r1", "r2", "r3", "r4")
@@ -620,26 +708,30 @@ def classify_virtual_point(sol: dict[str, int], p: int) -> str:
 
 def classify_virtual_cells(scan: ModPScan) -> Counter | None:
     """``classify_virtual_point`` counted over every point of ``scan``,
-    read from its cells: each distinct (r1, r2, r3, r4) is classified once
-    and weighted by the points it stands for.  Only the r's a cell leaves
-    free are expanded.  None when the scan does not bind all of r1..r4."""
+    read from its cells less its holes: each distinct (r1, r2, r3, r4) is
+    classified once and weighted by the points it stands for.  Only the r's
+    a cell or hole leaves free are expanded, and a bucket whose holes take
+    all its points is dropped.  None when the scan does not bind all of
+    r1..r4."""
     p, where = scan.p, {v: i for i, v in enumerate(scan.unknowns)}
     if not all(v in where or v in scan.fixed for v in _VIRTUAL):
         return None
     # cells that agree up to the last scanned r agree on the r's
     cut = 1 + max((where[v] for v in _VIRTUAL if v in where), default=-1)
-    cells = Counter((prefix[:cut], f) for prefix, f in scan.cells)
     weights: Counter = Counter()
-    for (prefix, f), times in cells.items():
-        bound = dict(zip(scan.unknowns, prefix)) | scan.fixed
-        free = [v for v in _VIRTUAL if v not in bound]
-        for values in product(range(p), repeat=len(free)):
-            point = bound | dict(zip(free, values))
-            weights[tuple(point[v] for v in _VIRTUAL)] += times * p ** (f - len(free))
+    for sign, parts in ((1, scan.cells), (-1, scan.holes)):
+        for (prefix, f), times in Counter((pre[:cut], f) for pre, f in parts).items():
+            bound = dict(zip(scan.unknowns, prefix)) | scan.fixed
+            free = [v for v in _VIRTUAL if v not in bound]
+            for values in product(range(p), repeat=len(free)):
+                point = bound | dict(zip(free, values))
+                weights[tuple(point[v] for v in _VIRTUAL)] += (
+                    sign * times * p ** (f - len(free))
+                )
     buckets: Counter = Counter()
     for key, w in weights.items():
         buckets[classify_virtual_point(dict(zip(_VIRTUAL, key)), p)] += w
-    return buckets
+    return +buckets
 
 
 # ---------------------------------------------------------------------------

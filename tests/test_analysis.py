@@ -1,6 +1,7 @@
 """Verification engines: relation reports, constraint systems, finite-field
 enumeration, span/irreducibility machinery, quotient factoring."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -571,8 +572,8 @@ class TestModP:
     def test_a_scan_over_the_work_budget_is_refused(self, monkeypatch):
         system = generate_constraints(2, make_spec("uv", 3, 1))
         monkeypatch.setattr(uvbraid.analysis, "_SCAN_BUDGET", 1000)
-        # at p=5 the invertible scan visits 3400 partial points, 5 by 5
-        with pytest.raises(ValueError, match=r"desk scale: 1005 partial points visited, "
+        # at p=5 the invertible scan visits 1120 partial points, at most 5 at a time
+        with pytest.raises(ValueError, match=r"desk scale: 1001 partial points visited, "
                            r"over the budget of 1000"):
             enumerate_solutions_mod_p(system, 5, system.invertibility)
         # the dense scan is 5 cells and stays well under it
@@ -668,6 +669,52 @@ class TestModPCells:
         assert classify_virtual_cells(scan) is None
 
 
+def _gl2(p):
+    return (p * p - 1) * (p * p - p)
+
+
+def _antidiagonal(p, a=2):
+    return {"r1": 0, "r2": a, "r3": pow(a, -1, p), "r4": 0}
+
+
+class TestModPHoles:
+    """A pending invertibility test leaves a cell whole and punches holes
+    in it; the counts below are closed forms."""
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+    def test_antidiagonal_block_leaves_the_crossing_block_free_in_gl2(self, p):
+        system = generate_constraints(2, make_spec("uv", 3, 1))
+        scan = enumerate_solutions_mod_p(system, p, system.invertibility, _antidiagonal(p))
+        assert scan.cells == [((), 4)]
+        assert scan.count == _gl2(p)
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+    def test_invertible_scan_counts_identity_plus_antidiagonal_gl2(self, p):
+        system = generate_constraints(2, make_spec("uv", 3, 1))
+        scan = enumerate_solutions_mod_p(system, p, system.invertibility)
+        assert scan.count == 1 + (p - 1) * _gl2(p)
+        assert classify_virtual_cells(scan) == {
+            "identity": 1, "antidiagonal": (p - 1) * _gl2(p),
+        }
+
+    def test_holes_keep_the_antidiagonal_scan_small(self):
+        """p^4 points less the singular crossing blocks: one cell and
+        p + (p - 1) * p^2 holes, where one cell per point would be 13 200."""
+        p = 11
+        system = generate_constraints(2, make_spec("uv", 3, 1))
+        scan = enumerate_solutions_mod_p(system, p, system.invertibility, _antidiagonal(p))
+        assert len(scan.cells) + len(scan.holes) <= 1 + p**3
+        assert len(scan.holes) == p + (p - 1) * p**2
+
+    def test_every_hole_lies_inside_one_cell(self):
+        system = generate_constraints(2, make_spec("uv", 3, 1))
+        scan = enumerate_solutions_mod_p(system, 5, system.invertibility)
+        assert scan.holes
+        for hole, _f in scan.holes:
+            inside = [cell for cell, _size in scan.cells if hole[: len(cell)] == cell]
+            assert len(inside) == 1
+
+
 # (group, c, rho_form) of the small k=2 systems the solver is checked on
 _MOD_P_SYSTEMS = [
     ("uv", 1, "generic"), ("uv", 2, "generic"), ("uw", 1, "antidiagonal"),
@@ -707,6 +754,22 @@ def _mod_p_instances(draw):
     fixed = {v: draw(st.integers(-p, 2 * p)) for v in pinned}
     assume(p ** (len(names) - len(fixed)) <= 3 ** 8)
     return system, p, invertibility, fixed
+
+
+# fixed r-blocks of uv(3,1) for the holes path: (tags, block at p, further
+# fixed unknowns, "both" block determinants or the crossing block's "S").  A
+# singular block solves no PR relation, so MR2 alone is scanned there;
+# "singular emptied" pins s4_1 = 0, and its one cell (s1_1 = 1, s2_1 = 0)
+# is all hole, det S being 0 - 0 * s3_1.
+_ALL_UV31_TAGS = ("PR1[i=1]", "PR3[i=1]", "PR3[i=2]", "MR2[i=1,t=1]")
+_FIXED_R_CASES = {
+    "antidiagonal": (_ALL_UV31_TAGS, lambda p: (0, 2, pow(2, -1, p), 0), {}, "both"),
+    "identity": (_ALL_UV31_TAGS, lambda p: (1, 0, 0, 1), {}, "both"),
+    "singular, every relation": (_ALL_UV31_TAGS, lambda p: (1, 1, 1, 1), {}, "S"),
+    "singular rank 1": (("MR2[i=1,t=1]",), lambda p: (1, 0, 0, 0), {}, "S"),
+    "singular zero": (("MR2[i=1,t=1]",), lambda p: (0, 0, 0, 0), {}, "S"),
+    "singular emptied": (("MR2[i=1,t=1]",), lambda p: (1, 0, 0, 0), {"s4_1": 0}, "S"),
+}
 
 
 def _brute_force_mod_p(system, p, invertibility, fixed):
@@ -754,6 +817,48 @@ class TestModPAgainstBruteForce:
         buckets = classify_virtual_cells(scan)
         if buckets is not None:
             assert buckets == Counter(classify_virtual_point(s, p) for s in solutions)
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    @pytest.mark.parametrize("case", sorted(_FIXED_R_CASES))
+    def test_holes_match_reference_on_fixed_r_blocks(self, case, p):
+        tags, block, extra, dets = _FIXED_R_CASES[case]
+        full = generate_constraints(2, make_spec("uv", 3, 1))
+        # MR2 has no r3: declare every unknown, so that the block can be fixed
+        system = dataclasses.replace(
+            _mod_p_system("uv", 1, "generic", tags), unknowns=full.unknowns
+        )
+        det_r, det_s = full.invertibility
+        invertibility = {"both": [det_r, det_s], "S": [det_s]}[dets]
+        fixed = dict(zip(("r1", "r2", "r3", "r4"), block(p))) | extra
+        scan = enumerate_solutions_mod_p(system, p, invertibility, fixed)
+        unknowns, _fixed, solutions = _brute_force_mod_p(system, p, invertibility, fixed)
+        assert scan.unknowns == unknowns
+        assert scan.solutions == solutions
+        assert scan.count == len(solutions)
+        # exact keys: a Counter compares a 0 count equal to a missing one
+        want = dict(Counter(classify_virtual_point(s, p) for s in solutions))
+        assert dict(classify_virtual_cells(scan)) == want
+        if case in ("antidiagonal", "singular rank 1", "singular zero"):
+            assert scan.holes
+        if case == "singular emptied":
+            assert scan.cells == scan.holes == [((1, 0), 1)]
+            assert want == {}
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_a_cell_the_holes_empty_leaves_no_bucket(self, p):
+        """r1 = 0 solves r1*r2*r3 = 0 whatever r2..r4 are, and fails
+        r1*r4 != 0 for all of them: the cell is all hole, and no
+        antidiagonal point survives."""
+        system = _synthetic_system(lambda r1, r2, r3, r4: r1 * r2 * r3)
+        invertibility = [_synthetic_system(_r1_r4).equations[0]]
+        scan = enumerate_solutions_mod_p(system, p, invertibility)
+        assert scan.cells[0] == scan.holes[0] == ((0,), 3)
+        _unknowns, _fixed, solutions = _brute_force_mod_p(system, p, invertibility, {})
+        assert scan.solutions == solutions
+        assert scan.count == len(solutions) == (p - 1) * (2 * p - 1) * (p - 1)
+        want = dict(Counter(classify_virtual_point(s, p) for s in solutions))
+        assert "antidiagonal" not in want
+        assert dict(classify_virtual_cells(scan)) == want
 
     def test_dense_p7_system_stays_small_in_memory(self):
         system = generate_constraints(2, make_spec("uv", 3, 1))

@@ -235,20 +235,33 @@ class TestEnumerateCommand:
         assert code == 0
         assert out.startswith("1562501 solutions mod 5\n")
 
+    def test_invertible_two_type_scan_counts_cells_less_holes(self, capsys):
+        # identity point plus 4 antidiagonal r-points, each with two free
+        # invertible crossing blocks: 1 + 4 * |GL_2(F_5)|^2 = 1 + 4 * 480^2
+        code, out, _ = run(
+            capsys, "enumerate", "--n", "3", "--c", "2", "--mod", "5",
+            "--invertible-blocks", "--json",
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["count"] == 921_601 == 1 + 4 * 480**2
+        assert payload["classification"] == {"antidiagonal": 921_600, "identity": 1}
+
     def test_scan_over_the_work_budget_exits_2_within_30_s(self, capsys):
-        """With invertible blocks uv(3,2) at p=5 has 921 601 points, one cell
-        each; the descent is stopped at its budget of 500 000 visited partial
-        points (about 2-3 s on a 2-core host), not run to the end (8 s)."""
+        """With invertible blocks uv(3,2) at p=7 has 1 + 6 * 2016^2 points;
+        the descent and its holes' descents are stopped at their shared
+        budget of 500 000 visited partial points (about 2-3 s on a 2-core
+        host), not run to the end."""
         start = time.monotonic()
         code, out, err = run(
-            capsys, "enumerate", "--n", "3", "--c", "2", "--mod", "5",
+            capsys, "enumerate", "--n", "3", "--c", "2", "--mod", "7",
             "--invertible-blocks",
         )
         assert time.monotonic() - start < 30
         assert code == 2 and out == ""
         assert err == (
-            "error: scan of 12 unknowns mod 5 exceeds desk scale: "
-            "500005 partial points visited, over the budget of 500000\n"
+            "error: scan of 12 unknowns mod 7 exceeds desk scale: "
+            "500004 partial points visited, over the budget of 500000\n"
         )
 
     def test_composite_modulus_is_usage_error(self, capsys):
