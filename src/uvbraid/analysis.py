@@ -419,8 +419,8 @@ class ModPScan:
     F_p, in lexicographic order.  A hole has the same form and lies inside
     one cell; its points are the cell's points where an invertibility test
     fails, and they are not solutions.  Cells and holes each come in scan
-    order, so listing the cells in turn, less the holes, lists every point
-    in lexicographic order.
+    order.  ``tally`` is the one reader that nets the holes out; ``count``
+    and ``solutions`` are read from it.
     """
 
     p: int
@@ -429,26 +429,38 @@ class ModPScan:
     cells: list[tuple[tuple[int, ...], int]]
     holes: list[tuple[tuple[int, ...], int]]
 
+    def tally(self, names: tuple[str, ...]) -> Counter:
+        """The points at each value of ``names`` (scanned or fixed), keyed by
+        their values in ascending order, the scan's order when ``names``
+        follow it.  Cells add their points and holes subtract theirs; a part
+        is expanded only in the named unknowns it leaves free, and a value
+        whose holes take all its points is dropped."""
+        p, where = self.p, {v: i for i, v in enumerate(self.unknowns)}
+        if stray := [v for v in names if v not in where and v not in self.fixed]:
+            valid = ", ".join([*self.unknowns, *self.fixed])
+            raise ValueError(f"{stray[0]!r} is neither scanned nor fixed; valid names: {valid}")
+        # parts that agree up to the last named scanned unknown agree on names
+        cut = 1 + max((where[v] for v in names if v in where), default=-1)
+        weights: Counter = Counter()
+        for sign, parts in ((1, self.cells), (-1, self.holes)):
+            for (prefix, f), times in Counter((pre[:cut], f) for pre, f in parts).items():
+                bound = dict(zip(self.unknowns, prefix)) | self.fixed
+                free = [v for v in names if v not in bound]
+                weight = sign * times * p ** (f - len(free))
+                for values in product(range(p), repeat=len(free)):
+                    point = bound | dict(zip(free, values))
+                    weights[tuple(point[v] for v in names)] += weight
+        return Counter({key: w for key, w in sorted(weights.items()) if w})
+
     @property
     def count(self) -> int:
-        return sum(self.p ** f for _prefix, f in self.cells) - sum(
-            self.p ** f for _prefix, f in self.holes
-        )
+        return sum(self.tally(()).values())
 
     @property
     def solutions(self) -> list[dict[str, int]]:
-        """Every point, built on each call: the scanned unknowns, then the
-        fixed ones."""
-        holes: dict[int, set] = {}
-        for prefix, _f in self.holes:
-            holes.setdefault(len(prefix), set()).add(prefix)
-        return [
-            dict(zip(self.unknowns, point)) | self.fixed
-            for prefix, f in self.cells
-            for suffix in product(range(self.p), repeat=f)
-            for point in [prefix + suffix]
-            if not any(point[:n] in same for n, same in holes.items())
-        ]
+        """Every point in lexicographic order, built on each call from
+        ``tally``: the scanned unknowns, then the fixed ones."""
+        return [dict(zip(self.unknowns, key)) | self.fixed for key in self.tally(self.unknowns)]
 
 
 def _coeff_mod_p(c: GaussianRational, p: int) -> int:
@@ -629,7 +641,7 @@ def enumerate_solutions_mod_p(
     descent binds counts, holes' included, a scan that passes
     ``_SCAN_BUDGET`` of them is refused with a ValueError that gives the
     count, and a cell of p^f points costs what its prefix cost (uv(3,2) at
-    p=5, 1 562 501 points, visits 340; with invertible blocks, 921 601
+    p=5, 1 562 501 points, visits 132; with invertible blocks, 921 601
     points in 5 cells less their holes).
     """
     if p < 3 or p > 13 or any(p % q == 0 for q in range(2, p)):
@@ -707,31 +719,15 @@ def classify_virtual_point(sol: dict[str, int], p: int) -> str:
 
 
 def classify_virtual_cells(scan: ModPScan) -> Counter | None:
-    """``classify_virtual_point`` counted over every point of ``scan``,
-    read from its cells less its holes: each distinct (r1, r2, r3, r4) is
-    classified once and weighted by the points it stands for.  Only the r's
-    a cell or hole leaves free are expanded, and a bucket whose holes take
-    all its points is dropped.  None when the scan does not bind all of
-    r1..r4."""
-    p, where = scan.p, {v: i for i, v in enumerate(scan.unknowns)}
-    if not all(v in where or v in scan.fixed for v in _VIRTUAL):
+    """``classify_virtual_point`` counted over every point of ``scan``:
+    each (r1, r2, r3, r4) of ``scan.tally`` is classified once and weighted
+    by its points.  None when the scan does not bind all of r1..r4."""
+    if not all(v in scan.unknowns or v in scan.fixed for v in _VIRTUAL):
         return None
-    # cells that agree up to the last scanned r agree on the r's
-    cut = 1 + max((where[v] for v in _VIRTUAL if v in where), default=-1)
-    weights: Counter = Counter()
-    for sign, parts in ((1, scan.cells), (-1, scan.holes)):
-        for (prefix, f), times in Counter((pre[:cut], f) for pre, f in parts).items():
-            bound = dict(zip(scan.unknowns, prefix)) | scan.fixed
-            free = [v for v in _VIRTUAL if v not in bound]
-            for values in product(range(p), repeat=len(free)):
-                point = bound | dict(zip(free, values))
-                weights[tuple(point[v] for v in _VIRTUAL)] += (
-                    sign * times * p ** (f - len(free))
-                )
     buckets: Counter = Counter()
-    for key, w in weights.items():
-        buckets[classify_virtual_point(dict(zip(_VIRTUAL, key)), p)] += w
-    return +buckets
+    for key, w in scan.tally(_VIRTUAL).items():
+        buckets[classify_virtual_point(dict(zip(_VIRTUAL, key)), scan.p)] += w
+    return buckets
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import re
 import sys
 
 from .analysis import (
+    _VIRTUAL,
     burnside_dim,
     classify_virtual_cells,
     classify_virtual_point,
@@ -328,7 +329,8 @@ def _forbidden(spec) -> list[dict]:
 
 def _mod_p(spec, p) -> list[dict]:
     """Over F_p the virtual 2x2 blocks are the identity plus an antidiagonal
-    family; the identity forces the crossing block, the others leave GL2."""
+    family; the identity forces the crossing block, the others leave GL2,
+    counted per virtual block in one invertible scan of the full system."""
     rho_sys = generate_constraints(2, spec, ["PR1[i=1]", "PR3[i=1]"])
     det_r, det_s = rho_sys.invertibility
     scan = enumerate_solutions_mod_p(rho_sys, p, [det_r])
@@ -336,15 +338,16 @@ def _mod_p(spec, p) -> list[dict]:
     tag = f"virtual 2x2 blocks mod {p}: identity plus antidiagonal family"
     ok = scan.count == p and buckets == {"identity": 1, "antidiagonal": p - 1}
     checks = [_check(tag, ok, f"{scan.count} solutions: {dict(sorted(buckets.items()))}")]
-    full_sys = generate_constraints(2, spec)
+    full = enumerate_solutions_mod_p(generate_constraints(2, spec), p, [det_r, det_s])
+    freedom = full.tally(_VIRTUAL)
     gl2 = (p * p - 1) * (p * p - p)
     ok = True
     notes = []
     for sol in scan.solutions:
-        sub = enumerate_solutions_mod_p(full_sys, p, [det_s], fixed=sol)
         kind = classify_virtual_point(sol, p)
-        ok &= sub.count == (1 if kind == "identity" else gl2)
-        notes.append(f"{kind}: {sub.count}")
+        count = freedom[tuple(sol[v] for v in _VIRTUAL)]
+        ok &= count == (1 if kind == "identity" else gl2)
+        notes.append(f"{kind}: {count}")
     tag = f"crossing-block freedom mod {p}: forced identity vs full GL2"
     details = f"expected identity->1, antidiagonal->{gl2}; got " + ", ".join(notes)
     return checks + [_check(tag, ok, details)]

@@ -596,7 +596,7 @@ class TestModP:
         assert five.count == 1_562_501 == 4 * 5 ** 8 + 1
         assert len(five.cells) == 5
 
-    def test_pending_invertibility_test_keeps_every_cell_a_point(self):
+    def test_pr1_and_pr3_pin_every_r_in_five_one_point_cells(self):
         system = generate_constraints(
             2, make_spec("uv", 3, 1), ["PR1[i=1]", "PR3[i=1]"]
         )
@@ -604,6 +604,7 @@ class TestModP:
         scan = enumerate_solutions_mod_p(system, 5, [det_r])
         assert scan.count == 5
         assert all(f == 0 for _prefix, f in scan.cells)
+        assert scan.holes == []
 
 
 def _r1_r4(r1, r2, r3, r4):
@@ -659,6 +660,15 @@ class TestModPCells:
         assert scan.cells == [((0,), 3)] + [
             ((a, b), 2) for a in (1, 2) for b in range(3)
         ]
+
+    def test_tally_refuses_a_name_neither_scanned_nor_fixed(self):
+        system = _synthetic_system(_r1_r4)
+        scan = enumerate_solutions_mod_p(system, 3, fixed={"r2": 1})
+        assert scan.tally(("r2", "r4")) == {(1, 0): 9, (1, 1): 3, (1, 2): 3}
+        with pytest.raises(
+            ValueError, match=r"'s1' is neither scanned nor fixed; valid names: r1, r3, r4, r2$"
+        ):
+            scan.tally(("r1", "s1"))
 
     def test_scan_without_r_block_is_not_classified(self):
         system = generate_constraints(
@@ -773,9 +783,11 @@ _FIXED_R_CASES = {
 
 
 def _brute_force_mod_p(system, p, invertibility, fixed):
-    """Reference scan: every point of F_p^u in lexicographic order, each
-    polynomial evaluated exactly over Q(i) and only then reduced mod p.
-    Values are memoized per polynomial on the unknowns it involves."""
+    """Reference scan: every point of F_p^u in lexicographic order, u being
+    the unknowns the system declares or its polynomials mention, less the
+    fixed ones; each polynomial is evaluated exactly over Q(i) and only then
+    reduced mod p.  Values are memoized per polynomial on the unknowns it
+    involves."""
     tests = [(eq, True) for eq in system.equations]
     tests += [(poly, False) for poly in invertibility]
     occurs = [poly.variables() for poly, _ in tests]
@@ -790,7 +802,7 @@ def _brute_force_mod_p(system, p, invertibility, fixed):
             seen[i][key] = (value.re.numerator % p == 0) == want_zero
         return seen[i][key]
 
-    needed = {v for names in occurs for v in names}
+    needed = set(system.unknowns).union(*occurs)
     scanned = tuple(v for v in system.ring.vars if v in needed and v not in fixed)
     fixed_mod_p = {k: v % p for k, v in fixed.items()}
     solutions = []
@@ -799,6 +811,20 @@ def _brute_force_mod_p(system, p, invertibility, fixed):
         if all(passes(i, point) for i in range(len(tests))):
             solutions.append(dict(zip(scanned, values)) | fixed_mod_p)
     return scanned, fixed_mod_p, solutions
+
+
+def _assert_tallies_match(scan, solutions):
+    """``scan.tally`` equals the reference ``solutions`` projected on the
+    names and counted, keys in ascending order, for these name sets: none,
+    each scanned or fixed unknown alone, r1..r4, and all of them."""
+    every = (*scan.unknowns, *scan.fixed)
+    virtual = ("r1", "r2", "r3", "r4")
+    name_sets = [(), *((v,) for v in every), every]
+    if set(virtual) <= set(every):
+        name_sets.append(virtual)
+    for names in name_sets:
+        want = Counter(sorted(tuple(s[v] for v in names) for s in solutions))
+        assert list(scan.tally(names).items()) == list(want.items()), names
 
 
 class TestModPAgainstBruteForce:
@@ -817,6 +843,36 @@ class TestModPAgainstBruteForce:
         buckets = classify_virtual_cells(scan)
         if buckets is not None:
             assert buckets == Counter(classify_virtual_point(s, p) for s in solutions)
+
+    @given(_mod_p_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_tally_matches_reference(self, instance):
+        system, p, invertibility, fixed = instance
+        scan = enumerate_solutions_mod_p(system, p, invertibility, fixed)
+        _unknowns, _fixed, solutions = _brute_force_mod_p(system, p, invertibility, fixed)
+        _assert_tallies_match(scan, solutions)
+        valid = [*scan.unknowns, *scan.fixed]
+        stray = next((v for v in system.ring.vars if v not in valid), "zz")
+        message = f"{stray!r} is neither scanned nor fixed; valid names: {', '.join(valid)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scan.tally((*scan.unknowns[:1], stray))
+
+    @pytest.mark.parametrize("invert", (False, True))
+    @pytest.mark.parametrize("p", (3, 5))
+    def test_declared_unknowns_no_equation_mentions_are_scanned(self, p, invert):
+        """r1*r2 = 0 mentions r1 and r2 only, but the system declares r1..r4,
+        so the scan and the reference both run over all four."""
+        system = _synthetic_system(lambda r1, r2, r3, r4: r1 * r2)
+        invertibility = [_synthetic_system(_r1_r4).equations[0]] if invert else []
+        scan = enumerate_solutions_mod_p(system, p, invertibility)
+        unknowns, _fixed, solutions = _brute_force_mod_p(system, p, invertibility, {})
+        assert scan.unknowns == unknowns == ("r1", "r2", "r3", "r4")
+        assert scan.solutions == solutions
+        # r1*r4 != 0 leaves r2 = 0 and r3 free: p(p-1)^2, else (2p-1)p^2
+        assert scan.count == len(solutions) == (
+            p * (p - 1) ** 2 if invert else (2 * p - 1) * p * p
+        )
+        _assert_tallies_match(scan, solutions)
 
     @pytest.mark.parametrize("p", (3, 5, 7))
     @pytest.mark.parametrize("case", sorted(_FIXED_R_CASES))
@@ -843,6 +899,7 @@ class TestModPAgainstBruteForce:
         if case == "singular emptied":
             assert scan.cells == scan.holes == [((1, 0), 1)]
             assert want == {}
+        _assert_tallies_match(scan, solutions)
 
     @pytest.mark.parametrize("p", (3, 5, 7))
     def test_a_cell_the_holes_empty_leaves_no_bucket(self, p):

@@ -449,6 +449,23 @@ class TestSuites:
         assert all(c["status"] == "pass" for c in payload["checks"])
         assert len(payload["checks"]) >= 25
 
+    def test_mod_p_scans_the_virtual_subsystem_and_the_full_system_once(
+        self, capsys, monkeypatch
+    ):
+        """The crossing-block freedom of all p virtual blocks is read from
+        one scan of the full system, not from a scan per block."""
+        calls = []
+        original = cli.enumerate_solutions_mod_p
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_solutions_mod_p", counted)
+        code, _out, _err = run(capsys, "suite", "--name", "mod-p")
+        assert code == 0
+        assert len(calls) == 2
+
     def test_three_local_builds_and_specializes_each_family_once(self):
         counts = count_builds("suite", "--name", "three-local")
         assert counts == {"build_local_rep": 4, "specialize": 4, "block_embed": 36}
