@@ -734,20 +734,18 @@ def classify_virtual_cells(scan: ModPScan) -> Counter | None:
 # span engines over Q(i)
 
 
-def _left_mul(cols: list, re: list[int], im: list[int], width: int) -> tuple:
-    """A generator, given as ``(r, entries)`` for each of its nonzero
-    columns r with that column's nonzero ``(row, re, im)`` entries, times
-    the m x ``width`` Gaussian-integer matrix with parts ``re`` and ``im``
-    flattened row-major.  Only the rows r of that matrix are read."""
-    out_re, out_im = [0] * len(re), [0] * len(re)
-    for r, col in cols:
-        for c in range(width):
-            x, y = re[r * width + c], im[r * width + c]
-            if x or y:
-                for i, a, b in col:
-                    out_re[i * width + c] += a * x - b * y
-                    out_im[i * width + c] += a * y + b * x
-    return out_re, out_im
+def _left_mul(cols: dict, v: dict, width: int) -> dict:
+    """A generator, given as ``{r: [(row, re, im), ...]}`` for each of its
+    nonzero columns r, times the sparse m x ``width`` Gaussian-integer
+    matrix ``v`` (coordinates row-major).  Only the coordinates of ``v`` in
+    the rows r are read, and only the rows of those columns are written."""
+    out: dict = {}
+    for k, (x, y) in v.items():
+        r, c = divmod(k, width)
+        for i, a, b in cols.get(r, ()):
+            s, t = out.get(i * width + c, (0, 0))
+            out[i * width + c] = (s + a * x - b * y, t + a * y + b * x)
+    return out
 
 
 def _closure(mats: list[Matrix], seeds: list[Matrix], width: int) -> Echelon:
@@ -755,17 +753,20 @@ def _closure(mats: list[Matrix], seeds: list[Matrix], width: int) -> Echelon:
     (flattened row-major) that contains ``seeds`` and is closed under left
     multiplication by every matrix of ``mats``.
 
+    Every vector is sparse (see :class:`~uvbraid.matrices.Echelon`), so a
+    product or a reduction costs the support it reads, not m * ``width``.
     Generators and seeds are scaled to Gaussian integers once, which
     leaves the closure unchanged.  A generator g, scaled by the L that
-    clears its denominators, is then used as L*g - L*I: a space that holds
-    X holds g X exactly when it holds (L*g - L*I) X = L*g X - L*X, so the
-    closure is the same.  For a k-local g = I (+) B (+) I the shifted
-    matrix is zero outside the k rows and columns of its block, so a
-    product reads and writes only those k rows of X, it is skipped when X
-    is zero there, and a generator equal to I drops out.  Each newly
-    reduced row is multiplied by every shifted generator, in the order the
-    rows were found (wave by wave); the reduced rows span what the raw
-    products span, and a zero product is not inserted.  It stops when no
+    clears its denominators, is then used as L*g - L*I, read in one pass
+    over its nonzero entries: a space that holds X holds g X exactly when
+    it holds (L*g - L*I) X = L*g X - L*X, so the closure is the same.  For
+    a k-local g = I (+) B (+) I the shifted matrix is zero outside the k
+    rows and columns of its block, so a product reads and writes only
+    those k rows of X, it is not formed when X is zero there, and a
+    generator equal to I drops out.  Each newly reduced row is multiplied
+    by every shifted generator that reads one of its rows, in the order
+    the rows were found (wave by wave); the reduced rows span what the raw
+    products span, and an empty product is not inserted.  It stops when no
     row is left, or at once when the basis fills all m * ``width``
     coordinates.
     """
@@ -776,33 +777,38 @@ def _closure(mats: list[Matrix], seeds: list[Matrix], width: int) -> Echelon:
         raise ValueError("matrices must be square and of equal size")
     gens = []
     for g in mats:
-        re, im, scale = g.integer_entries()
+        terms, scale = g.integer_terms()
         for i in range(m):
-            re[i][i] -= scale
-        cols = [(r, [(i, a, b) for i, (a, b) in enumerate(zip(cr, ci)) if a or b])
-                for r, (cr, ci) in enumerate(zip(zip(*re), zip(*im)))]
-        cols = [(r, col) for r, col in cols if col]
+            a, b = terms.get((i, i), (0, 0))
+            if a == scale and not b:
+                del terms[i, i]
+            else:
+                terms[i, i] = (a - scale, b)
+        cols: dict = {}
+        for (i, r), (a, b) in terms.items():
+            cols.setdefault(r, []).append((i, a, b))
         if cols:  # g = I adds nothing
             gens.append(cols)
-    basis = Echelon()
+    basis = Echelon(m * width)
     found = []
     for s in seeds:
         if s.shape != (m, width):
             raise ValueError(f"seed does not have shape {(m, width)}")
-        re, im, _ = s.integer_entries()
-        new = basis.insert([x for row in re for x in row], [x for row in im for x in row])
+        terms, _ = s.integer_terms()
+        new = basis.insert({i * width + j: z for (i, j), z in terms.items()})
         if new is not None:
             found.append(new)
+    reads: dict = {}  # row r of X -> the generators whose products read it
+    for n, cols in enumerate(gens):
+        for r in cols:
+            reads.setdefault(r, []).append(n)
     for v in found:  # grows while it is read
-        rows = {k // width for k, (x, y) in enumerate(zip(*v)) if x or y}
-        for cols in gens:
+        for n in sorted({n for k in v for n in reads.get(k // width, ())}):
             if len(basis) == m * width:
                 return basis
-            if not any(r in rows for r, _col in cols):
-                continue  # the product reads only rows where v is zero
-            pr, pi = _left_mul(cols, *v, width)
-            if any(pr) or any(pi):
-                new = basis.insert(pr, pi)
+            product = _left_mul(gens[n], v, width)
+            if product:
+                new = basis.insert(product)
                 if new is not None:
                     found.append(new)
     return basis
@@ -829,28 +835,47 @@ def spin(mats: list[Matrix], seeds: list[Matrix]) -> list[Matrix]:
     every other column's, so it depends on the subspace alone, not on the
     order or repetition of seeds and matrices."""
     rows, ring = sorted(_closure(mats, seeds, 1).rows.items()), mats[0].ring
-    return [Matrix.column(ring, [GaussianRational.from_ints(a, b, re[p])
-                                 for a, b in zip(re, im)]) for p, (re, im) in rows]
+    m = mats[0].nrows
+    return [Matrix.column(ring, [GaussianRational.from_ints(*row[k], row[p][0])
+                                 if k in row else 0 for k in range(m)])
+            for p, row in rows]
 
 
 def invariant_check(mats: list[Matrix], vec: Matrix, side: str) -> bool:
     """Does ``vec`` span an invariant line?  Column side checks M v || v for
-    every M; row side checks v M || v.  Works symbolically as well."""
+    every M; row side checks v M || v.  Works symbolically as well.
+
+    M v || v exactly when u = (M - I) v is, so a row of M (a column, on the
+    row side) equal to the identity's adds nothing to u and is skipped.
+    When u is not zero, u || v needs v zero off u's support, and over a
+    field u_q v_j = v_q u_j for j in that support, q its first coordinate."""
     if side not in ("column", "row"):
         raise ValueError("side must be 'column' or 'row'")
     if side == "column" and vec.ncols != 1:
         raise ValueError(f"column witness must be m x 1, got {vec.shape}")
     if side == "row" and vec.nrows != 1:
         raise ValueError(f"row witness must be 1 x m, got {vec.shape}")
-    entries = [x for row in vec.rows for x in row]
-    p = next((i for i, x in enumerate(entries) if not x.is_zero()), None)
-    if p is None:
+    v = [x for row in vec.rows for x in row]
+    support = [j for j, x in enumerate(v) if not x.is_zero()]
+    if not support:
         raise ValueError("witness vector is zero")
-    # over a field, w || v  iff  v_p w_j = v_j w_p  at v's first nonzero p
     for m in mats:
-        image = m * vec if side == "column" else vec * m
-        img = [x for row in image.rows for x in row]
-        if any(entries[p] * y != x * img[p] for x, y in zip(entries, img)):
+        u = {}
+        for i, row in enumerate(m.rows if side == "column" else zip(*m.rows)):
+            if all(a.is_one() if j == i else a.is_zero() for j, a in enumerate(row)):
+                continue
+            x = -v[i]
+            for j in support:
+                if not row[j].is_zero():
+                    x = x + row[j] * v[j]
+            if not x.is_zero():
+                u[i] = x
+        if not u:
+            continue
+        if any(j not in u for j in support):
+            return False
+        q = next(iter(u))
+        if any(u[q] * v[j] != v[q] * x for j, x in u.items()):
             return False
     return True
 

@@ -149,7 +149,9 @@ def cmd_enumerate(args) -> int:
     invertible = system.invertibility if args.invertible_blocks else []
     fixed = _bindings(args.fixed, "--fixed", _integer)
     scan = enumerate_solutions_mod_p(system, args.mod, invertible, fixed or None)
-    count = scan.count
+    # a 2x2 virtual block is read from r1..r4; its classes sum to the count
+    buckets = classify_virtual_cells(scan) if args.k == 2 else None
+    count = scan.count if buckets is None else sum(buckets.values())
     payload = {
         "command": "enumerate",
         "group": spec.to_dict(),
@@ -162,9 +164,7 @@ def cmd_enumerate(args) -> int:
         "checks": [],
     }
     lines = [f"{count} solutions mod {scan.p}"]
-    # a 2x2 virtual block is read from r1..r4
-    buckets = classify_virtual_cells(scan) if args.k == 2 and count else None
-    if buckets is not None:
+    if buckets:  # none when there is no solution
         payload["classification"] = dict(sorted(buckets.items()))
         lines.append(
             "virtual-block classes: "

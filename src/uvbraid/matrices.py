@@ -13,13 +13,15 @@ clarity over asymptotics.  There is one elimination per field:
   snowballing); inverses are the adjugate over that determinant, so a
   polynomial matrix's inverse has no denominator but the determinant;
 * over Q(i), :class:`Echelon` is a fraction-free, incremental, fully
-  reduced row-echelon basis of Gaussian-integer rows, which depends on the
-  span alone; it reduces a vector only at the pivots where the vector is
-  nonzero, and touches only each row's nonzero coordinates.  The span
-  engines of :mod:`uvbraid.analysis` (``burnside_dim`` and ``spin``) grow
-  their closures in one.  ``Matrix.integer_entries`` is the way in: it
-  reads each constant entry's (a, b, d) (see :mod:`uvbraid.scalars`) and
-  scales by the lcm of the d's, so no rational number is built on the way.
+  reduced row-echelon basis of sparse Gaussian-integer rows, which depends
+  on the span alone: a vector or a row holds only its nonzero coordinates,
+  as ``{coordinate: (re, im)}``, and a reduction costs the supports it
+  reads, not the width.  The span engines of :mod:`uvbraid.analysis`
+  (``burnside_dim`` and ``spin``) grow their closures in one.
+  ``Matrix.integer_terms`` is the way in: it reads each nonzero constant
+  entry's (a, b, d) (see :mod:`uvbraid.scalars`), a zero entry costing one
+  test, and scales by the lcm of the d's, so no rational number is built
+  on the way; ``Matrix.integer_entries`` writes the same out in full.
 
 ``place`` writes a block over a diagonal window of a larger matrix.
 ``block_embed`` uses it to realize the local pattern
@@ -252,20 +254,33 @@ class Matrix:
 
     # -- constant-matrix operations --------------------------------------
 
+    def integer_terms(self) -> tuple[dict[tuple[int, int], tuple[int, int]], int]:
+        """The nonzero entries of a constant matrix times the lcm L of their
+        denominators, as ``{(row, col): (re, im)}`` in row-major order, and
+        L: the one step from Q(i) to Z[i].  An entry (a + b*i)/d becomes
+        (a*(L/d), b*(L/d)); as d is the lcm of its parts' lowest-terms
+        denominators, L is the least common denominator of every part.  A
+        zero entry costs one test.  Raises ValueError if anything is
+        symbolic."""
+        vals = {}
+        for i, r in enumerate(self.rows):
+            for j, a in enumerate(r):
+                if a.is_zero():
+                    continue
+                if not a.is_constant():
+                    raise ValueError(f"matrix is symbolic (entry {a}); bind parameters first")
+                vals[i, j] = a.constant_value()
+        lcm = math.lcm(*(x.d for x in vals.values()))
+        return {ij: (x.a * (lcm // x.d), x.b * (lcm // x.d)) for ij, x in vals.items()}, lcm
+
     def integer_entries(self) -> tuple[list[list[int]], list[list[int]], int]:
-        """The real and the imaginary parts of a constant matrix times the
-        lcm L of its entries' denominators, and L: the one step from Q(i)
-        to Z[i].  An entry (a + b*i)/d contributes a*(L/d) and b*(L/d); as
-        its denominator d is the lcm of its parts' lowest-terms ones, L is
-        the least common denominator of every part.  Raises ValueError if
-        anything is symbolic."""
-        bad = next((a for r in self.rows for a in r if not a.is_constant()), None)
-        if bad is not None:
-            raise ValueError(f"matrix is symbolic (entry {bad}); bind parameters first")
-        vals = [[a.constant_value() for a in r] for r in self.rows]
-        lcm = math.lcm(*(x.d for r in vals for x in r))
-        re = [[x.a * (lcm // x.d) for x in r] for r in vals]
-        im = [[x.b * (lcm // x.d) for x in r] for r in vals]
+        """``integer_terms`` written out in full: the real and the imaginary
+        parts of L times the matrix, as int rows, and L."""
+        terms, lcm = self.integer_terms()
+        re = [[0] * self.ncols for _ in range(self.nrows)]
+        im = [[0] * self.ncols for _ in range(self.nrows)]
+        for (i, j), (a, b) in terms.items():
+            re[i][j], im[i][j] = a, b
         return re, im, lcm
 
     # -- evaluation and rendering ----------------------------------------
@@ -289,25 +304,25 @@ class Matrix:
 
 
 class Echelon:
-    """Fully reduced, fraction-free, incremental row-echelon basis over Q(i).
+    """Fully reduced, fraction-free, incremental row-echelon basis over Q(i)
+    of vectors of a fixed ``width``.
 
-    Each row is a Gaussian-integer vector, the int lists of its real and
-    imaginary parts, with gcd 1; keyed by its pivot, it is zero before it,
-    a positive integer at it and zero at every other row's pivot.  Such a
-    row is the least integer multiple of the span's reduced row-echelon
-    row, so the rows depend on the span alone, not on the order of inserts.
-    Each row's nonzero coordinates are kept with it, and an elimination
-    touches only those.  The first insert fixes the width."""
+    Vectors and rows are sparse: a dict ``{coordinate: (re, im)}`` of the
+    nonzero Gaussian-integer coordinates only.  Each row has gcd 1; keyed
+    by its pivot, its least coordinate, it is a positive integer there and
+    zero at every other row's pivot.  Such a row is the least integer
+    multiple of the span's reduced row-echelon row, so the rows depend on
+    the span alone, not on the order of inserts.  An elimination costs the
+    supports of the two vectors it combines, not the width."""
 
-    def __init__(self):
-        self.rows: dict[int, tuple[list[int], list[int]]] = {}
-        self._support: dict[int, list[int]] = {}
-        self.width: int | None = None
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: dict[int, dict[int, tuple[int, int]]] = {}
 
     def __len__(self):
         return len(self.rows)
 
-    def insert(self, re: list[int], im: list[int]) -> tuple | None:
+    def insert(self, vec: dict[int, tuple[int, int]]) -> dict | None:
         """Reduce against the basis; add and return the reduced row if new.
 
         By the row b at pivot j (entry p there), v becomes p*v - v[j]*b.
@@ -318,54 +333,50 @@ class Echelon:
         one (2+i, say) would compound from row to row, and divided by its
         gcd; it is then eliminated, the same way, from every stored row
         nonzero at its pivot."""
-        w = len(re) if self.width is None else self.width
-        if len(re) != w or len(im) != w:
-            raise ValueError(f"vector of width {len(re)}/{len(im)}, basis of width {w}")
-        self.width = w
-        rows, support = self.rows, self._support
-        vr, vi = list(re), list(im)
-        for j in [j for j in rows if vr[j] or vi[j]]:
-            _eliminate(vr, vi, *rows[j], support[j], j)
-        if not (any(vr) or any(vi)):
+        w = self.width
+        if vec and (min(vec) < 0 or max(vec) >= w):
+            raise ValueError(f"coordinates {min(vec)}..{max(vec)} outside a basis of width {w}")
+        rows = self.rows
+        v = {k: z for k, z in vec.items() if z != (0, 0)}
+        for j in [j for j in v if j in rows]:
+            _eliminate(v, rows[j], j)
+        if not v:
             return None
-        piv = next(i for i in range(w) if vr[i] or vi[i])
-        pr, pi = vr[piv], vi[piv]
+        piv = min(v)
+        pr, pi = v[piv]
         if pi or pr < 0:
-            vr, vi = ([pr * x + pi * y for x, y in zip(vr, vi)],
-                      [pr * y - pi * x for x, y in zip(vr, vi)])
-        vr, vi = _primitive(vr, vi)
-        vs = _nonzero(vr, vi)
-        for j, (br, bi) in rows.items():
-            if br[piv] or bi[piv]:
-                br, bi = list(br), list(bi)
-                _eliminate(br, bi, vr, vi, vs, piv)
-                rows[j] = br, bi = _primitive(br, bi)
-                support[j] = _nonzero(br, bi)
-        rows[piv], support[piv] = (vr, vi), vs
-        return vr, vi
+            v = {k: (pr * x + pi * y, pr * y - pi * x) for k, (x, y) in v.items()}
+        v = _primitive(v)
+        for j, b in rows.items():
+            if piv in b:
+                b = dict(b)
+                _eliminate(b, v, piv)
+                rows[j] = _primitive(b)
+        rows[piv] = v
+        return v
 
 
-def _eliminate(vr: list[int], vi: list[int], br: list[int], bi: list[int],
-               supp: list[int], j: int) -> None:
+def _eliminate(v: dict, b: dict, j: int) -> None:
     """v <- p*v - v[j]*b in place, for the row b with real positive entry p
-    at j and nonzero coordinates ``supp``: v made zero at j."""
-    p, cr, ci = br[j], vr[j], vi[j]
+    at j: v made zero at j, and its zero coordinates dropped."""
+    p = b[j][0]
+    cr, ci = v.pop(j)
     if p != 1:
-        vr[:] = [p * x for x in vr]
-        vi[:] = [p * y for y in vi]
-    for k in supp:
-        s, t = br[k], bi[k]
-        vr[k] -= cr * s - ci * t
-        vi[k] -= cr * t + ci * s
+        for k, (x, y) in v.items():
+            v[k] = (p * x, p * y)
+    for k, (s, t) in b.items():
+        if k != j:
+            x, y = v.get(k, (0, 0))
+            x, y = x - cr * s + ci * t, y - cr * t - ci * s
+            if x or y:
+                v[k] = (x, y)
+            else:
+                del v[k]
 
 
-def _nonzero(re: list[int], im: list[int]) -> list[int]:
-    return [k for k, (x, y) in enumerate(zip(re, im)) if x or y]
-
-
-def _primitive(re: list[int], im: list[int]) -> tuple[list[int], list[int]]:
-    g = math.gcd(*re, *im)
-    return ([x // g for x in re], [x // g for x in im]) if g > 1 else (re, im)
+def _primitive(v: dict) -> dict:
+    g = math.gcd(*(x for z in v.values() for x in z))
+    return {k: (x // g, y // g) for k, (x, y) in v.items()} if g > 1 else v
 
 
 def place(block: Matrix, pos: int, outer: Matrix) -> Matrix:

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import uvbraid.analysis
+import uvbraid.matrices
 from uvbraid.analysis import (
     ConstraintSystem,
     burnside_dim,
@@ -1079,6 +1080,33 @@ class TestSpanEnginesAgainstFractionReference:
         assert burnside_dim(gens) == 36
         assert len(gens) == 10 and calls[0] <= 10 * 36
 
+    @pytest.mark.parametrize("point, dim", [
+        ({"s1_1": 2, "s2_1": -3, "s3_1": 5, "s4_1": 7}, 144),
+        ({"s1_1": 2, "s2_1": -1, "s3_1": 3, "s4_1": -2}, 133),  # row sums 1
+    ])
+    def test_closure_work_follows_the_local_support(self, monkeypatch, point, dim):
+        # rows m^2 = 144 wide would write 144 coordinates per product
+        rep = build_local_rep("upsilon-prime", make_spec("uv", 12, 1), point)
+        k, m = rep.block_size, rep.degree
+        work = Counter()
+        left_mul, eliminate = uvbraid.analysis._left_mul, uvbraid.matrices._eliminate
+
+        def counted_left_mul(cols, v, width):
+            out = left_mul(cols, v, width)
+            work["products"] += 1
+            work["written"] += len(out)
+            return out
+
+        def counted_eliminate(v, b, j):
+            work["written"] += len(v) + len(b)
+            return eliminate(v, b, j)
+
+        monkeypatch.setattr(uvbraid.analysis, "_left_mul", counted_left_mul)
+        monkeypatch.setattr(uvbraid.matrices, "_eliminate", counted_eliminate)
+        assert burnside_dim(_images(rep)) == dim
+        assert work["products"] >= m * m
+        assert work["written"] <= 2 * k * m * work["products"] < m * m * work["products"]
+
 
 def _invariant_check_all_pairs(mats, vec, side):
     """Reference for ``invariant_check``: every pair of coordinates of each
@@ -1103,7 +1131,9 @@ _SYMBOLIC = [_T, _U, _T + 1, _T * _U - 1, 1 / (_T + 1), _U / _T]
 def invariant_cases(draw):
     """A nonzero witness (constant or symbolic) on either side and 1-3
     matrices, each generic, zero (zero image), rank one along the witness
-    (parallel image) or rank one with one entry changed (a near miss)."""
+    (parallel image), rank one with one entry changed (a near miss) or
+    k-local, I (+) B (+) I with B generic, the identity or the identity
+    with one entry changed (rows that are, or nearly are, the identity's)."""
     nonzero = st.sampled_from([1, -2, GaussianRational(1, 1)])
     entry = st.one_of(st.just(0), qi_entries)
     if draw(st.booleans()):
@@ -1115,9 +1145,20 @@ def invariant_cases(draw):
     v = [_TU.rf(x) for x in v]
     mats = []
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["generic", "zero", "parallel", "near"]))
+        kind = draw(st.sampled_from(["generic", "zero", "parallel", "near", "local"]))
         if kind == "generic":
             rows = [[draw(entry) for _ in range(m)] for _ in range(m)]
+        elif kind == "local":
+            k = draw(st.integers(1, m))
+            pos = draw(st.integers(0, m - k))
+            rows = [[int(i == j) for j in range(m)] for i in range(m)]
+            block = draw(st.sampled_from(["identity", "generic", "one entry"]))
+            if block == "generic":
+                for i in range(pos, pos + k):
+                    rows[i][pos:pos + k] = [draw(entry) for _ in range(k)]
+            elif block == "one entry":  # a row may keep its 1 yet differ from I's
+                a, b = (pos + draw(st.integers(0, k - 1)) for _ in range(2))
+                rows[a][b] = draw(entry)
         elif kind == "zero":
             rows = [[0] * m for _ in range(m)]
         else:

@@ -218,6 +218,33 @@ class TestEnumerateCommand:
         assert payload["count"] == 24
         assert all(s["r2"] != 0 for s in payload["solutions"])
 
+    @pytest.mark.parametrize("argv, names, classified", [
+        # the count and the classes are both read from one r1..r4 tally
+        (("--invertible-blocks",), [analysis._VIRTUAL], True),
+        # no solution: the count is that tally's sum, no class is printed,
+        # and the empty point list is a tally over the scanned unknowns
+        (("--fixed", "r1=1", "--fixed", "r2=1"),
+         [analysis._VIRTUAL, ("r3", "r4", "s1_1", "s2_1", "s3_1", "s4_1")], False),
+        # a 3x3 block is not classified, so the count is a tally over no names
+        (("--k", "3", "--n", "4", "--mod", "3", "--tag", "PR1[i=1]",
+          "--tag", "PR3[i=1]", "--invertible-blocks"), [()], False),
+    ])
+    def test_count_and_classes_share_one_tally(self, capsys, monkeypatch, argv, names,
+                                               classified):
+        calls = []
+        original = analysis.ModPScan.tally
+
+        def counted(scan, names):
+            calls.append(tuple(names))
+            return original(scan, names)
+
+        monkeypatch.setattr(analysis.ModPScan, "tally", counted)
+        code, out, _ = run(capsys, "enumerate", "--n", "3", "--c", "1", "--mod", "5",
+                           *argv, "--json")
+        payload = json.loads(out)
+        assert code == 0 and calls == names
+        assert ("classification" in payload) == classified
+
     def test_three_local_scan_is_not_classified(self, capsys):
         # r1..r4 of a 3x3 virtual block are not a 2x2 block to bucket
         argv = ("enumerate", "--k", "3", "--n", "4", "--c", "1", "--mod", "3",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from uvbraid.analysis import generic_rep
 from uvbraid.groups import make_spec
 from uvbraid.matrices import Echelon, Matrix, block_embed, place
-from uvbraid.scalars import G_ONE, G_ZERO, GaussianRational, PolyRing
+from uvbraid.scalars import G_ONE, G_ZERO, GaussianRational, PolyRing, RatFunc
 
 
 # Q(i) entries with nonzero imaginary parts drawn often; a matrix is a
@@ -186,84 +186,90 @@ class FractionEchelon:
 _Q = PolyRing(("a",))
 
 
+def _vec(re, im=None):
+    """The sparse Gaussian-integer vector with dense parts ``re`` and ``im``."""
+    im = im or [0] * len(re)
+    return {k: (x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y}
+
+
 def _gaussian_integer_rows(rows):
-    """Q(i) rows as (re, im) int rows of one common multiple of them."""
+    """Q(i) rows as sparse Gaussian-integer rows of one common multiple of them."""
     re, im, _ = Matrix.from_rows(_Q, rows).integer_entries()
-    return list(zip(re, im))
+    return [_vec(r, i) for r, i in zip(re, im)]
 
 
 class TestEchelon:
     def test_dependent_row_adds_nothing(self):
-        zero = [0, 0, 0]
-        basis = Echelon()
-        assert basis.insert([2, 4, 6], zero) == ([1, 2, 3], zero)
-        assert basis.insert([1, 2, 3], zero) is None
-        assert basis.insert([1, 0, 1], zero) is not None
+        basis = Echelon(3)
+        assert basis.insert(_vec([2, 4, 6])) == _vec([1, 2, 3])
+        assert basis.insert(_vec([1, 2, 3])) is None
+        assert basis.insert({}) is None
+        assert basis.insert({0: (1, 0), 1: (0, 0), 2: (1, 0)}) is not None
         assert len(basis) == 2
 
-    def test_width_is_fixed_by_the_first_insert(self):
-        basis = Echelon()
-        basis.insert([1, 2, 3], [0, 0, 0])
-        for re, im in (([1, 2], [0, 0]), ([0, 0, 0, 5], [0, 0, 0, 0]),
-                       ([0, 1, 0], [0, 0])):
+    def test_width_is_fixed_by_the_constructor(self):
+        basis = Echelon(3)
+        basis.insert(_vec([1, 2, 3]))
+        for vec in (_vec([0, 0, 0, 5]), {-1: (1, 0)}, {0: (1, 0), 7: (0, 1)}):
             with pytest.raises(ValueError, match="width 3"):
-                basis.insert(re, im)
+                basis.insert(vec)
         assert len(basis) == 1
 
     def test_a_gaussian_pivot_is_made_an_integer(self):
-        basis = Echelon()
-        assert basis.insert([2, 1], [1, 0]) == ([5, 2], [0, -1])  # times 2-i
-        assert basis.insert([0, 3], [0, 0]) is not None
-        assert basis.insert([1, 0], [0, 0]) is None
+        basis = Echelon(2)
+        assert basis.insert(_vec([2, 1], [1, 0])) == _vec([5, 2], [0, -1])  # times 2-i
+        assert basis.insert(_vec([0, 3])) is not None
+        assert basis.insert(_vec([1, 0])) is None
 
     def test_a_real_row_reduces_a_complex_vector(self):
-        basis = Echelon()
-        basis.insert([2, 1, 0], [0, 0, 0])
+        basis = Echelon(3)
+        basis.insert(_vec([2, 1, 0]))
         # 2 * (1, 0, i) - 1 * (2, 1, 0) = (0, -1, 2i), stored as (0, 1, -2i)
-        assert basis.insert([1, 0, 0], [0, 0, 1]) == ([0, 1, 0], [0, 0, -2])
+        assert basis.insert(_vec([1, 0, 0], [0, 0, 1])) == _vec([0, 1, 0], [0, 0, -2])
 
     @settings(max_examples=60, deadline=None)
     @given(qi_matrices())
     def test_row_and_column_bases_have_equal_length(self, rows):
-        by_rows, by_cols = Echelon(), Echelon()
+        by_rows, by_cols = Echelon(len(rows[0])), Echelon(len(rows))
         for r in _gaussian_integer_rows(rows):
-            by_rows.insert(*r)
+            by_rows.insert(r)
         for c in _gaussian_integer_rows([list(c) for c in zip(*rows)]):
-            by_cols.insert(*c)
+            by_cols.insert(c)
         assert len(by_rows) == len(by_cols)
 
     @settings(max_examples=60, deadline=None)
     @given(qi_matrices())
     def test_stored_rows_are_echelon_and_span_the_input(self, rows):
-        basis = Echelon()
+        basis = Echelon(len(rows[0]))
         zrows = _gaussian_integer_rows(rows)
         for r in zrows:
-            basis.insert(*r)
+            basis.insert(r)
         before = []
-        for piv, (re, im) in basis.rows.items():
-            assert not any(re[:piv]) and not any(im[:piv])
-            assert re[piv] > 0 and im[piv] == 0
-            assert math.gcd(*re, *im) == 1
-            assert all(not (re[p] or im[p]) for p in before)
-            assert all(not (re[p] or im[p]) for p in basis.rows if p != piv)
+        for piv, row in basis.rows.items():
+            assert all(z != (0, 0) for z in row.values())
+            assert min(row) == piv
+            assert row[piv][0] > 0 and row[piv][1] == 0
+            assert math.gcd(*(x for z in row.values() for x in z)) == 1
+            assert all(p not in row for p in before)
+            assert all(p not in row for p in basis.rows if p != piv)
             before.append(piv)
         for r in zrows:
-            assert basis.insert(*r) is None
+            assert basis.insert(r) is None
         assert len(basis) == len(before)
 
     @settings(max_examples=80, deadline=None)
     @given(qi_matrices())
     def test_agrees_with_the_fraction_reference(self, rows):
-        basis, ref = Echelon(), FractionEchelon()
+        basis, ref = Echelon(len(rows[0])), FractionEchelon()
         for r, z in zip(rows, _gaussian_integer_rows(rows)):
-            assert (basis.insert(*z) is None) == (ref.insert(r) is None)
+            assert (basis.insert(z) is None) == (ref.insert(r) is None)
         assert sorted(basis.rows) == sorted(ref.rows)
         for piv, row in basis.rows.items():
             # the least integer multiple of the pivot-1 row, so no larger
             want = ref.rows[piv]
             d = math.lcm(*(x.re.denominator for x in want),
                          *(x.im.denominator for x in want))
-            assert row == ([int(x.re * d) for x in want], [int(x.im * d) for x in want])
+            assert row == _vec([int(x.re * d) for x in want], [int(x.im * d) for x in want])
 
     def test_constant_entries_require_constants(self, ring):
         m = Matrix.from_rows(ring, [[ring.rf("a"), 1], [0, 1]])
@@ -274,7 +280,21 @@ class TestEchelon:
         half, third_i = GaussianRational(1) / 2, GaussianRational(0, 1) / 3
         m = Matrix.from_rows(ring, [[half, third_i], [0, 1 + third_i]])
         assert m.integer_entries() == ([[3, 0], [0, 6]], [[0, 2], [0, 2]], 6)
+        assert m.integer_terms() == ({(0, 0): (3, 0), (0, 1): (0, 2), (1, 1): (6, 2)}, 6)
+        assert Matrix.zeros(ring, 2, 3).integer_terms() == ({}, 1)
         assert Matrix.identity(ring, 2).integer_entries() == ([[1, 0], [0, 1]], [[0, 0], [0, 0]], 1)
+
+
+    def test_integer_terms_read_only_the_nonzero_entries(self, ring, monkeypatch):
+        block = Matrix.from_rows(ring, [[2, GaussianRational(1, 1) / 3], [0, 5]])
+        m = block_embed(block, 2, 6)
+        read = []
+        constant_value = RatFunc.constant_value
+        monkeypatch.setattr(RatFunc, "constant_value",
+                            lambda x: read.append(x) or constant_value(x))
+        terms, scale = m.integer_terms()
+        assert len(read) == len(terms) == 7 and scale == 3
+        assert terms[1, 2] == (1, 1) and terms[0, 0] == (3, 0)
 
 
 class TestBlockEmbed:
