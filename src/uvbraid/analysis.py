@@ -38,7 +38,12 @@ from .groups import (  # forbidden_moves is re-exported, not used here
     relations,
 )
 from .matrices import Echelon, Matrix, place
-from .reps import LocalRep, build_local_rep, eval_word
+from .reps import (  # eval_word is re-exported, not used here
+    LocalRep,
+    build_local_rep,
+    eval_word,
+    word_fraction,
+)
 from .scalars import (
     GaussianRational,
     MultiPoly,
@@ -171,8 +176,30 @@ def _first_members(spec: GroupSpec, windowed: list) -> dict:
 
 
 def _residue(rep: LocalRep, rel: Relation, start: int, size: int) -> Matrix:
-    """eval(lhs) - eval(rhs) on the window start .. start+size-1."""
-    return eval_word(rep, rel.lhs, start, size) - eval_word(rep, rel.rhs, start, size)
+    """eval(lhs) - eval(rhs) on the window start .. start+size-1, compared
+    as numerators (``word_fraction``): N_L - N_R over a shared denominator,
+    N_L*D_R - N_R*D_L over D_L*D_R otherwise.  An entry where the sides
+    agree is the ring's zero, and only a nonzero one becomes a ``RatFunc``,
+    so a passing relation builds none."""
+    left, d_l = word_fraction(rep, rel.lhs, start, size)
+    right, d_r = word_fraction(rep, rel.rhs, start, size)
+    den = d_l
+    if d_l.terms != d_r.terms:
+        left = [[x * d_r for x in row] for row in left]
+        right = [[x * d_l for x in row] for row in right]
+        den = d_l * d_r
+    ring, plain = rep.ring, den.is_one()
+    zero = ring._rf_zero
+    return Matrix(
+        ring,
+        tuple(
+            tuple(
+                zero if x.terms == y.terms else RatFunc(x - y, den, _normalized=plain)
+                for x, y in zip(a, b)
+            )
+            for a, b in zip(left, right)
+        ),
+    )
 
 
 def verify_relations(rep: LocalRep, spec: GroupSpec | None = None) -> VerificationReport:

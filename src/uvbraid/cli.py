@@ -18,6 +18,7 @@ was skipped), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -430,7 +431,10 @@ def _add_system_flags(sub):
                      help="shape of the virtual block")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: ``parse_args`` builds a fresh namespace
+    per call, and the ``append`` flags copy their lists."""
     ap = argparse.ArgumentParser(
         prog="uvbraid",
         description="verification laboratory for universal virtual and welded braid groups",

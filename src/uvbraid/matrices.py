@@ -21,15 +21,16 @@ clarity over asymptotics.  There is one elimination per field:
   ``Matrix.integer_terms`` is the way in: it reads each nonzero constant
   entry's (a, b, d) (see :mod:`uvbraid.scalars`), a zero entry costing one
   test, and scales by the lcm of the d's, so no rational number is built
-  on the way; ``Matrix.integer_entries`` writes the same out in full.
+  on the way.
 
 ``place`` writes a block over a diagonal window of a larger matrix.
 ``block_embed`` uses it to realize the local pattern
 I_(i-1) (+) B (+) I_(m-i-k+1): a k x k block acting on strands
 i..i+k-1 of an m-strand space, identity elsewhere.  It builds the
 generator images that the span engines and criteria take.  Word images are
-not products of such matrices: :func:`uvbraid.reps.eval_word` applies each
-letter as an update of the k columns its block covers.
+not products of such matrices: :func:`uvbraid.reps.word_fraction` applies
+each letter as an update of the k columns its block covers, on polynomial
+numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -272,16 +273,6 @@ class Matrix:
                 vals[i, j] = a.constant_value()
         lcm = math.lcm(*(x.d for x in vals.values()))
         return {ij: (x.a * (lcm // x.d), x.b * (lcm // x.d)) for ij, x in vals.items()}, lcm
-
-    def integer_entries(self) -> tuple[list[list[int]], list[list[int]], int]:
-        """``integer_terms`` written out in full: the real and the imaginary
-        parts of L times the matrix, as int rows, and L."""
-        terms, lcm = self.integer_terms()
-        re = [[0] * self.ncols for _ in range(self.nrows)]
-        im = [[0] * self.ncols for _ in range(self.nrows)]
-        for (i, j), (a, b) in terms.items():
-            re[i][j], im[i][j] = a, b
-        return re, im, lcm
 
     # -- evaluation and rendering ----------------------------------------
 

@@ -32,11 +32,18 @@ for the omegas.  ``burau`` and ``f-rep`` have no virtual block: words
 containing rho letters cannot be evaluated there, and the relation verifier
 reports rho-relations as skipped rather than checked.
 
-Word images come from :func:`eval_word`, the one word-product routine.  It
-applies each letter's block (or its cached inverse, ``LocalRep.letter_block``)
-as an update of the k columns the block covers, on the whole degree or on a
-diagonal window of it; embedded degree-m generator matrices
-(``LocalRep.matrix``) are built only for the engines that take them whole.
+Word images come from :func:`word_fraction`, the one word-product routine.
+Every block here has monomial entry denominators (1, r2 or r6), and the
+schema's relations are positive words, so a window image is a polynomial
+matrix over one denominator: the routine keeps it as ``MultiPoly`` rows N
+and one polynomial D with image N / D.  Each letter's block B is read once
+as N_B / D_B (``LocalRep.letter_fraction``, cached beside the inverses of
+``LocalRep.letter_block``), and right-multiplying by I (+) N_B / D_B (+) I
+rewrites the k columns B covers with N_B and multiplies the other columns
+by D_B, on the whole degree or on a diagonal window of it.
+:func:`eval_word` is its ``RatFunc`` view.  Embedded degree-m generator
+matrices (``LocalRep.matrix``) are built only for the engines that take
+them whole.
 
 A :class:`LocalRep` stores its blocks over its ring; its parameters are
 the ring's variables and its degree is n + k - 2, both read, not stored.
@@ -57,6 +64,7 @@ from .matrices import Matrix, block_embed
 from .scalars import (
     GaussianRational,
     MissingVariable,
+    MultiPoly,
     PolyRing,
     RatFunc,
     VanishingDenominator,
@@ -212,6 +220,33 @@ class LocalRep:
             self._cache[key] = hit
         return hit
 
+    def letter_fraction(
+        self, g: Generator, exp: int = 1
+    ) -> tuple[tuple[tuple[MultiPoly, ...], ...], MultiPoly]:
+        """``letter_block(g, exp)`` as polynomial columns over one
+        denominator D, a common multiple of its entries' denominators: 1
+        for a polynomial block, r2 or r6 for a family's, the determinant for
+        an inverse block (cached)."""
+        blk = self.letter_block(g, exp)
+        key = ("frac", g.kind, g.type, exp >= 0)
+        hit = self._cache.get(key)
+        if hit is None:
+            den = self.ring._one
+            for x in (x for r in blk.rows for x in r if not x.den.is_one()):
+                try:
+                    den.exact_div(x.den)  # raises unless x.den divides den
+                except ValueError:
+                    den = den * x.den
+            cols = tuple(
+                tuple(
+                    x.num if x.den.terms == den.terms else x.num * den.exact_div(x.den)
+                    for x in col
+                )
+                for col in zip(*blk.rows)
+            )
+            hit = self._cache[key] = cols, den
+        return hit
+
     def matrix(self, g: Generator, exp: int = 1) -> Matrix:
         """Embedded degree-m image of g or g^-1, cached."""
         key = (g.kind, g.type, g.index, exp >= 0)
@@ -314,19 +349,20 @@ def _as_gauss(v) -> GaussianRational:
     return GaussianRational(v)
 
 
-def eval_word(
+def word_fraction(
     rep: LocalRep, w: Word, start: int = 1, size: int | None = None
-) -> Matrix:
+) -> tuple[list[list[MultiPoly]], MultiPoly]:
     """Image of a word on the diagonal window of coordinates
-    ``start .. start+size-1`` (default: all ``rep.degree`` of them).
+    ``start .. start+size-1`` (default: all ``rep.degree`` of them), as
+    polynomial rows N and one denominator D, the product of the letters'
+    ``letter_fraction`` denominators: the image is N / D.
 
-    Every letter's image is I (+) B (+) I, so right-multiplying by it
-    rewrites only the k columns its block covers, each as a combination of
-    those same k columns.  The sums run in the order, and skip the zeros,
-    of a full product with the embedded matrix, so every entry is the very
-    representative that product would give.  A word whose letters all fit
-    in the window maps to I (+) W (+) I, with W the returned matrix; a
-    letter that does not fit raises ``ValueError``.
+    Every letter's image is I (+) N_B / D_B (+) I, so right-multiplying by
+    it rewrites only the k columns its block covers, each as a combination
+    of those same k columns with N_B's entries, and multiplies every other
+    nonzero entry by D_B.  A word whose letters all fit in the window maps
+    to I (+) W (+) I with W = N / D; a letter that does not fit raises
+    ``ValueError``.
     """
     if size is None:
         size = rep.degree - start + 1
@@ -334,28 +370,61 @@ def eval_word(
         raise ValueError(
             f"window {start}..{start + size - 1} outside degree {rep.degree}"
         )
-    zero = rep.ring._rf_zero
-    out = [list(r) for r in Matrix.identity(rep.ring, size).rows]
+    zero, one = rep.ring._zero, rep.ring._one
+    out = [[one if i == j else zero for j in range(size)] for i in range(size)]
+    den = one
     for g, e in w.letters:
-        blk = rep.letter_block(g, e)
-        k = blk.nrows
+        cols, d = rep.letter_fraction(g, e)
+        k = len(cols)
         p = g.index - start
         if p < 0 or p + k > size:
             raise ValueError(
                 f"{g} does not fit in the window {start}..{start + size - 1}"
             )
-        cols = list(zip(*blk.rows))
+        scaled = not d.is_one()
+        rest = (*range(p), *range(p + k, size)) if scaled else ()
         for row in out:
+            for j in rest:
+                if row[j].terms:
+                    row[j] = row[j] * d
             seg = row[p : p + k]
-            if all(x.is_zero() for x in seg):
+            if not any(x.terms for x in seg):
                 continue
             for b, col in enumerate(cols):
                 acc = zero
                 for x, y in zip(seg, col):
-                    if not (x.is_zero() or y.is_zero()):
+                    if x.terms and y.terms:
                         acc = acc + x * y
                 row[p + b] = acc
-    return Matrix(rep.ring, tuple(tuple(r) for r in out))
+        if scaled:
+            den = den * d
+    return out, den
+
+
+def eval_word(
+    rep: LocalRep, w: Word, start: int = 1, size: int | None = None
+) -> Matrix:
+    """The ``RatFunc`` view of :func:`word_fraction`: entry N_ij / D,
+    normalized, with the same window, fit and ``ValueError`` rules.
+
+    Every entry equals the full product with the embedded matrices as a
+    rational function.  When D is a monomial (every positive word over a
+    family or ``generic_rep``, and every word whose inverse letters have a
+    monomial determinant), ``RatFunc`` normalization is canonical, so the
+    entry is the very representative that product gives.  Otherwise (say
+    upsilon's sigma^-1, read over D = s1*s4 - s2*s3) the representative
+    may differ.
+    """
+    rows, den = word_fraction(rep, w, start, size)
+    ring, plain = rep.ring, den.is_one()
+    zero = ring._rf_zero
+    return Matrix(
+        ring,
+        tuple(
+            tuple(RatFunc(x, den, _normalized=plain) if x.terms else zero for x in r)
+            for r in rows
+        ),
+    )
 
 
 @dataclass

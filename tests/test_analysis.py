@@ -19,6 +19,7 @@ import uvbraid.analysis
 import uvbraid.matrices
 from uvbraid.analysis import (
     ConstraintSystem,
+    _residue,
     burnside_dim,
     classify_virtual_cells,
     classify_virtual_point,
@@ -36,8 +37,10 @@ from uvbraid.analysis import (
 from uvbraid.groups import (
     _FIXED_C,
     FLAVORS,
+    Relation,
     Word,
     make_spec,
+    parse_word,
     placements,
     relations,
     rho,
@@ -45,8 +48,21 @@ from uvbraid.groups import (
     word,
 )
 from uvbraid.matrices import Matrix
-from uvbraid.reps import build_local_rep, canonical_family, eval_word, specialize
-from uvbraid.scalars import G_ONE, G_ZERO, GaussianRational, PolyRing, parse_gaussian
+from uvbraid.reps import (
+    build_local_rep,
+    canonical_family,
+    eval_word,
+    specialize,
+    word_fraction,
+)
+from uvbraid.scalars import (
+    G_ONE,
+    G_ZERO,
+    GaussianRational,
+    PolyRing,
+    RatFunc,
+    parse_gaussian,
+)
 
 from test_matrices import FractionEchelon, qi_entries
 
@@ -329,14 +345,14 @@ class TestLocalityAgainstFullDegree:
 
         def counting(rep, w, start=1, size=None):
             windows.append((start, size))
-            return eval_word(rep, w, start, size)
+            return word_fraction(rep, w, start, size)
 
         def building(spec, chosen=None):
             rels = relations(spec, chosen)
             built.extend(r.tag for r in rels)
             return rels
 
-        monkeypatch.setattr(uvbraid.analysis, "eval_word", counting)
+        monkeypatch.setattr(uvbraid.analysis, "word_fraction", counting)
         monkeypatch.setattr(uvbraid.analysis, "relations", building)
         words_built = []
         for n in (6, 12):
@@ -372,6 +388,50 @@ class TestLocalityAgainstFullDegree:
             assert all(size is not None and size <= 3 for _start, size in windows)
             counts.append(len(windows))
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("family, n, c", [("upsilon", 6, 3), ("epsilon2", 6, 2)])
+    def test_passing_relations_do_no_ratfunc_arithmetic(self, monkeypatch, family, n, c):
+        # residues are compared as numerators, so a passing relation builds
+        # no RatFunc, let alone adds or multiplies one
+        rep = build_local_rep(family, make_spec("uv", n, c))
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(RatFunc, name)
+
+            def wrapper(x, y):
+                calls[name] += 1
+                return original(x, y)
+            return wrapper
+
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(RatFunc, name, counted(name))
+        assert verify_relations(rep).all_passed
+        assert calls == Counter()
+
+    def test_residues_over_different_denominators(self):
+        # PR3 r1 r1 = 1 reads the left side over r2^2 and the right over 1;
+        # a virtual block that is no involution leaves a nonzero residue
+        spec = make_spec("uv", 3, 1)
+        base = generic_rep(2, spec, "antidiagonal")
+        r1, r2 = base.ring.rf("r1"), base.ring.rf("r2")
+        odd = dataclasses.replace(
+            base, rho_block=Matrix.from_rows(base.ring, [[r1, r2], [1 / r2, 0]])
+        )
+        (pr3,) = [r for r in relations(spec) if r.tag == "PR3[i=1]"]
+        # upsilon's sigma^-1 is read over a determinant that is no monomial
+        ups = build_local_rep("upsilon", spec)
+        mixed = Relation("X", parse_word("s1,1^-1 r1", spec), parse_word("r1 s1,1", spec))
+        for rep, rel in [(odd, pr3), (ups, mixed)]:
+            for start, size in [(1, 2), (1, rep.degree)]:
+                residue = _residue(rep, rel, start, size)
+                want = eval_word(rep, rel.lhs, start, size) - eval_word(rep, rel.rhs, start, size)
+                assert not residue.is_zero() and residue == want, rel.tag
+            assert residue == _full_degree_residue(rep, rel), rel.tag
+        # over a monomial denominator the entries are the very representatives
+        full = _residue(odd, pr3, 1, 3)
+        want = eval_word(odd, pr3.lhs) - eval_word(odd, pr3.rhs)
+        assert [list(map(str, r)) for r in full.rows] == [list(map(str, r)) for r in want.rows]
 
 
 def _block_mapping(rep, spec):

@@ -663,6 +663,28 @@ class TestJsonGoldens:
         assert {p.name for p in _GOLDEN.iterdir()} == want
 
 
+def test_successive_calls_match_each_call_run_alone(capsys):
+    """``main`` builds its parser once per process; the --tag, --fixed and
+    --param lists of one call do not leak into the next."""
+    calls = [
+        ("enumerate", "--n", "3", "--c", "1", "--tag", "PR1[i=1]",
+         "--tag", "PR3[i=1]", "--mod", "5", "--json"),
+        ("enumerate", "--n", "3", "--c", "1", "--mod", "5", "--fixed", "r1=1",
+         "--fixed", "r2=0", "--fixed", "r3=0", "--fixed", "r4=1", "--json"),
+        ("constraints", "--n", "3", "--c", "1", "--tag", "PR3[i=1]", "--json"),
+        ("verify", "--family", "upsilon-prime", "--n", "3", "--c", "1",
+         "--param", "s1_1=1", "--param", "s2_1=2", "--param", "s3_1=3",
+         "--param", "s4_1=4", "--json"),
+    ]
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    cli.build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == alone
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_import_leaves_numpy_unloaded():
     """The package and its CLI are pure Python: importing them pulls in no
     numpy (the benchmark under bench/ may use it on its own)."""

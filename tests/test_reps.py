@@ -234,6 +234,25 @@ class TestEmbeddingAndEvaluation:
         with pytest.raises(ValueError, match="out of range"):
             eval_word(rep, parse_word("r5", make_spec("uv", 6, 2)))
 
+    def test_non_monomial_denominators_give_the_full_product(self):
+        spec = make_spec("uv", 4, 1)
+        rep = build_local_rep("upsilon", spec)  # k = 2, degree 4
+        # sigma^-1 is read over its determinant, which is not a monomial
+        _cols, den = rep.letter_fraction(sigma(1, 1), -1)
+        assert str(den) == "s1_1*s4_1 - s2_1*s3_1"
+        for text, start, size in [
+            ("s1,1^-1", 1, 2),
+            ("s2,1^-1 r2 s2,1 r3 s3,1^-1", 2, 3),
+            ("r1 s1,1^-1 s2,1^-1 r1 s3,1 s1,1^-1", 1, 4),
+        ]:
+            w = parse_word(text, spec)
+            product = Matrix.identity(rep.ring, rep.degree)
+            for g, e in w.letters:
+                product = product * rep.matrix(g, e)
+            assert eval_word(rep, w) == product, text
+            window = eval_word(rep, w, start=start, size=size)
+            assert block_embed(window, start, rep.degree) == product, text
+
     def test_generator_images_cover_all_generators(self):
         spec = make_spec("uv", 4, 2)
         rep = build_local_rep("upsilon", spec)

@@ -26,6 +26,8 @@ from uvbraid.scalars import (
     render_gaussian,
 )
 
+from test_matrices import dense_integer_parts
+
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
 tiny_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=2)
@@ -290,14 +292,14 @@ class TestGaussianRationalAgainstFractionPairs:
     @given(st.lists(st.lists(wide_gaussians, min_size=3, max_size=3),
                     min_size=1, max_size=3))
     @settings(max_examples=60)
-    def test_integer_entries_match_the_fraction_lcm(self, rows):
+    def test_integer_terms_match_the_fraction_lcm(self, rows):
         """The old computation: lcm of every part's Fraction denominator."""
         m = Matrix.from_rows(PolyRing(("x",)), rows)
         parts = [[x.re for x in r] for r in rows], [[x.im for x in r] for r in rows]
         lcm = math.lcm(*(q.denominator for part in parts for r in part for q in r))
         want = tuple([[q.numerator * (lcm // q.denominator) for q in r] for r in part]
                      for part in parts)
-        assert m.integer_entries() == (*want, lcm)
+        assert dense_integer_parts(m) == (*want, lcm)
 
 
 @pytest.fixture
