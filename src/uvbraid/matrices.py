@@ -7,11 +7,11 @@ representation is a plain tuple of tuples of
 :class:`~uvbraid.scalars.RatFunc`, and the algorithms favour exactness and
 clarity over asymptotics.  There is one elimination per field:
 
-* over the function field, fraction-free Bareiss elimination gives
-  determinants (after clearing each row to a common polynomial
-  denominator, which keeps intermediate rational functions from
-  snowballing); inverses are the adjugate over that determinant, so a
-  polynomial matrix's inverse has no denominator but the determinant;
+* over the function field, one fraction-free Bareiss elimination, run
+  after clearing each row to a common polynomial denominator (which keeps
+  intermediate rational functions from snowballing), gives determinants
+  and, as Gauss-Jordan on [A | I], inverses, so a polynomial matrix's
+  inverse has no denominator but the determinant;
 * over Q(i), :class:`Echelon` is a fraction-free, incremental, fully
   reduced row-echelon basis of sparse Gaussian-integer rows, which depends
   on the span alone: a vector or a row holds only its nonzero coordinates,
@@ -173,85 +173,83 @@ class Matrix:
     # -- determinant and inverse ----------------------------------------
 
     def det(self) -> RatFunc:
-        """Determinant via fraction-free Bareiss elimination.
-
-        Rows are first cleared to polynomial entries (multiplying each row by
-        the product of its denominators, tracked in a global scale factor), so
-        the elimination itself divides polynomials exactly and never touches
-        rational-function arithmetic.
-        """
+        """Determinant by :meth:`_bareiss`: the last pivot, signed by the row
+        swaps, over the product of the clearing factors d_i."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        ring = self.ring
-        if n == 0:
-            return ring._rf_one
-        scale = ring._one  # accumulated denominator polynomial
-        rows: list[list[MultiPoly]] = []
-        for r in self.rows:
-            dens = [a.den for a in r if not a.den.is_one()]
-            if not dens:
-                rows.append([a.num for a in r])
-                continue
-            d = ring._one
-            for q in dens:
-                d = d * q
-            rows.append([a.num * d.exact_div(a.den) for a in r])
-            scale = scale * d
-        sign = 1
-        prev = ring._one
-        for k in range(n - 1):
-            if rows[k][k].is_zero():
-                pivot_row = next(
-                    (i for i in range(k + 1, n) if not rows[i][k].is_zero()), None
-                )
-                if pivot_row is None:
-                    return ring._rf_zero
-                rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-                sign = -sign
-            pivot = rows[k][k]
-            for i in range(k + 1, n):
-                head = rows[i][k]
-                for j in range(k + 1, n):
-                    rows[i][j] = (pivot * rows[i][j] - head * rows[k][j]).exact_div(
-                        prev
-                    )
-                rows[i][k] = ring._zero
-            prev = pivot
-        d = rows[n - 1][n - 1]
-        if sign < 0:
-            d = -d
-        return RatFunc(d, scale)
+        done = self._bareiss(jordan=False)
+        if done is None:
+            return self.ring._rf_zero
+        sign, delta, _, clears = done
+        scale = math.prod((d for d in clears if not d.is_one()), start=self.ring._one)
+        return RatFunc(-delta if sign < 0 else delta, scale)
 
     def inverse(self) -> Matrix:
-        """Inverse over the rational-function field: the adjugate over det.
-
-        Entry (i, j) is (-1)^(i+j) det(minor(j, i)) / det, valid wherever
-        det does not vanish.  Raises ValueError when the matrix is singular
-        as a matrix of functions.
+        """Inverse over the rational-function field, by :meth:`_bareiss` on
+        [C | I], C = diag(d_i) * self.  The appended columns end as
+        delta * C^-1, delta the last pivot, so entry (i, j) is their entry
+        times d_j over delta.  With monomial denominators (every family
+        block) that is the adjugate over the determinant; otherwise it is
+        an equal representative whose denominator is delta = +-det(C), not
+        the determinant's own numerator.  Raises ValueError when the matrix
+        is singular as a matrix of functions.
         """
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        d = self.det()
-        if d.is_zero():
+        done = self._bareiss(jordan=True)
+        if done is None:
             raise ValueError("matrix is singular over the function field")
-        n = self.nrows
-
-        def cofactor(i: int, j: int) -> RatFunc:
-            minor = tuple(
-                r[:j] + r[j + 1 :] for a, r in enumerate(self.rows) if a != i
-            )
-            c = Matrix(self.ring, minor).det()
-            return -c if (i + j) % 2 else c
-
-        # a cofactor equal to det divides to det/det, a 1 that RatFunc's
+        _, delta, rows, clears = done
+        n, one = self.nrows, self.ring._rf_one
+        # an entry equal to 1 may come out as p/p, a 1 that RatFunc's
         # normalization cannot see; write it as 1
-        one = self.ring._rf_one
-        quotients = ((cofactor(j, i) / d for j in range(n)) for i in range(n))
+        quotients = (
+            (RatFunc(r[n + j] * d, delta) for j, d in enumerate(clears)) for r in rows
+        )
         return Matrix(
             self.ring,
             tuple(tuple(one if x.is_one() else x for x in row) for row in quotients),
         )
+
+    def _bareiss(self, jordan: bool) -> tuple[int, MultiPoly, list, list] | None:
+        """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of
+        C = diag(d_i) * self, d_i the product of row i's denominators other
+        than 1.  C is polynomial and each step divides exactly by the
+        previous pivot, so no rational function is built.
+
+        Pivot k clears column k from the rows below it; with ``jordan``, the
+        identity is appended to C and the rows above are cleared too, so
+        the appended columns end as delta * C^-1 (Gauss-Jordan).  Columns up
+        to k are not read after step k and are left stale.  Returns (sign of
+        the row swaps, delta the last pivot, the rows, the d_i), or None if
+        a column has no nonzero pivot.
+        """
+        ring, n = self.ring, self.nrows
+        rows, clears = [], []
+        for i, r in enumerate(self.rows):
+            dens = [a.den for a in r if not a.den.is_one()]
+            d = math.prod(dens, start=ring._one)
+            row = [a.num * d.exact_div(a.den) for a in r] if dens else [a.num for a in r]
+            if jordan:
+                row += [ring._one if j == i else ring._zero for j in range(n)]
+            rows.append(row)
+            clears.append(d)
+        sign, prev = 1, ring._one
+        for k in range(n):
+            if rows[k][k].is_zero():
+                swap = next((i for i in range(k + 1, n) if not rows[i][k].is_zero()), None)
+                if swap is None:
+                    return None
+                rows[k], rows[swap] = rows[swap], rows[k]
+                sign = -sign
+            pivot = rows[k][k]
+            for i in range(0 if jordan else k + 1, n):
+                if i != k:
+                    head = rows[i][k]
+                    for j in range(k + 1, 2 * n if jordan else n):
+                        rows[i][j] = (pivot * rows[i][j] - head * rows[k][j]).exact_div(prev)
+            prev = pivot
+        return sign, prev, rows, clears
 
     # -- constant-matrix operations --------------------------------------
 

@@ -1,10 +1,11 @@
 """Differential tests of the function-field layer against sympy.
 
 sympy is a test-only reference: ``RatFunc`` arithmetic is checked against
-``sympy.cancel`` and ``Matrix.det`` against sympy's determinant, on random
-small inputs with Gaussian-rational coefficients, and the generic 2x2
-constraint system against relations multiplied out in sympy.  Skipped when
-sympy is not installed; nothing in ``src/`` imports it.
+``sympy.cancel``, ``Matrix.det`` and ``Matrix.inverse`` against sympy's
+determinant and inverse, on random small inputs with Gaussian-rational
+coefficients, and the generic 2x2 constraint system against relations
+multiplied out in sympy.  Skipped when sympy is not installed; nothing in
+``src/`` imports it.
 """
 
 from fractions import Fraction
@@ -19,9 +20,12 @@ from uvbraid.matrices import Matrix
 from uvbraid.scalars import GaussianRational, MultiPoly, PolyRing, RatFunc
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix
 
 RING = PolyRing(("x", "y"))
 SYMBOLS = sympy.symbols("x y")
+FIELD = sympy.QQ_I.frac_field(*SYMBOLS)
+POLYS = FIELD.get_ring()
 
 parts = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 coefficients = st.builds(GaussianRational, parts, st.one_of(st.just(0), parts))
@@ -40,9 +44,18 @@ def to_sympy(f, symbols=SYMBOLS) -> "sympy.Expr":
         return to_sympy(f.num, symbols) / to_sympy(f.den, symbols)
     total = sympy.Integer(0)
     for exp, c in f.terms.items():
-        coeff = sympy.Rational(c.a, c.d) + sympy.I * sympy.Rational(c.b, c.d)
-        total += coeff * sympy.Mul(*(s ** e for s, e in zip(symbols, exp)))
+        total += coefficient(c) * sympy.Mul(*(s ** e for s, e in zip(symbols, exp)))
     return total
+
+
+def coefficient(c: GaussianRational) -> "sympy.Expr":
+    return sympy.Rational(c.a, c.d) + sympy.I * sympy.Rational(c.b, c.d)
+
+
+def to_polys(p: MultiPoly):
+    """A MultiPoly as an element of sympy's QQ(i)[x, y], built term by term."""
+    qqi = sympy.QQ_I.from_sympy
+    return POLYS.ring.from_dict({e: qqi(coefficient(c)) for e, c in p.terms.items()})
 
 
 def same(ours, expr) -> bool:
@@ -75,18 +88,43 @@ entries = st.one_of(
     polynomials.map(RING.rf),
     ratfuncs,
 )
+square_rows = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+)
 
 
 class TestDeterminantAgainstSympy:
-    @given(st.integers(1, 3).flatmap(
-        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
-                           min_size=n, max_size=n)
-    ))
+    @given(square_rows)
     @settings(max_examples=20, deadline=None)
     def test_det(self, rows):
         ours = Matrix.from_rows(RING, rows).det()
         theirs = sympy.Matrix([[to_sympy(a) for a in r] for r in rows]).det()
         assert same(ours, theirs)
+
+    @given(square_rows)
+    @settings(max_examples=20, deadline=None)
+    def test_inverse(self, rows):
+        """Against sympy's fraction-free inverse of the rows cleared of
+        denominators: C = D * A by ``clear_denoms_rowwise``, C^-1 =
+        adj / den by ``inv_den`` over QQ(i)[x, y], and A^-1 = C^-1 * D,
+        compared in that ring, as expanding the entries as expressions
+        takes minutes."""
+        m = Matrix.from_rows(RING, rows)
+        n = m.nrows
+        a = DomainMatrix(
+            [[FIELD.from_sympy(to_sympy(x)) for x in r] for r in rows], (n, n), FIELD
+        )
+        d, c = a.clear_denoms_rowwise(convert=True)
+        if c.det() == POLYS.zero:
+            with pytest.raises(ValueError, match="singular over the function field"):
+                m.inverse()
+            return
+        adj, den = c.inv_den()
+        ours = m.inverse()
+        for i in range(n):
+            for j in range(n):
+                x, want = ours[i, j], adj[i, j].element * d[j, j].element
+                assert to_polys(x.num) * den == want * to_polys(x.den)
 
     def test_gaussian_constant_det(self):
         half = Fraction(1, 2)

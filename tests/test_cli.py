@@ -686,14 +686,18 @@ def test_successive_calls_match_each_call_run_alone(capsys):
 
 
 def test_import_leaves_numpy_unloaded():
-    """The package and its CLI are pure Python: importing them pulls in no
-    numpy (the benchmark under bench/ may use it on its own)."""
+    """The package and its CLI are pure Python: importing them pulls in
+    neither numpy (the benchmark under bench/ may use it on its own) nor
+    sympy (a test-only reference)."""
     src = str(Path(uvbraid.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, uvbraid, uvbraid.cli; print('numpy' in sys.modules)"
+    code = (
+        "import sys, uvbraid, uvbraid.cli; "
+        "print('numpy' in sys.modules, 'sympy' in sys.modules)"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"

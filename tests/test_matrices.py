@@ -1,5 +1,6 @@
 """Exact matrices over the rational-function field: arithmetic, Bareiss
-determinants, adjugate inverses, the Q(i) echelon basis, block placement."""
+determinants and inverses (against cofactor references), the Q(i) echelon
+basis, block placement."""
 
 import math
 import random
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from uvbraid.analysis import generic_rep
 from uvbraid.groups import make_spec
 from uvbraid.matrices import Echelon, Matrix, block_embed, place
+from uvbraid.reps import FAMILY_NAMES, build_local_rep
 from uvbraid.scalars import G_ONE, G_ZERO, GaussianRational, PolyRing, RatFunc
 
 
@@ -52,6 +54,50 @@ def _cofactor_det(rows):
         total = total + sign * rows[0][j] * _cofactor_det(minor)
         sign = -sign
     return total
+
+
+def _adjugate_inverse(m):
+    """The independent inverse oracle: entry (i, j) is
+    (-1)^(i+j) cofactor(j, i) / det, both by cofactor expansion, and an
+    entry equal to 1 is written as 1."""
+    rows = [list(r) for r in m.rows]
+    det = _cofactor_det(rows)
+
+    def entry(i, j):
+        minor = [r[:i] + r[i + 1 :] for a, r in enumerate(rows) if a != j]
+        x = _cofactor_det(minor) / det
+        x = -x if (i + j) % 2 else x
+        return m.ring.rf(1) if x.is_one() else x
+
+    n = len(rows)
+    return Matrix(m.ring, tuple(tuple(entry(i, j) for j in range(n)) for i in range(n)))
+
+
+def _first_home(fam):
+    for home in (("uv", 4, 2), ("uw", 4, 2), ("uv", 4, 1), ("vb", 4, 1)):
+        try:
+            return build_local_rep(fam, make_spec(*home))
+        except ValueError:
+            continue
+    raise AssertionError(f"no spec accepts {fam}")
+
+
+def _blocks():
+    """(label, block): the rho and sigma_t blocks of every family, on the
+    first of uv(4, 2), uw(4, 2), uv(4, 1), vb(4, 1) it accepts, and of the
+    generic k = 2, k = 3 and antidiagonal reps."""
+    reps = [_first_home(fam) for fam in FAMILY_NAMES]
+    spec = make_spec("uv", 4, 1)
+    reps += [generic_rep(2, spec), generic_rep(3, spec), generic_rep(2, spec, "antidiagonal")]
+    out = []
+    for rep in reps:
+        if rep.rho_block is not None:
+            out.append((f"{rep.name}-rho", rep.rho_block))
+        out += [(f"{rep.name}-sigma{t}", b) for t, b in sorted(rep.sigma_blocks.items())]
+    return out
+
+
+_BLOCKS = _blocks()
 
 
 class TestArithmetic:
@@ -97,6 +143,13 @@ class TestDeterminant:
         n = Matrix.from_rows(ring, [[1, a], [0, 1]])
         assert (m * n).det() == m.det() * n.det()
 
+    def test_non_square_matrices_are_refused(self, ring):
+        m = Matrix.from_rows(ring, [[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(ValueError, match="determinant of a non-square matrix"):
+            m.det()
+        with pytest.raises(ValueError, match="inverse of a non-square matrix"):
+            m.inverse()
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 10 ** 6))
     def test_bareiss_matches_cofactor_expansion(self, n, seed):
@@ -126,10 +179,16 @@ class TestInverse:
         assert (m * m.inverse()).is_identity()
         assert (m.inverse() * m).is_identity()
 
-    def test_cofactor_equal_to_det_is_written_as_one(self, ring):
+    def test_inverse_entry_equal_to_one_prints_as_one(self, ring):
         a, b = ring.rf("a"), ring.rf("b")
         m = Matrix.from_rows(ring, [[1, 0, 0], [0, a, 1], [0, 1, b]])
         assert str(m.inverse()[0, 0]) == "1"
+
+    @pytest.mark.parametrize("block", [b for _, b in _BLOCKS], ids=[t for t, _ in _BLOCKS])
+    def test_blocks_match_the_adjugate_entry_for_entry_and_in_print(self, block):
+        inv, ref = block.inverse(), _adjugate_inverse(block)
+        assert inv == ref
+        assert str(inv) == str(ref)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 10 ** 6))
