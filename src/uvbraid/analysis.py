@@ -143,7 +143,7 @@ def sample_point(rep: LocalRep, rng: random.Random) -> dict:
 
 def _window(p: Placement, k: int) -> tuple | None:
     """Where placement ``p`` acts under a k-local homogeneous representation,
-    read from its schema row; no word is built.
+    read from its fields; no word is built.
 
     ``None`` for a far row (PR2, CR, MR1) whose letters sit k or more
     strands apart: their images are block-diagonal on disjoint coordinates,
@@ -151,28 +151,13 @@ def _window(p: Placement, k: int) -> tuple | None:
     sides map to I (+) W (+) I with W on the coordinates start ..
     start+size-1 (lowest strand index to highest plus k-1), and W depends
     only on ``key`` -- the row, the shape, the type values and the signed
-    gap j - i of a far row (0 for a local one) -- which fixes the relation
-    shifted to start at strand 1.
+    gap j - i (0 for a local row) -- which fixes the relation shifted to
+    start at strand 1.
     """
-    lo, hi = p.strands
-    if p.far and hi - lo >= k:
+    gap = p.j - p.i
+    if abs(gap) >= k:
         return None
-    i = p.env["i"]
-    return (p.row, p.shape, p.values, p.env.get("j", i) - i), lo, hi - lo + k
-
-
-def _first_members(spec: GroupSpec, windowed: list) -> dict:
-    """Per window class of the ``(placement, window)`` pairs ``windowed``,
-    its first member's relation, start and size: the only words built, in
-    one ``relations`` call."""
-    firsts: dict[tuple, tuple[Placement, int, int]] = {}
-    for p, (cls, start, size) in windowed:
-        firsts.setdefault(cls, (p, start, size))
-    rels = relations(spec, [p for p, _start, _size in firsts.values()])
-    return {
-        cls: (rel, start, size)
-        for (cls, (_p, start, size)), rel in zip(firsts.items(), rels)
-    }
+    return (p.row, p.shape, p.values, gap), min(p.i, p.j), abs(gap) + p.span + k
 
 
 def _residue(rep: LocalRep, rel: Relation, start: int, size: int) -> Matrix:
@@ -210,28 +195,31 @@ def verify_relations(rep: LocalRep, spec: GroupSpec | None = None) -> Verificati
     is a proof.  Relations touching a generator the family does not
     represent (e.g. rho under Burau) are reported as skipped, not checked.
 
-    Locality does the rest (see ``_window``).  The relations come from the
-    schema walk (``groups.placements``), and each placement's window class
-    is read from its schema row: a far commutation of letters k or more
-    strands apart passes on disjoint supports with no arithmetic, and every
-    other relation is checked on its window, once per translation class; a
-    later member of a class takes its verdict.  Words are built per class,
-    for its first member only, not per relation.  The residue is zero
-    outside the window, so a failing member's full-degree ``residue`` is
-    its class's window residue placed at the member's own start, and its
-    entry is that of the full products.  A skipped member's detail names
-    its own first uncovered letter.
+    Locality does the rest (see ``_window``).  One pass over the schema
+    walk (``groups.placements``) reports each placement as it comes: a far
+    commutation of letters k or more strands apart passes on disjoint
+    supports with no arithmetic, and every other relation is checked on
+    its window, once per translation class.  The class's residue is made
+    when the pass meets its first member, the only member whose words are
+    built; a later member takes its verdict.  The residue is zero outside
+    the window, so a failing member's full-degree ``residue`` is its
+    class's window residue placed at the member's own start, and its entry
+    is that of the full products.  A skipped member's detail names its own
+    first uncovered letter.
     """
     spec = spec or rep.spec
     if spec.n != rep.spec.n:
         raise ValueError("strand counts differ between rep and requested spec")
     if spec.c > rep.spec.c:
         raise ValueError("requested spec has more crossing types than the rep")
-    zeros = Matrix.zeros(rep.ring, rep.degree, rep.degree)
+    k, zeros = rep.block_size, Matrix.zeros(rep.ring, rep.degree, rep.degree)
     # (row, shape, type values) -> the first shape letter the family has no
     # block for, or None: blocks depend on kind and type, not on strands
     uncovered: dict[tuple, tuple | None] = {}
-    todo = []  # (placement, skip detail or None, window or None)
+    # class key -> (tag of its first member, its window residue or None
+    # when that is zero)
+    verdicts: dict[tuple, tuple[str, Matrix | None]] = {}
+    outcomes = []
     for p in placements(spec):
         shape_key = p.row, p.shape, p.values
         if shape_key not in uncovered:
@@ -242,26 +230,19 @@ def verify_relations(rep: LocalRep, spec: GroupSpec | None = None) -> Verificati
         missing = uncovered[shape_key]
         if missing is not None:
             detail = f"family {rep.name!r} has no block for {p.letter(missing)[0]}"
-            todo.append((p, detail, None))
-        else:
-            todo.append((p, None, _window(p, rep.block_size)))
-    # class key -> (tag of its first member, its window residue or None
-    # when that is zero)
-    verdicts: dict[tuple, tuple[str, Matrix | None]] = {}
-    windowed = [(p, window) for p, _d, window in todo if window is not None]
-    for cls, (rel, start, size) in _first_members(spec, windowed).items():
-        w = _residue(rep, rel, start, size)
-        verdicts[cls] = rel.tag, None if w.is_zero() else w
-    outcomes = []
-    for p, detail, window in todo:
-        if detail is not None:
             outcomes.append(RelationOutcome(p.tag, "skipped", detail))
             continue
+        window = _window(p, k)
         if window is None:
             outcomes.append(RelationOutcome(p.tag, "pass", how="disjoint supports"))
             continue
-        cls, start, _size = window
-        first, window_residue = verdicts[cls]
+        cls, start, size = window
+        verdict = verdicts.get(cls)
+        if verdict is None:
+            (rel,) = relations(spec, [p])
+            w = _residue(rep, rel, start, size)
+            verdict = verdicts[cls] = p.tag, None if w.is_zero() else w
+        first, window_residue = verdict
         how = "window" if first == p.tag else f"class of {first}"
         if window_residue is None:
             outcomes.append(RelationOutcome(p.tag, "pass", how=how))
@@ -376,40 +357,48 @@ def generate_constraints(
     clearing them loses no solutions).  Equations are deduplicated up to
     nonzero scalar multiples; provenance keeps every contributing tag.
     Residues are expanded on windows, once per translation class, exactly
-    as ``verify_relations`` checks them: the classes come from the schema
-    walk (``groups.placements``), and words are built per class, for the
-    first chosen member, not per relation.  Entries outside a window are
-    zero and contribute nothing.  ``relation_tags`` keeps the caller's
-    order for equations and provenance.
+    as ``verify_relations`` checks them, in one pass over the chosen
+    placements of the schema walk (``groups.placements``): a class's
+    residue, and the keys of its equations, are made when the pass meets
+    its first chosen member, the only member whose words are built.
+    Entries outside a window are zero and contribute nothing.
+    ``relation_tags`` keeps the caller's order for equations and
+    provenance.
     """
     rep = generic_rep(block_size, spec, rho_form)
     if relation_tags is None:
-        chosen = list(placements(spec))
+        chosen = placements(spec)
     else:
         by_tag = {p.tag: p for p in placements(spec)}
         missing = [t for t in relation_tags if t not in by_tag]
         if missing:
             raise ValueError(f"tags not in {spec.describe()}: {missing}")
         chosen = [by_tag[t] for t in relation_tags]
-    windowed = [(p, w) for p in chosen if (w := _window(p, block_size)) is not None]
-    classes: dict[tuple, list[MultiPoly]] = {}  # window key -> its equations
-    for cls, (rel, start, size) in _first_members(spec, windowed).items():
-        residue = _residue(rep, rel, start, size)
-        classes[cls] = [
-            entry.num.monic() for row in residue.rows for entry in row if not entry.is_zero()
-        ]
+    classes: dict[tuple, list] = {}  # window key -> its (key, equation) pairs
     equations: list[MultiPoly] = []
     provenance: list[list[str]] = []
-    seen: dict = {}
-    for p, (cls, _start, _size) in windowed:
-        for eq in classes[cls]:
-            key = eq.key()
+    seen: dict = {}  # equation key -> its index
+    tag_sets: list[set[str]] = []  # per equation, its provenance as a set
+    for p in chosen:
+        window = _window(p, block_size)
+        if window is None:
+            continue
+        cls, start, size = window
+        eqs = classes.get(cls)
+        if eqs is None:
+            (rel,) = relations(spec, [p])
+            residue = _residue(rep, rel, start, size)
+            monic = (e.num.monic() for row in residue.rows for e in row if not e.is_zero())
+            eqs = classes[cls] = [(eq.key(), eq) for eq in monic]
+        for key, eq in eqs:
             idx = seen.get(key)
             if idx is None:
                 seen[key] = len(equations)
                 equations.append(eq)
                 provenance.append([p.tag])
-            elif p.tag not in provenance[idx]:
+                tag_sets.append({p.tag})
+            elif p.tag not in tag_sets[idx]:
+                tag_sets[idx].add(p.tag)
                 provenance[idx].append(p.tag)
     appearing: set[str] = set()
     for eq in equations:

@@ -23,10 +23,10 @@ A :class:`GroupSpec` is a flavor, n and c; its flags are read from the
 flavor's one row of ``_FLAVORS``.  :func:`relations` enumerates the finite
 presentation it denotes from ``_SCHEMA``, which states each family
 above once, as a shape at strand 1.  One walk places the shapes: it yields
-each relation as a :class:`Placement` (tag, row, shape, strand/type binding)
-and builds its words only on request, so a verifier that needs one member
-per window class builds no others (:func:`placements`, and :func:`relations`
-of chosen placements).
+each relation as a :class:`Placement` of plain fields (tag, row, shape, the
+strands i and j, the type values) and binds them into words only on
+request, so a verifier that needs one member per window class builds no
+others (:func:`placements`, and :func:`relations` of chosen placements).
 
 Words are sequences of signed letters with the textual grammar ``r<i>`` /
 ``s<i>,<t>`` / optional ``^-1`` suffix, whitespace separated (e.g.
@@ -258,18 +258,17 @@ _FORBIDDEN_ROWS = range(len(_SCHEMA), len(_ROWS))
 
 class Placement(NamedTuple):
     """One relation of the parsed table at one place, its words not yet
-    built: ``row`` and ``shape`` index the table and the row's shapes, and
-    ``env`` binds the strands (``i``, and ``j`` for a far row), then the
-    row's type names.  Everything else is read from the row."""
+    built: ``row`` and ``shape`` index the table and the row's shapes, ``i``
+    and ``j`` are its strands (``j == i`` for a local row), and ``values``
+    are the values of the row's type names, in order.  Everything else is
+    read from the row."""
 
     tag: str
     row: int
     shape: int
-    env: dict
-
-    @property
-    def far(self) -> bool:
-        return _ROWS[self.row][1]
+    i: int
+    j: int
+    values: tuple
 
     @property
     def sides(self) -> tuple:
@@ -277,24 +276,17 @@ class Placement(NamedTuple):
         return _ROWS[self.row][4][self.shape][1]
 
     @property
-    def values(self) -> tuple:
-        """The values of the row's type names, in order."""
-        return tuple(self.env.values())[1 + self.far:]
-
-    @property
-    def strands(self) -> tuple[int, int]:
-        """The lowest and the highest strand index of its letters."""
-        i = self.env["i"]
-        j = self.env.get("j", i)
-        lo, hi = (i, j) if i <= j else (j, i)
-        return lo, hi + _ROWS[self.row][4][self.shape][2]
+    def span(self) -> int:
+        """The shape's highest strand offset (see ``_parse``)."""
+        return _ROWS[self.row][4][self.shape][2]
 
     def letter(self, shape_letter: tuple) -> tuple[Generator, int]:
         """The signed letter a shape letter ``(kind, v, at, t)`` is here; a
         literal type, or a rho's None, stands for itself."""
         kind, v, at, t = shape_letter
-        env = self.env
-        return _positive_letter(kind, env[v] + at, env.get(t, t))
+        if isinstance(t, str):
+            t = self.values[_ROWS[self.row][3].index(t)]
+        return _positive_letter(kind, (self.j if v == "j" else self.i) + at, t)
 
     def relation(self) -> Relation:
         lhs, rhs = (Word(tuple(map(self.letter, side))) for side in self.sides)
@@ -320,22 +312,24 @@ def _place(rows: range, spec: GroupSpec) -> Iterator[Placement]:
             continue
         if far:
             x, y = (kind for kind, *_ in shapes[0][1][0])
-            places = [{"i": i, "j": j} for i in range(1, n) for j in range(1, n)
+            places = [(i, j, f"[i={i},j={j}") for i in range(1, n) for j in range(1, n)
                       if abs(i - j) >= 2 and (i < j or x != y)]
         else:
-            places = [{"i": i} for i in range(1, n - span)]
+            places = [(i, i, f"[i={i}") for i in range(1, n - span)]
         if isinstance(flag, frozenset):
             runs = [[(t,)] for t in sorted(flag)]
         else:
             runs = [list(product(range(1, c + 1), repeat=len(types)))]
-        fields = ",".join(f"{k}=%d" for k in ["i", "j"][: 1 + far] + types)
+        # a tag is its shape's name, then the strand fields, formatted once
+        # per place, then the type fields, formatted once per type values
+        type_fields = "".join(f",{k}=%d" for k in types) + "]"
         for run in runs:
-            for place in places:
-                for values in run:
-                    env = place | dict(zip(types, values))
-                    suffix = f"[{fields}]" % tuple(env.values())
-                    for s, (tag, _sides, _span) in enumerate(shapes):
-                        yield Placement(tag + suffix, r, s, env)
+            typed = [(values, type_fields % values) for values in run]
+            for i, j, strand_fields in places:
+                heads = [(s, tag + strand_fields) for s, (tag, *_) in enumerate(shapes)]
+                for values, tail in typed:
+                    for s, head in heads:
+                        yield Placement(head + tail, r, s, i, j, values)
 
 
 def placements(spec: GroupSpec) -> Iterator[Placement]:

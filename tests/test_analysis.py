@@ -340,6 +340,34 @@ class TestLocalityAgainstFullDegree:
         system = generate_constraints(k, spec, rho_form=rho_form)
         assert system.to_dict() == _full_degree_constraints(k, spec, rho_form)
 
+    def test_classes_with_many_members_agree_with_both_references(self):
+        # at k = 3 on 7 strands a far row is windowed at gap 2 and disjoint
+        # at gaps 3 and more, and every WR1 class fails: the one pass meets
+        # each class's members one at a time, the first among many
+        rep = build_local_rep("epsilon1", make_spec("uv", 7, 2))
+        spec = make_spec("uw", 7, 2)
+        report = verify_relations(rep, spec=spec)
+        firsts, hows = {}, []
+        for rel in relations(spec):
+            window = _reference_window(rel, rep.block_size)
+            if window is None:
+                hows.append("disjoint supports")
+            else:
+                first = firsts.setdefault(window[0], rel.tag)
+                hows.append("window" if first == rel.tag else f"class of {first}")
+        assert [o.how for o in report.outcomes] == hows
+        assert [(o.tag, o.status, o.detail, o.residue) for o in report.outcomes] == (
+            _full_degree_outcomes(rep, spec)
+        )
+        how_of = {o.tag: o.how for o in report.outcomes}
+        assert how_of["CR[i=2,j=4,t=1,l=2]"] == "class of CR[i=1,j=3,t=1,l=2]"
+        assert how_of["CR[i=1,j=4,t=1,l=2]"] == "disjoint supports"
+        assert [(o.tag, o.how) for o in report.failed] == [
+            (f"WR1[i={i},t={t}]", "window" if i == 1 else f"class of WR1[i=1,t={t}]")
+            for i in range(1, 6)
+            for t in (1, 2)
+        ]
+
     def test_window_checks_do_not_grow_with_n(self, monkeypatch):
         windows, built = [], []
 
@@ -361,7 +389,7 @@ class TestLocalityAgainstFullDegree:
             rep = build_local_rep("upsilon", make_spec("uv", n, 3))
             report = verify_relations(rep)
             assert report.all_passed
-            words_built.append(len(built))
+            words_built.append(list(built))
             # both sides of PR1, PR3 and MR2 for each of the three types, on
             # windows of span + 1 strands, whatever n is
             assert len(windows) == 2 * 5
@@ -373,8 +401,10 @@ class TestLocalityAgainstFullDegree:
                     first = re.sub(r"i=\d+", "i=1", o.tag)
                     want = "window" if o.tag == first else f"class of {first}"
                     assert o.how == want, o.tag
-        # words are built for each class's first member only, not per relation
-        assert words_built[0] == words_built[1]
+        # words are built for each class's first member only, not per
+        # relation: PR1, PR3 and MR2 for t = 1..3, whatever n is
+        firsts = ["PR1[i=1]", "PR3[i=1]"] + [f"MR2[i=1,t={t}]" for t in (1, 2, 3)]
+        assert words_built == [firsts, firsts]
         # a failing pairing: every INV fails, and each failing member's
         # residue is placed from its class's window, not recomputed
         counts = []

@@ -555,6 +555,13 @@ class TestJsonGoldens:
             ("verify", "--family", "epsilon1", "--group", "uw", "--n", "4",
              "--c", "2"),
         ),
+        # per-member fail residues and "class of" bookkeeping where far rows
+        # span several gaps
+        "verify_epsilon1_uw6_c2": (
+            1,
+            ("verify", "--family", "epsilon1", "--group", "uw", "--n", "6",
+             "--c", "2"),
+        ),
         "suite_all": (0, ("suite", "--name", "all")),
         # per-member skip details: PR1[i=2] has no block for r2, not r1
         "verify_burau_vb5": (0, ("verify", "--family", "burau", "--group", "vb", "--n", "5")),
