@@ -37,7 +37,7 @@ from .groups import (  # forbidden_moves is re-exported, not used here
     placements,
     relations,
 )
-from .matrices import Echelon, Matrix, place
+from .matrices import Echelon, Matrix, gaussian_integer_terms, place
 from .reps import (  # eval_word is re-exported, not used here
     LocalRep,
     build_local_rep,
@@ -764,56 +764,40 @@ def _left_mul(cols: dict, v: dict, width: int) -> dict:
     return out
 
 
-def _closure(mats: list[Matrix], seeds: list[Matrix], width: int) -> Echelon:
+def _closure(mats: list[Matrix], seeds: list[dict], width: int) -> Echelon:
     """Echelon basis of the smallest space of m x ``width`` matrices
     (flattened row-major) that contains ``seeds`` and is closed under left
-    multiplication by every matrix of ``mats``.
+    multiplication by every matrix of ``mats``, square of one size m (see
+    :func:`_degree`).
 
-    Every vector is sparse (see :class:`~uvbraid.matrices.Echelon`), so a
-    product or a reduction costs the support it reads, not m * ``width``.
-    Generators and seeds are scaled to Gaussian integers once, which
-    leaves the closure unchanged.  A generator g, scaled by the L that
-    clears its denominators, is then used as L*g - L*I, read in one pass
-    over its nonzero entries: a space that holds X holds g X exactly when
-    it holds (L*g - L*I) X = L*g X - L*X, so the closure is the same.  For
-    a k-local g = I (+) B (+) I the shifted matrix is zero outside the k
-    rows and columns of its block, so a product reads and writes only
-    those k rows of X, it is not formed when X is zero there, and a
-    generator equal to I drops out.  Each newly reduced row is multiplied
-    by every shifted generator that reads one of its rows, in the order
-    the rows were found (wave by wave); the reduced rows span what the raw
-    products span, and an empty product is not inserted.  It stops when no
-    row is left, or at once when the basis fills all m * ``width``
-    coordinates.
+    Every vector is sparse (see :class:`~uvbraid.matrices.Echelon`), and
+    the seeds come as such, Gaussian-integer vectors.  A generator g is
+    read from its ``off_identity`` view, the nonzero entries of g - I,
+    scaled to Gaussian integers by the L that clears their denominators
+    (:func:`~uvbraid.matrices.gaussian_integer_terms`), and used as
+    L*g - L*I: a space that holds X holds g X exactly when it holds
+    (L*g - L*I) X = L*g X - L*X, so the closure is the same.  For a k-local
+    g = I (+) B (+) I the view holds only entries of the block, filled by
+    ``block_embed`` with no scan, so a generator costs its k^2 entries; a
+    product reads and writes only those k rows of X, it is not formed when
+    X is zero there, and a generator equal to I drops out.  Each newly
+    reduced row is multiplied by every shifted generator that reads one of
+    its rows, in the order the rows were found (wave by wave); the reduced
+    rows span what the raw products span, and an empty product is not
+    inserted.  It stops when no row is left, or at once when the basis
+    fills all m * ``width`` coordinates.
     """
-    if not mats:
-        raise ValueError("need at least one matrix")
     m = mats[0].nrows
-    if any(g.shape != (m, m) for g in mats):
-        raise ValueError("matrices must be square and of equal size")
     gens = []
     for g in mats:
-        terms, scale = g.integer_terms()
-        for i in range(m):
-            a, b = terms.get((i, i), (0, 0))
-            if a == scale and not b:
-                del terms[i, i]
-            else:
-                terms[i, i] = (a - scale, b)
+        terms, _ = gaussian_integer_terms(g.off_identity())
         cols: dict = {}
         for (i, r), (a, b) in terms.items():
             cols.setdefault(r, []).append((i, a, b))
         if cols:  # g = I adds nothing
             gens.append(cols)
     basis = Echelon(m * width)
-    found = []
-    for s in seeds:
-        if s.shape != (m, width):
-            raise ValueError(f"seed does not have shape {(m, width)}")
-        terms, _ = s.integer_terms()
-        new = basis.insert({i * width + j: z for (i, j), z in terms.items()})
-        if new is not None:
-            found.append(new)
+    found = [new for new in map(basis.insert, seeds) if new is not None]
     reads: dict = {}  # row r of X -> the generators whose products read it
     for n, cols in enumerate(gens):
         for r in cols:
@@ -830,17 +814,29 @@ def _closure(mats: list[Matrix], seeds: list[Matrix], width: int) -> Echelon:
     return basis
 
 
+def _degree(mats: list[Matrix]) -> int:
+    """The size m of ``mats``, one or more square matrices of one size."""
+    if not mats:
+        raise ValueError("need at least one matrix")
+    m = mats[0].nrows
+    if any(g.shape != (m, m) for g in mats):
+        raise ValueError("matrices must be square and of equal size")
+    return m
+
+
 def burnside_dim(mats: list[Matrix]) -> int:
     """Dimension of the unital algebra spanned by all products of ``mats``.
 
-    The closure of the identity under left multiplication by the
-    generators, exact over Q(i).  The matrices act irreducibly on C^m iff
-    the result is m^2 (Burnside), and since every invertible generator's
-    inverse is a polynomial in the generator (Cayley-Hamilton), positive
-    products suffice.  A generator equal to the identity changes nothing.
+    The closure of the identity, seeded as the sparse vector
+    ``{i*m + i: 1}``, under left multiplication by the generators, exact
+    over Q(i); each generator is read from its ``off_identity`` view.  The
+    matrices act irreducibly on C^m iff the result is m^2 (Burnside), and
+    since every invertible generator's inverse is a polynomial in the
+    generator (Cayley-Hamilton), positive products suffice.  A generator
+    equal to the identity changes nothing.
     """
-    m = mats[0].nrows if mats else 0
-    return len(_closure(mats, [Matrix.identity(g.ring, m) for g in mats[:1]], m))
+    m = _degree(mats)
+    return len(_closure(mats, [{i * m + i: (1, 0) for i in range(m)}], m))
 
 
 def spin(mats: list[Matrix], seeds: list[Matrix]) -> list[Matrix]:
@@ -850,8 +846,13 @@ def spin(mats: list[Matrix], seeds: list[Matrix]) -> list[Matrix]:
     in pivot order: each column is 1 at its first nonzero entry and 0 at
     every other column's, so it depends on the subspace alone, not on the
     order or repetition of seeds and matrices."""
-    rows, ring = sorted(_closure(mats, seeds, 1).rows.items()), mats[0].ring
-    m = mats[0].nrows
+    m = _degree(mats)
+    vecs = []
+    for s in seeds:
+        if s.shape != (m, 1):
+            raise ValueError(f"seed does not have shape {(m, 1)}")
+        vecs.append({i: z for (i, _), z in s.integer_terms()[0].items()})
+    rows, ring = sorted(_closure(mats, vecs, 1).rows.items()), mats[0].ring
     return [Matrix.column(ring, [GaussianRational.from_ints(*row[k], row[p][0])
                                  if k in row else 0 for k in range(m)])
             for p, row in rows]
@@ -859,36 +860,40 @@ def spin(mats: list[Matrix], seeds: list[Matrix]) -> list[Matrix]:
 
 def invariant_check(mats: list[Matrix], vec: Matrix, side: str) -> bool:
     """Does ``vec`` span an invariant line?  Column side checks M v || v for
-    every M; row side checks v M || v.  Works symbolically as well.
+    every M; row side checks v M || v.  Works symbolically as well.  Each M
+    must be m x m for a witness of length m.
 
-    M v || v exactly when u = (M - I) v is, so a row of M (a column, on the
-    row side) equal to the identity's adds nothing to u and is skipped.
-    When u is not zero, u || v needs v zero off u's support, and over a
-    field u_q v_j = v_q u_j for j in that support, q its first coordinate."""
+    M v || v exactly when u = (M - I) v is (v (M - I) on the row side), and
+    u is read from M's ``off_identity`` view, keys swapped on the row side:
+    a k-local M costs its k^2 block entries, and no transpose is built.
+    When u is not zero, u || v needs u and v to have one support, and over
+    a field u_q v_j = v_q u_j for j in it, q any coordinate of it."""
     if side not in ("column", "row"):
         raise ValueError("side must be 'column' or 'row'")
     if side == "column" and vec.ncols != 1:
         raise ValueError(f"column witness must be m x 1, got {vec.shape}")
     if side == "row" and vec.nrows != 1:
         raise ValueError(f"row witness must be 1 x m, got {vec.shape}")
-    v = [x for row in vec.rows for x in row]
-    support = [j for j, x in enumerate(v) if not x.is_zero()]
-    if not support:
+    v = {j: x for j, x in enumerate(x for row in vec.rows for x in row) if not x.is_zero()}
+    if not v:
         raise ValueError("witness vector is zero")
-    for m in mats:
-        u = {}
-        for i, row in enumerate(m.rows if side == "column" else zip(*m.rows)):
-            if all(a.is_one() if j == i else a.is_zero() for j, a in enumerate(row)):
-                continue
-            x = -v[i]
-            for j in support:
-                if not row[j].is_zero():
-                    x = x + row[j] * v[j]
-            if not x.is_zero():
-                u[i] = x
+    m = vec.nrows if side == "column" else vec.ncols
+    for g in mats:
+        if g.shape != (m, m):
+            raise ValueError(
+                f"a {side} witness of shape {vec.shape} needs {m} x {m} matrices, "
+                f"got one of shape {g.shape}"
+            )
+        u: dict = {}
+        for (i, j), a in g.off_identity().items():
+            if side == "row":
+                i, j = j, i
+            if j in v:
+                u[i] = u[i] + a * v[j] if i in u else a * v[j]
+        u = {i: x for i, x in u.items() if not x.is_zero()}
         if not u:
             continue
-        if any(j not in u for j in support):
+        if u.keys() != v.keys():
             return False
         q = next(iter(u))
         if any(u[q] * v[j] != v[q] * x for j, x in u.items()):

@@ -18,10 +18,11 @@ clarity over asymptotics.  There is one elimination per field:
   as ``{coordinate: (re, im)}``, and a reduction costs the supports it
   reads, not the width.  The span engines of :mod:`uvbraid.analysis`
   (``burnside_dim`` and ``spin``) grow their closures in one.
-  ``Matrix.integer_terms`` is the way in: it reads each nonzero constant
-  entry's (a, b, d) (see :mod:`uvbraid.scalars`), a zero entry costing one
-  test, and scales by the lcm of the d's, so no rational number is built
-  on the way.
+  :func:`gaussian_integer_terms` is the way in: it reads each nonzero
+  constant entry's (a, b, d) (see :mod:`uvbraid.scalars`) and scales by
+  the lcm of the d's, so no rational number is built on the way.  A
+  generator enters by its ``Matrix.off_identity`` view, the nonzero
+  entries of g - I, which ``block_embed`` fills from the k x k block.
 
 ``place`` writes a block over a diagonal window of a larger matrix.
 ``block_embed`` uses it to realize the local pattern
@@ -43,13 +44,14 @@ from .scalars import MultiPoly, PolyRing, RatFunc
 class Matrix:
     """An immutable nrows x ncols matrix of rational functions over one ring."""
 
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    __slots__ = ("ring", "nrows", "ncols", "rows", "_off")
 
     def __init__(self, ring: PolyRing, rows: tuple[tuple[RatFunc, ...], ...]):
         self.ring = ring
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
+        self._off = None  # the off_identity view, once known
 
     # -- constructors -------------------------------------------------
 
@@ -139,7 +141,12 @@ class Matrix:
         return Matrix(self.ring, tuple(tuple(a * c for a in r) for r in self.rows))
 
     def transpose(self) -> Matrix:
-        return Matrix(self.ring, tuple(zip(*self.rows)))
+        """The transpose; it inherits a known ``off_identity`` view,
+        transposed, so it is not scanned for one."""
+        out = Matrix(self.ring, tuple(zip(*self.rows)))
+        if self._off is not None:
+            out._off = {(j, i): a for (i, j), a in self._off.items()}
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -169,6 +176,25 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for r in self.rows for a in r)
+
+    def off_identity(self) -> dict[tuple[int, int], RatFunc]:
+        """``{(i, j): entry of self - I}`` over the nonzero entries of
+        self - I, in row-major order, for a square matrix.  Found by one scan
+        on first use and cached, unless the constructor (``block_embed``,
+        ``transpose``) already knew it; callers must not modify it."""
+        if self._off is None:
+            if self.nrows != self.ncols:
+                raise ValueError(f"off_identity of a non-square {self.shape} matrix")
+            one, off = self.ring._rf_one, {}
+            for i, r in enumerate(self.rows):
+                for j, a in enumerate(r):
+                    if i == j:
+                        if not a.is_one():
+                            off[i, j] = a - one
+                    elif not a.is_zero():
+                        off[i, j] = a
+            self._off = off
+        return self._off
 
     # -- determinant and inverse ----------------------------------------
 
@@ -254,23 +280,12 @@ class Matrix:
     # -- constant-matrix operations --------------------------------------
 
     def integer_terms(self) -> tuple[dict[tuple[int, int], tuple[int, int]], int]:
-        """The nonzero entries of a constant matrix times the lcm L of their
-        denominators, as ``{(row, col): (re, im)}`` in row-major order, and
-        L: the one step from Q(i) to Z[i].  An entry (a + b*i)/d becomes
-        (a*(L/d), b*(L/d)); as d is the lcm of its parts' lowest-terms
-        denominators, L is the least common denominator of every part.  A
-        zero entry costs one test.  Raises ValueError if anything is
-        symbolic."""
-        vals = {}
-        for i, r in enumerate(self.rows):
-            for j, a in enumerate(r):
-                if a.is_zero():
-                    continue
-                if not a.is_constant():
-                    raise ValueError(f"matrix is symbolic (entry {a}); bind parameters first")
-                vals[i, j] = a.constant_value()
-        lcm = math.lcm(*(x.d for x in vals.values()))
-        return {ij: (x.a * (lcm // x.d), x.b * (lcm // x.d)) for ij, x in vals.items()}, lcm
+        """:func:`gaussian_integer_terms` of the nonzero entries of a
+        constant matrix, in row-major order; a zero entry costs one test."""
+        return gaussian_integer_terms(
+            {(i, j): a for i, r in enumerate(self.rows) for j, a in enumerate(r)
+             if not a.is_zero()}
+        )
 
     # -- evaluation and rendering ----------------------------------------
 
@@ -290,6 +305,22 @@ class Matrix:
 
     def __repr__(self):
         return f"<Matrix {self.nrows}x{self.ncols} {self}>"
+
+
+def gaussian_integer_terms(entries: dict) -> tuple[dict, int]:
+    """Constant entries ``{key: RatFunc}`` times the lcm L of their
+    denominators, as ``{key: (re, im)}`` in the same order, and L: the one
+    step from Q(i) to Z[i].  An entry (a + b*i)/d becomes (a*(L/d), b*(L/d));
+    as d is the lcm of its parts' lowest-terms denominators, L is the least
+    common denominator of every part.  Raises ValueError if an entry is
+    symbolic."""
+    vals = {}
+    for key, a in entries.items():
+        if not a.is_constant():
+            raise ValueError(f"matrix is symbolic (entry {a}); bind parameters first")
+        vals[key] = a.constant_value()
+    lcm = math.lcm(*(x.d for x in vals.values()))
+    return {key: (x.a * (lcm // x.d), x.b * (lcm // x.d)) for key, x in vals.items()}, lcm
 
 
 class Echelon:
@@ -385,5 +416,10 @@ def place(block: Matrix, pos: int, outer: Matrix) -> Matrix:
 
 
 def block_embed(block: Matrix, pos: int, m: int) -> Matrix:
-    """Embed a k x k block at strand position pos (1-based) in an m x m identity."""
-    return place(block, pos, Matrix.identity(block.ring, m))
+    """Embed a k x k block at strand position pos (1-based) in an m x m
+    identity.  Its ``off_identity`` view is the block's, shifted to the
+    window: O(k^2), with no scan of the m x m result."""
+    out = place(block, pos, Matrix.identity(block.ring, m))
+    s = pos - 1
+    out._off = {(s + i, s + j): a for (i, j), a in block.off_identity().items()}
+    return out

@@ -29,6 +29,7 @@ from uvbraid.analysis import (
     generate_constraints,
     generic_rep,
     invariant_check,
+    reducibility_at,
     reducibility_criterion,
     sample_point,
     spin,
@@ -49,6 +50,7 @@ from uvbraid.groups import (
 )
 from uvbraid.matrices import Matrix
 from uvbraid.reps import (
+    FAMILY_NAMES,
     build_local_rep,
     canonical_family,
     eval_word,
@@ -1401,6 +1403,144 @@ class TestSpanEngines:
             invariant_check([m], Matrix.column(ring, [1, 0]), "row")
         with pytest.raises(ValueError):
             invariant_check([m], Matrix.column(ring, [1, 0]), "diagonal")
+
+    @pytest.mark.parametrize("diag, vec, side", [
+        ((2, 1), (0, 1, 0), "column"),
+        ((2, 1, 1), (0, 1), "row"),
+        ((1, 1, 1), (1, 0), "column"),
+    ])
+    def test_invariant_check_refuses_matrices_of_the_wrong_size(self, diag, vec, side):
+        # each of these was once accepted as invariant
+        ring = PolyRing(("t",))
+        m = Matrix.from_rows(ring, [[x if i == j else 0 for j in range(len(diag))]
+                                    for i, x in enumerate(diag)])
+        w = (Matrix.column if side == "column" else Matrix.row_vector)(ring, vec)
+        shapes = rf"{re.escape(str(w.shape))}.*{re.escape(str(m.shape))}"
+        with pytest.raises(ValueError, match=shapes):
+            invariant_check([m], w, side)
+
+    def test_span_engines_refuse_symbolic_images(self):
+        rep = build_local_rep("upsilon-prime", make_spec("uv", 3, 1))
+        e1 = Matrix.column(rep.ring, [1, 0, 0])
+        with pytest.raises(ValueError, match="symbolic"):
+            burnside_dim(_images(rep))
+        with pytest.raises(ValueError, match="symbolic"):
+            spin(_images(rep), [e1])
+
+
+def _view_cases():
+    """(family, flavor, n) for every family on every flavor it builds on,
+    n = 3..5; c = 2 where the flavor leaves c free."""
+    out = []
+    for fam in FAMILY_NAMES:
+        for flavor in FLAVORS:
+            for n in (3, 4, 5):
+                try:
+                    build_local_rep(fam, make_spec(flavor, n, _FIXED_C.get(flavor, 2)))
+                except ValueError:
+                    continue
+                out.append((fam, flavor, n))
+    return out
+
+
+def _seeded_rep(fam, flavor, n):
+    """The family at a seeded Q(i) point off its side conditions."""
+    rep = build_local_rep(fam, make_spec(flavor, n, _FIXED_C.get(flavor, 2)))
+    rng = random.Random(f"{fam} {flavor} {n}")
+    nz = [x for x in range(-4, 5) if x]
+    while True:
+        point = {p: GaussianRational(rng.choice(nz), rng.choice((0, 0, 1, -1)))
+                 for p in rep.params}
+        try:
+            return specialize(rep, point)
+        except ValueError:
+            continue
+
+
+def _scanned(g):
+    """A copy of g that finds its off_identity view by a scan."""
+    return Matrix(g.ring, g.rows)
+
+
+class TestOffIdentityViews:
+    """``block_embed`` prefills each generator's ``off_identity`` view from
+    its block, and ``transpose`` passes it on: the views equal those a scan
+    finds, and the engines that read them give identical results."""
+
+    @pytest.mark.parametrize("fam, flavor, n", _view_cases())
+    def test_prefilled_and_scanned_views_agree(self, fam, flavor, n):
+        rep = _seeded_rep(fam, flavor, n)
+        gens = _images(rep)
+        copies = [_scanned(g) for g in gens]
+        for g, c in zip(gens, copies):
+            assert g._off is not None and c._off is None
+            assert g.off_identity() == c.off_identity()
+            t = g.transpose()
+            assert t._off is not None
+            assert t.off_identity() == {(j, i): a for (i, j), a in c.off_identity().items()}
+        m = rep.degree
+        e1 = Matrix.column(rep.ring, [1] + [0] * (m - 1))
+        side, w = "column", e1
+        if fam in _CRITERION_GROUPS:
+            res = reducibility_at(rep)
+            if res.witness is not None:
+                side, w = res.witness_side, res.witness
+        assert burnside_dim(gens) == burnside_dim(copies)
+        got, want = spin(gens, [e1]), spin(copies, [e1])
+        assert [str(v) for v in got] == [str(v) for v in want]
+        assert invariant_check(gens, w, side) == invariant_check(copies, w, side)
+
+    def test_symbolic_views_agree(self):
+        rep = build_local_rep("epsilon1", make_spec("uv", 3, 2))
+        gens = _images(rep)
+        copies = [_scanned(g) for g in gens]
+        for g, c in zip(gens, copies):
+            assert g.off_identity() == c.off_identity()
+            assert g.transpose().off_identity() == {
+                (j, i): a for (i, j), a in c.off_identity().items()}
+        e1 = Matrix.column(rep.ring, [1, 0, 0, 0])
+        for mats in (gens, copies):
+            with pytest.raises(ValueError, match="symbolic"):
+                burnside_dim(mats)
+            with pytest.raises(ValueError, match="symbolic"):
+                spin(mats, [e1])
+            assert invariant_check(mats, e1, "column")
+        assert not invariant_check(gens, Matrix.column(rep.ring, [0, 1, 0, 0]), "column")
+
+    def test_reads_follow_the_block(self, monkeypatch):
+        # RatFunc tests and reads per generator in burnside_dim followed by
+        # invariant_check, net of the witness's own scan: the same at both
+        # degrees, bounded by the k^2 block entries
+        point = {"s1_1": 2, "s2_1": -1, "s3_1": 3, "s4_1": -2}  # row sums 1
+        reads = Counter()
+
+        def counted(name):
+            fn = getattr(RatFunc, name)
+
+            def wrapper(self):
+                reads[name] += 1
+                return fn(self)
+            return wrapper
+
+        per_gen = []
+        for n in (6, 12):
+            spec = make_spec("uv", n, 1)
+            rep = build_local_rep("upsilon-prime", spec, point)
+            gens, k = _images(rep), rep.block_size
+            res = reducibility_criterion("upsilon-prime", spec, point)
+            with monkeypatch.context() as mp:
+                for name in ("is_zero", "is_one", "constant_value"):
+                    mp.setattr(RatFunc, name, counted(name))
+                reads.clear()
+                invariant_check([], res.witness, res.witness_side)
+                witness = sum(reads.values())
+                reads.clear()
+                assert burnside_dim(gens) == n * n - n + 1
+                assert invariant_check(gens, res.witness, res.witness_side)
+                total = sum(reads.values()) - witness
+            assert total % len(gens) == 0
+            per_gen.append(total // len(gens))
+        assert per_gen[0] == per_gen[1] <= 4 * k * k
 
 
 class TestReducibilityCriterion:

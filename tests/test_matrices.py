@@ -401,6 +401,17 @@ class TestBlockEmbed:
         with pytest.raises(ValueError, match="does not fit"):
             place(b, 3, outer)
 
+    def test_off_identity_is_the_nonzero_entries_of_self_minus_identity(self, ring):
+        a, one = ring.rf("a"), ring.rf(1)
+        m = Matrix.from_rows(ring, [[2, 0, a], [0, 1, 0], [3, 0, a + 1]])
+        assert m.off_identity() == {(0, 0): one, (0, 2): a, (2, 0): 3 * one, (2, 2): a}
+        assert Matrix.identity(ring, 3).off_identity() == {}
+        with pytest.raises(ValueError, match="non-square"):
+            Matrix.zeros(ring, 2, 3).off_identity()
+        shifted = {(i + 1, j + 1): x for (i, j), x in m.off_identity().items()}
+        assert block_embed(m, 2, 5).off_identity() == shifted
+        assert Matrix(ring, block_embed(m, 2, 5).rows).off_identity() == shifted
+
     def test_identity_outside_block(self, ring):
         b = Matrix.from_rows(ring, [[1, 0], [0, 1]])
         assert block_embed(b, 2, 5).is_identity()
