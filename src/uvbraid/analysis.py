@@ -173,15 +173,11 @@ def _residue(rep: LocalRep, rel: Relation, start: int, size: int) -> Matrix:
         left = [[x * d_r for x in row] for row in left]
         right = [[x * d_l for x in row] for row in right]
         den = d_l * d_r
-    ring, plain = rep.ring, den.is_one()
-    zero = ring._rf_zero
+    zero = rep.ring._rf_zero
     return Matrix(
-        ring,
+        rep.ring,
         tuple(
-            tuple(
-                zero if x.terms == y.terms else RatFunc(x - y, den, _normalized=plain)
-                for x, y in zip(a, b)
-            )
+            tuple(zero if x.terms == y.terms else RatFunc(x - y, den) for x, y in zip(a, b))
             for a, b in zip(left, right)
         ),
     )

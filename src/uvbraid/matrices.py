@@ -217,8 +217,9 @@ class Matrix:
         times d_j over delta.  With monomial denominators (every family
         block) that is the adjugate over the determinant; otherwise it is
         an equal representative whose denominator is delta = +-det(C), not
-        the determinant's own numerator.  Raises ValueError when the matrix
-        is singular as a matrix of functions.
+        the determinant's own numerator.  Each entry is a plain ``RatFunc``
+        in its normal form, so an entry equal to 1 is 1.  Raises ValueError
+        when the matrix is singular as a matrix of functions.
         """
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
@@ -226,15 +227,13 @@ class Matrix:
         if done is None:
             raise ValueError("matrix is singular over the function field")
         _, delta, rows, clears = done
-        n, one = self.nrows, self.ring._rf_one
-        # an entry equal to 1 may come out as p/p, a 1 that RatFunc's
-        # normalization cannot see; write it as 1
-        quotients = (
-            (RatFunc(r[n + j] * d, delta) for j, d in enumerate(clears)) for r in rows
-        )
+        n = self.nrows
         return Matrix(
             self.ring,
-            tuple(tuple(one if x.is_one() else x for x in row) for row in quotients),
+            tuple(
+                tuple(RatFunc(r[n + j] * d, delta) for j, d in enumerate(clears))
+                for r in rows
+            ),
         )
 
     def _bareiss(self, jordan: bool) -> tuple[int, MultiPoly, list, list] | None:
@@ -409,10 +408,9 @@ def place(block: Matrix, pos: int, outer: Matrix) -> Matrix:
         raise ValueError(
             f"block of size {k} at position {pos} does not fit in degree {m}"
         )
-    out = [list(r) for r in outer.rows]
-    for a, row in enumerate(block.rows):
-        out[pos - 1 + a][pos - 1 : pos - 1 + k] = row
-    return Matrix(outer.ring, tuple(tuple(r) for r in out))
+    s, rows = pos - 1, outer.rows
+    window = tuple(r[:s] + b + r[s + k :] for r, b in zip(rows[s : s + k], block.rows))
+    return Matrix(outer.ring, rows[:s] + window + rows[s + k :])
 
 
 def block_embed(block: Matrix, pos: int, m: int) -> Matrix:

@@ -412,18 +412,13 @@ def eval_word(
     family or ``generic_rep``, and every word whose inverse letters have a
     monomial determinant), ``RatFunc`` normalization is canonical, so the
     entry is the very representative that product gives.  Otherwise (say
-    upsilon's sigma^-1, read over D = s1*s4 - s2*s3) the representative
-    may differ.
+    upsilon's sigma^-1, read over D = s1*s4 - s2*s3) an entry equal to 1
+    is still 1, but another entry's representative may differ.
     """
     rows, den = word_fraction(rep, w, start, size)
-    ring, plain = rep.ring, den.is_one()
-    zero = ring._rf_zero
+    zero = rep.ring._rf_zero
     return Matrix(
-        ring,
-        tuple(
-            tuple(RatFunc(x, den, _normalized=plain) if x.terms else zero for x in r)
-            for r in rows
-        ),
+        rep.ring, tuple(tuple(RatFunc(x, den) if x.terms else zero for x in r) for r in rows)
     )
 
 

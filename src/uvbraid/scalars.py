@@ -25,17 +25,20 @@ computes no gcd.  No Fraction is built on that path: ``re``/``im`` return
 Fractions for readers who want them, and the constructor takes int,
 Fraction or string parts and refuses floats.
 
-Normalization contract for :class:`RatFunc` (no multivariate gcd is ever
-computed; these cheap reductions are what keep intermediate growth sane):
+Normalization contract for :class:`RatFunc`, applied by its constructor and
+nowhere else (no multivariate gcd is ever computed; these cheap reductions
+are what keep intermediate growth sane):
 
-* a zero numerator forces the denominator to 1;
-* any monomial dividing both numerator and denominator is cancelled;
-* the denominator is scaled monic (leading coefficient 1 in graded
-  lexicographic order over the ring's declared variable order).
+* zero is 0/1;
+* any monomial dividing both numerator and denominator is cancelled, and
+  the denominator is scaled monic (leading coefficient 1 in graded
+  lexicographic order over the ring's declared variable order);
+* a value whose numerator then equals its denominator is 1/1;
+* a pair over 1 is taken as given: no monomial divides 1 and 1 is monic.
 
 Rendering is deterministic, not canonical: terms are listed in descending
 graded lexicographic order, so one construction always prints the same, but
-equal values may print apart (``1`` and ``(x*y - z)/(x*y - z)``).
+equal values may print apart (``x + 1`` and ``(x^2 - 1)/(x - 1)``).
 """
 
 from __future__ import annotations
@@ -360,8 +363,8 @@ class PolyRing:
         self._zero_exp = (0,) * len(names)
         self._zero = MultiPoly(self, {})
         self._one = MultiPoly(self, {self._zero_exp: G_ONE})
-        self._rf_zero = RatFunc(self._zero, self._one, _normalized=True)
-        self._rf_one = RatFunc(self._one, self._one, _normalized=True)
+        self._rf_zero = RatFunc(self._zero, self._one)
+        self._rf_one = RatFunc(self._one, self._one)
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.vars == other.vars
@@ -402,8 +405,8 @@ class PolyRing:
         if isinstance(x, MultiPoly):
             return RatFunc(x, self._one)
         if isinstance(x, str):
-            return RatFunc(self.var(x), self._one, _normalized=True)
-        return RatFunc(self.const(x), self._one, _normalized=True)
+            return RatFunc(self.var(x), self._one)
+        return RatFunc(self.const(x), self._one)
 
 
 def _grlex_key(exp: tuple[int, ...]):
@@ -581,7 +584,7 @@ class MultiPoly:
             imgs.append(target.rf(x) if x is not None else None)
         total = target._rf_zero
         for exp, c in self.terms.items():
-            term = RatFunc(target.const(c), target._one, _normalized=True)
+            term = RatFunc(target.const(c), target._one)
             for k, d in enumerate(exp):
                 if d:
                     if imgs[k] is None:
@@ -688,16 +691,17 @@ class RatFunc:
     """A rational function num/den over a :class:`PolyRing`.
 
     Equality is decided by cross-multiplication, so no gcd computation is
-    needed for correctness.  See the module docstring for the normalization
-    that keeps representatives small.
+    needed for correctness.  The constructor alone brings a pair to the
+    normal form of the module docstring, which keeps representatives small;
+    a pair over 1 is already in it and is stored as given.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MultiPoly, den: MultiPoly, _normalized: bool = False):
+    def __init__(self, num: MultiPoly, den: MultiPoly):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in rational function")
-        if not _normalized:
+        if not den.is_one():
             num, den = _normalize(num, den)
         self.num = num
         self.den = den
@@ -719,15 +723,14 @@ class RatFunc:
         if g is NotImplemented:
             return NotImplemented
         r = self.ring
-        return RatFunc(r.const(g), r._one, _normalized=True)
+        return RatFunc(r.const(g), r._one)
 
     def __add__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
         if self.den.terms == other.den.terms:
-            # over the denominator 1 the sum is already normalized
-            return RatFunc(self.num + other.num, self.den, _normalized=self.den.is_one())
+            return RatFunc(self.num + other.num, self.den)
         return RatFunc(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -744,7 +747,7 @@ class RatFunc:
         return (-self) + other
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, _normalized=True)
+        return RatFunc(-self.num, self.den)
 
     def __mul__(self, other):
         other = self._lift(other)
@@ -753,7 +756,7 @@ class RatFunc:
         if self.num.is_zero() or other.num.is_zero():
             return self.ring._rf_zero
         if self.den.is_one() and other.den.is_one():
-            return RatFunc(self.num * other.num, self.den, _normalized=True)
+            return RatFunc(self.num * other.num, self.den)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -871,4 +874,6 @@ def _normalize(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
         inv = lc.inverse()
         num = num.scale(inv)
         den = den.scale(inv)
+    if num.terms == den.terms:
+        return ring._one, ring._one
     return num, den

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -668,6 +669,24 @@ class TestJsonGoldens:
         stems = set(self.CASES) | {"families", "suite_all"}
         want = {f"{stem}.json" for stem in stems} | {"suite_all.txt"}
         assert {p.name for p in _GOLDEN.iterdir()} == want
+
+
+def _readme_commands() -> list[list[str]]:
+    """argv of each ``uvbraid`` line in the ``sh`` block under README's
+    "## Command line", with ``\\`` continuations joined."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("uvbraid ")]
+
+
+def test_readme_command_line_examples_run(capsys):
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert out.strip(), argv
 
 
 def test_successive_calls_match_each_call_run_alone(capsys):

@@ -401,6 +401,23 @@ class TestBlockEmbed:
         with pytest.raises(ValueError, match="does not fit"):
             place(b, 3, outer)
 
+    @pytest.mark.parametrize("m", [5, 9])
+    def test_place_rebuilds_only_the_window_rows(self, m):
+        for label, block in _BLOCKS:
+            k = block.nrows
+            outer = Matrix.from_rows(block.ring, [[i * m + j for j in range(m)] for i in range(m)])
+            for pos in range(1, m - k + 2):
+                want = [list(r) for r in outer.rows]
+                for a, row in enumerate(block.rows):
+                    want[pos - 1 + a][pos - 1 : pos - 1 + k] = row
+                got = place(block, pos, outer)
+                assert [list(r) for r in got.rows] == want, (label, pos)
+                assert type(got.rows) is tuple and all(type(r) is tuple for r in got.rows)
+                window = range(pos - 1, pos - 1 + k)
+                for i in range(m):
+                    if i not in window:
+                        assert got.rows[i] is outer.rows[i], (label, pos, i)
+
     def test_off_identity_is_the_nonzero_entries_of_self_minus_identity(self, ring):
         a, one = ring.rf("a"), ring.rf(1)
         m = Matrix.from_rows(ring, [[2, 0, a], [0, 1, 0], [3, 0, a + 1]])

@@ -253,6 +253,19 @@ class TestEmbeddingAndEvaluation:
             window = eval_word(rep, w, start=start, size=size)
             assert block_embed(window, start, rep.degree) == product, text
 
+    def test_identity_entries_under_inverse_letters_print_as_one(self):
+        spec = make_spec("uv", 3, 1)
+        rep = build_local_rep("upsilon", spec)
+        w = parse_word("s1,1^-1", spec)
+        product = Matrix.identity(rep.ring, rep.degree)
+        for g, e in w.letters:
+            product = product * rep.matrix(g, e)
+        # outside its window a letter read over D = s1_1*s4_1 - s2_1*s3_1
+        # leaves D/D, which is 1
+        assert str(eval_word(rep, w)) == str(product)
+        conj = eval_word(rep, parse_word("s2,1^-1 r2 s2,1", spec))
+        assert str(conj[0, 0]) == "1"
+
     def test_generator_images_cover_all_generators(self):
         spec = make_spec("uv", 4, 2)
         rep = build_local_rep("upsilon", spec)

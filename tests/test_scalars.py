@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uvbraid.scalars
+from uvbraid import cli
 from uvbraid.analysis import burnside_dim, generate_constraints, spin, verify_relations
 from uvbraid.groups import make_spec
 from uvbraid.matrices import Matrix
@@ -37,6 +38,11 @@ mixed_scalars = st.one_of(
     tiny_fractions,
     st.builds(GaussianRational, tiny_fractions, st.sampled_from([0, 0, 1])),
 )
+
+_XYZ = PolyRing(("x", "y", "z"))
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), gaussians, max_size=4
+).map(lambda terms: MultiPoly(_XYZ, {e: c for e, c in terms.items() if c}))
 
 
 class TestGaussianRational:
@@ -464,8 +470,50 @@ class TestRatFunc:
         with pytest.raises(TypeError):
             hash(Matrix.identity(ring, 2))
 
+    @given(polys, polys.filter(lambda p: not p.is_zero()))
+    @example(_XYZ.var("x") * _XYZ.var("y") - _XYZ.var("z"),
+             _XYZ.var("x") * _XYZ.var("y") - _XYZ.var("z"))
+    @settings(max_examples=80)
+    def test_constructor_brings_every_pair_to_the_normal_form(self, num, den):
+        f = RatFunc(num, den)
+        assert f.den.leading()[1] == G_ONE
+        terms = [*f.num.terms, *f.den.terms]
+        assert [min(e[v] for e in terms) for v in range(3)] == [0, 0, 0]
+        assert (f.num * den).terms == (num * f.den).terms
+        if f.num.terms == f.den.terms:
+            assert f.den.is_one()
+
+    def test_a_pair_with_equal_parts_is_one(self, ring):
+        x, y, z = ring.var("x"), ring.var("y"), ring.var("z")
+        p = x * y - z
+        f = RatFunc(p, p)
+        assert (f.num.terms, f.den.terms) == (ring.one().terms, ring.one().terms)
+        assert str(f) == "1"
+        # equal values that still print apart, as the module docstring says
+        x = ring.rf("x")
+        assert (x * x - 1) / (x - 1) == x + 1
+        assert str((x * x - 1) / (x - 1)) == "(x^2 - 1)/(x - 1)"
+
     def test_inverse_roundtrip(self, ring):
         x, y = ring.rf("x"), ring.rf("y")
         f = (x + y) / (x - y)
         assert f * f.inverse() == ring.rf(1)
         assert (f.inverse().inverse()) == f
+
+
+def test_no_pair_over_one_is_sent_to_normalize(monkeypatch, capsys):
+    """The constructor reads a denominator of 1 as already normal, so no
+    caller needs to say so and no such pair is normalized."""
+    original = uvbraid.scalars._normalize
+    over_one = []
+
+    def recording(num, den):
+        if den.is_one():
+            over_one.append(str(num))
+        return original(num, den)
+
+    monkeypatch.setattr(uvbraid.scalars, "_normalize", recording)
+    assert generate_constraints(3, make_spec("uv", 4, 2)).equations
+    assert cli.main(["suite", "--name", "all"]) == 0
+    assert capsys.readouterr().out
+    assert over_one == []
