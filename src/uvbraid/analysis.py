@@ -5,13 +5,13 @@ invariant-vector computations, and quotient-factoring checks.
 The engines are deliberately redundant in pairs: a closed-form criterion is
 always checkable against a dimension oracle, a derived constraint system
 against a finite-field scan, and a symbolic verification against two
-partners.  One substitutes a family's blocks into the equations of
-``generate_constraints(k, spec)``, which were expanded over generic unknowns,
-not over the family's ring; it shares the schema and window walk with
-``verify_relations``.  The other, the full-degree reference
-``_full_degree_outcomes`` in ``tests/test_analysis.py``, shares neither: it
-multiplies every relation out at full degree.  The pairs are kept separate
-so that one route can catch a bug in the other.
+partners.  One, ``_block_mapping`` in ``tests/test_analysis.py``, puts a
+family's blocks into the equations of ``generate_constraints(k, spec)``,
+expanded over ``reps.generic_rep``'s unknowns, not the family's ring; it
+shares the schema and window walk with ``verify_relations``.  The other,
+the full-degree reference ``_full_degree_outcomes`` there, shares neither:
+it multiplies every relation out at full degree.  The pairs are kept
+separate so that one route can catch a bug in the other.
 
 Exactness policy: everything symbolic runs over rational functions; the
 oracles (Burnside dimension, spin) run over Q(i) after specialization.
@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 from .groups import (  # forbidden_moves is re-exported, not used here
@@ -40,8 +41,10 @@ from .groups import (  # forbidden_moves is re-exported, not used here
 from .matrices import Echelon, Matrix, gaussian_integer_terms, place
 from .reps import (  # eval_word is re-exported, not used here
     LocalRep,
+    _typed,
     build_local_rep,
     eval_word,
+    generic_rep,
     word_fraction,
 )
 from .scalars import (
@@ -293,51 +296,6 @@ class ConstraintSystem:
     def substitute(self, mapping: dict, target: PolyRing) -> list[RatFunc]:
         """Plug rational functions in for the unknowns, equation by equation."""
         return [e.substitute(mapping, target) for e in self.equations]
-
-
-def generic_rep(
-    block_size: int, spec: GroupSpec, rho_form: str = "generic"
-) -> LocalRep:
-    """A k-local 'representation' whose block entries are fresh unknowns.
-
-    ``rho_form="antidiagonal"`` substitutes the classified virtual block
-    [[0, r2], [1/r2, 0]] (the r1 = r4 = 0, r2*r3 = 1 solution locus) while
-    the sigma blocks stay fully generic.
-    """
-    k = block_size
-    if k not in (2, 3):
-        raise ValueError("block size must be 2 or 3")
-    names = [f"r{j}" for j in range(1, k * k + 1)] + [
-        f"s{j}_{t}" for t in range(1, spec.c + 1) for j in range(1, k * k + 1)
-    ]
-    ring = PolyRing(tuple(names))
-    if rho_form == "generic":
-        rho_rows = [
-            [ring.rf(f"r{a * k + b + 1}") for b in range(k)] for a in range(k)
-        ]
-    elif rho_form == "antidiagonal":
-        if k != 2:
-            raise ValueError("the antidiagonal virtual block is a 2x2 form")
-        r2 = ring.rf("r2")
-        rho_rows = [[ring.rf(0), r2], [1 / r2, ring.rf(0)]]
-    else:
-        raise ValueError(f"unknown rho_form {rho_form!r}")
-    sigma_blocks = {
-        t: Matrix.from_rows(
-            ring,
-            [[ring.rf(f"s{a * k + b + 1}_{t}") for b in range(k)] for a in range(k)],
-        )
-        for t in range(1, spec.c + 1)
-    }
-    return LocalRep(
-        name=f"generic-{k}-local" + ("-antidiagonal" if rho_form != "generic" else ""),
-        spec=spec,
-        block_size=k,
-        ring=ring,
-        side_conditions=(),
-        rho_block=Matrix.from_rows(ring, rho_rows),
-        sigma_blocks=sigma_blocks,
-    )
 
 
 def generate_constraints(
@@ -911,8 +869,9 @@ class ReducibilityResult:
 
 
 # Each entry: (branches, notes).  A branch is (label, test, witness side,
-# witness entry j of degree m).  ``test`` reads the point through an
-# accessor as in ``reps._FAMILIES`` (v("r2") is r2, v("s1") the type's s1_t)
+# witness entry j of degree m).  ``test`` reads the point through the
+# accessor of ``reps._FAMILIES``, ``reps._typed`` (v("r2") is r2, v("s1")
+# the type's s1_t)
 # and must hold for every crossing type; a branch with no test holds when
 # its witness passes ``invariant_check``, so a family of untested branches
 # is always reducible.  The first branch that holds gives the witness.  The
@@ -971,17 +930,15 @@ def reducibility_at(rep: LocalRep) -> ReducibilityResult:
             f"the {name} criterion needs a parameter point, not symbolic parameters"
         )
     branches, notes = _CRITERIA[name]
-
-    def at(t):
-        return lambda nm: point[nm] if nm in point else point[f"{nm}_{t}"]
-
     gens: list[Matrix] = []
     held: list[str] = []
     side = witness = None
     for label, test, wside, entry in branches:
-        ok = test is None or all(test(at(t)) for t in range(1, spec.c + 1))
+        ok = test is None or all(
+            test(partial(_typed, point, t)) for t in range(1, spec.c + 1)
+        )
         if ok and (test is None or witness is None):  # built and checked once
-            xs =[entry(at(1), j, rep.degree) for j in range(rep.degree)]
+            xs = [entry(partial(_typed, point, 1), j, rep.degree) for j in range(rep.degree)]
             w = (Matrix.column if wside == "column" else Matrix.row_vector)(rep.ring, xs)
             gens = gens or [mat for _g, mat in rep.generator_images()]
             ok = invariant_check(gens, w, wside)

@@ -50,7 +50,6 @@ from .groups import (
 from .reps import (
     FAMILY_NAMES,
     build_local_rep,
-    canonical_family,
     conjugation_equivalence,
     specialize,
 )
@@ -113,7 +112,7 @@ def cmd_verify(args) -> int:
     if params:
         rep = specialize(rep, params)
     report = verify_relations(rep)
-    payload = {"command": "verify", "family": canonical_family(args.family)}
+    payload = {"command": "verify", "family": rep.name}
     payload.update(report.to_dict())
     payload["lines"] = [report.summary()]
     # as in a suite's family row, a run whose every relation was skipped fails
@@ -188,7 +187,7 @@ def cmd_irreducibility(args) -> int:
     oracle_verdict = "irreducible" if dim == full else "reducible"
     payload = {
         "command": "irreducibility",
-        "family": canonical_family(args.family),
+        "family": rep.name,
         "group": spec.to_dict(),
         "params": {k: str(v) for k, v in sorted(params.items())},
         "burnside_dim": dim,

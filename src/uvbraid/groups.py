@@ -363,21 +363,15 @@ def parse_word(text: str, spec: GroupSpec) -> Word:
         if not m:
             raise ValueError(f"bad token {tok!r} at position {pos}")
         exp = -1 if m.group(5) else 1
+        i = int(m.group(2) or m.group(3))
+        if not 1 <= i <= spec.n - 1:
+            raise ValueError(f"strand index {i} out of range 1..{spec.n - 1} in {tok!r}")
         if m.group(2) is not None:
-            i = int(m.group(2))
-            if not 1 <= i <= spec.n - 1:
-                raise ValueError(
-                    f"strand index {i} out of range 1..{spec.n - 1} in {tok!r}"
-                )
             letters.append((rho(i), exp))
         else:
-            i, t = int(m.group(3)), int(m.group(4))
-            if not 1 <= i <= spec.n - 1:
-                raise ValueError(
-                    f"strand index {i} out of range 1..{spec.n - 1} in {tok!r}"
-                )
+            t = int(m.group(4))
             if not 1 <= t <= spec.c:
-                raise ValueError(f"type index {t} > c = {spec.c} in {tok!r}")
+                raise ValueError(f"type index {t} out of range 1..{spec.c} in {tok!r}")
             letters.append((sigma(i, t), exp))
     return Word(tuple(letters))
 

@@ -22,13 +22,15 @@ burau           2    (none)                 [[1-t,t],[1,0]] on braided types
 f-rep           3    (none)                 [[1,1,0],[0,-t,0],[0,t,1]] on braided types
 ==============  ===  =====================  =======================================
 
-Parameter names follow the slot convention: a block entry named r6 or s5_t
-sits at the row-major position 6 resp. 5 of the generic 3 x 3 block (for
-2 x 2 blocks, positions 1..4).  The side conditions (points excluded from a
-family) are its type-independent parameters r2, r6 or t, then per crossing
-type: the crossing block's determinant for upsilon, upsilon-prime, epsilon1
-and epsilon2, s5_t for epsilon3 and epsilon4, and every crossing parameter
-for the omegas.  ``burau`` and ``f-rep`` have no virtual block: words
+Parameter names follow the slot convention of ``_free``: a block entry
+named r6 or s5_t sits at the row-major position 6 resp. 5 of the 3 x 3
+block (for 2 x 2 blocks, positions 1..4).  One routine, ``_assemble``,
+builds the named families and :func:`generic_rep`, a row of ``_free``
+blocks.  The side conditions (points excluded from a family) are its
+type-independent parameters r2, r6 or t, then per crossing type: the
+crossing block's determinant for upsilon, upsilon-prime, epsilon1 and
+epsilon2, s5_t for epsilon3 and epsilon4, and every crossing parameter for
+the omegas.  ``burau`` and ``f-rep`` have no virtual block: words
 containing rho letters cannot be evaluated there, and the relation verifier
 reports rho-relations as skipped rather than checked.
 
@@ -58,6 +60,7 @@ that binding, equal A's conjugated blocks entry by entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .groups import Generator, GroupSpec, Word, rho as _rho, sigma as _sigma
 from .matrices import Matrix, block_embed
@@ -70,23 +73,35 @@ from .scalars import (
     VanishingDenominator,
 )
 
+
+def _antidiagonal(v):
+    return [[0, v("r2")], [1 / v("r2"), 0]]
+
+
+def _swap(v):  # the antidiagonal block at r2 = 1
+    return [[0, 1], [1, 0]]
+
+
+def _free(k: int, stem: str):
+    """The k x k block whose entry at row-major slot j is stem<j>."""
+    return lambda v: [[v(f"{stem}{a * k + b + 1}") for b in range(k)] for a in range(k)]
+
+
 # Each entry: (block size, type-independent parameters, crossing stems,
 # rho block | None, sigma_t block, sigma_t side conditions).  Blocks and
 # conditions are functions of an accessor v: v("r2") is the parameter r2,
-# v("s1") the crossing type's s1_t.  The ring's variables are the
-# type-independent parameters, then each stem suffixed _1 .. _c.  Every
-# type-independent parameter is a side condition, ahead of the crossing
-# ones; a family without a rho block represents the braided types only.
+# v("s1") the crossing type's s1_t.  ``_assemble`` builds these rows and
+# ``generic_rep``'s alike: the ring's variables are the type-independent
+# parameters, then each stem suffixed _1 .. _c.  Every type-independent
+# parameter is a side condition, ahead of the crossing ones, unless the
+# conditions are None (``generic_rep``'s); a family without a rho block
+# represents the braided types only.
 _FAMILIES = {
     "upsilon": (
-        2, ["r2"], ["s1", "s2", "s3", "s4"],
-        lambda v: [[0, v("r2")], [1 / v("r2"), 0]],
-        lambda v: [[v("s1"), v("s2")], [v("s3"), v("s4")]],
+        2, ["r2"], ["s1", "s2", "s3", "s4"], _antidiagonal, _free(2, "s"),
         lambda v: [v("s1") * v("s4") - v("s2") * v("s3")]),
     "upsilon-prime": (
-        2, [], ["s1", "s2", "s3", "s4"],
-        lambda v: [[0, 1], [1, 0]],
-        lambda v: [[v("s1"), v("s2")], [v("s3"), v("s4")]],
+        2, [], ["s1", "s2", "s3", "s4"], _swap, _free(2, "s"),
         lambda v: [v("s1") * v("s4") - v("s2") * v("s3")]),
     "epsilon1": (
         3, ["r6"], ["s5", "s6", "s8", "s9"],
@@ -114,32 +129,32 @@ _FAMILIES = {
         lambda v: [v("s5")]),
     "omega1": (
         2, ["r2"], ["s2", "s3"],
-        lambda v: [[0, v("r2")], [1 / v("r2"), 0]],
+        _antidiagonal,
         lambda v: [[0, v("s2")], [v("s3"), 0]],
         lambda v: [v("s2"), v("s3")]),
     "omega2": (
         2, ["r2"], ["s2", "s4"],
-        lambda v: [[0, v("r2")], [1 / v("r2"), 0]],
+        _antidiagonal,
         lambda v: [[0, v("s2")], [1 / v("r2"), v("s4")]],
         lambda v: [v("s2"), v("s4")]),
     "omega3": (
         2, ["r2"], ["s1", "s2"],
-        lambda v: [[0, v("r2")], [1 / v("r2"), 0]],
+        _antidiagonal,
         lambda v: [[v("s1"), v("s2")], [1 / v("r2"), 0]],
         lambda v: [v("s1"), v("s2")]),
     "omega1p": (
         2, ["r2"], ["s2", "s3"],
-        lambda v: [[0, 1], [1, 0]],
+        _swap,
         lambda v: [[0, v("s2") / v("r2")], [v("r2") * v("s3"), 0]],
         lambda v: [v("s2"), v("s3")]),
     "omega2p": (
         2, ["r2"], ["s2", "s4"],
-        lambda v: [[0, 1], [1, 0]],
+        _swap,
         lambda v: [[0, v("s2") / v("r2")], [1, v("s4")]],
         lambda v: [v("s2"), v("s4")]),
     "omega3p": (
         2, ["r2"], ["s1", "s2"],
-        lambda v: [[0, 1], [1, 0]],
+        _swap,
         lambda v: [[v("s1"), v("s2") / v("r2")], [1, 0]],
         lambda v: [v("s1"), v("s2")]),
     "burau": (
@@ -271,6 +286,35 @@ class LocalRep:
         return f"{self.name} over {self.spec.describe()}, degree {self.degree}, {mode}"
 
 
+def _typed(values: dict, t: int, name: str):
+    """The block-table accessor: parameter ``name`` of crossing type t,
+    ``values[name]`` if it is type-independent, else ``values[name_t]``."""
+    return values[name] if name in values else values[f"{name}_{t}"]
+
+
+def _assemble(name: str, spec: GroupSpec, row: tuple) -> LocalRep:
+    """The symbolic ``LocalRep`` of one block-table row over ``spec``."""
+    k, shared, stems, rho_rows, sigma_rows, sigma_conds = row
+    names = shared + [f"{nm}_{t}" for t in range(1, spec.c + 1) for nm in stems]
+    ring = PolyRing(tuple(names))
+    values = {nm: ring.rf(nm) for nm in names}
+    conds = [values[nm] for nm in shared] if sigma_conds else []
+    sigma_blocks = {}
+    for t in range(1, spec.c + 1) if rho_rows else sorted(spec.braid_types):
+        v = partial(_typed, values, t)
+        sigma_blocks[t] = Matrix.from_rows(ring, sigma_rows(v))
+        conds += sigma_conds(v) if sigma_conds else []
+    return LocalRep(
+        name=name,
+        spec=spec,
+        block_size=k,
+        ring=ring,
+        side_conditions=tuple(conds),
+        rho_block=Matrix.from_rows(ring, rho_rows(ring.rf)) if rho_rows else None,
+        sigma_blocks=sigma_blocks,
+    )
+
+
 def build_local_rep(
     family: str,
     spec: GroupSpec,
@@ -283,42 +327,48 @@ def build_local_rep(
     condition nonzero (those points are excluded from the family).
     """
     name = canonical_family(family)
-    k, shared, stems, rho_rows, sigma_rows, sigma_conds = _FAMILIES[name]
     if name.startswith("epsilon") and spec.c != 2:
         raise ValueError(f"{name} is defined over c = 2 groups; got c = {spec.c}")
     if name.startswith("omega") and not spec.welded:
         raise ValueError(f"{name} needs a welded group; got {spec.describe()}")
-    if rho_rows is None and not spec.braid_types:
+    if _FAMILIES[name][3] is None and not spec.braid_types:
         raise ValueError(
             f"{name} represents braided crossing types only; "
             f"{spec.describe()} flags none"
         )
-    names = shared + [f"{nm}_{t}" for t in range(1, spec.c + 1) for nm in stems]
-    ring = PolyRing(tuple(names))
-
-    def accessor(t):
-        return lambda nm: ring.rf(f"{nm}_{t}" if nm in stems else nm)
-
-    conds = [ring.rf(nm) for nm in shared]
-    sigma_blocks = {}
-    for t in range(1, spec.c + 1) if rho_rows else sorted(spec.braid_types):
-        v = accessor(t)
-        sigma_blocks[t] = Matrix.from_rows(ring, sigma_rows(v))
-        conds += sigma_conds(v)
-    rep = LocalRep(
-        name=name,
-        spec=spec,
-        block_size=k,
-        ring=ring,
-        side_conditions=tuple(conds),
-        rho_block=Matrix.from_rows(ring, rho_rows(ring.rf)) if rho_rows else None,
-        sigma_blocks=sigma_blocks,
-    )
+    rep = _assemble(name, spec, _FAMILIES[name])
     if params == "symbolic":
         return rep
     if not isinstance(params, dict):
         raise TypeError("params must be 'symbolic' or a full assignment dict")
     return specialize(rep, params)
+
+
+def generic_rep(
+    block_size: int, spec: GroupSpec, rho_form: str = "generic"
+) -> LocalRep:
+    """A k-local 'representation' whose block entries are fresh unknowns.
+
+    ``rho_form="antidiagonal"`` substitutes the classified virtual block
+    [[0, r2], [1/r2, 0]] (the r1 = r4 = 0, r2*r3 = 1 solution locus) while
+    the sigma blocks stay fully generic.
+    """
+    k = block_size
+    if k not in (2, 3):
+        raise ValueError("block size must be 2 or 3")
+    if rho_form == "generic":
+        rho_rows = _free(k, "r")
+    elif rho_form == "antidiagonal":
+        if k != 2:
+            raise ValueError("the antidiagonal virtual block is a 2x2 form")
+        rho_rows = _antidiagonal
+    else:
+        raise ValueError(f"unknown rho_form {rho_form!r}")
+    slots = range(1, k * k + 1)
+    row = (k, [f"r{j}" for j in slots], [f"s{j}" for j in slots],
+           rho_rows, _free(k, "s"), None)
+    name = f"generic-{k}-local" + ("-antidiagonal" if rho_form != "generic" else "")
+    return _assemble(name, spec, row)
 
 
 def specialize(rep: LocalRep, assignment: dict) -> LocalRep:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, stable JSON, and the bundled suites."""
 
+import ast
 import json
 import os
 import shlex
@@ -709,6 +710,29 @@ def test_successive_calls_match_each_call_run_alone(capsys):
     cli.build_parser.cache_clear()
     assert [run(capsys, *argv) for argv in calls] == alone
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_package_imports_only_the_standard_library_and_itself():
+    """Pins README's "No runtime dependencies" and pyproject's
+    ``dependencies = []``: every absolute import anywhere in a module of
+    ``src/uvbraid`` names a standard-library module or the package; the
+    relative ones are the package."""
+    modules = sorted(Path(uvbraid.__file__).resolve().parent.glob("*.py"))
+    assert len(modules) >= 7
+    outside = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}" for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | {"uvbraid"}
+            ]
+    assert outside == []
 
 
 def test_import_leaves_numpy_unloaded():

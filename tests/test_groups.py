@@ -303,6 +303,16 @@ class TestParsing:
         with pytest.raises(ValueError, match="strand"):
             parse_word("r3", make_spec("uv", 3, 2))
 
+    @pytest.mark.parametrize("token", ["s1,0", "s1,3"])
+    def test_type_index_message_names_the_range(self, token):
+        with pytest.raises(ValueError, match=r"type index \d out of range 1\.\.2 in"):
+            parse_word(token, make_spec("uv", 3, 2))
+
+    @pytest.mark.parametrize("token", ["r0", "r3", "s0,1", "s3,2"])
+    def test_strand_index_message_is_the_same_for_both_token_kinds(self, token):
+        with pytest.raises(ValueError, match=r"strand index \d out of range 1\.\.2 in"):
+            parse_word(token, make_spec("uv", 3, 2))
+
     def test_malformed_token(self):
         spec = make_spec("uv", 3, 2)
         for bad in ("q1", "s1", "r1^2", "s1,1^1", "r-1"):

@@ -3,10 +3,12 @@ word evaluation, and diagonal conjugation equivalences."""
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import uvbraid
 from uvbraid.groups import make_spec, parse_word, rho, sigma
 from uvbraid.matrices import Matrix, block_embed
 from uvbraid.reps import (
@@ -15,6 +17,7 @@ from uvbraid.reps import (
     canonical_family,
     conjugation_equivalence,
     eval_word,
+    generic_rep,
     specialize,
 )
 from uvbraid.scalars import GaussianRational
@@ -176,6 +179,114 @@ class TestFamilyTables:
             build_local_rep("omega1", make_spec("uv", 3, 1))  # needs welded
         with pytest.raises(ValueError):
             build_local_rep("burau", make_spec("uv", 3, 1))  # needs a braided type
+
+
+_SLOT_NAME = re.compile(r"[rs](\d+)(?:_\d+)?$")
+
+
+def _bare_slot_parameters(block):
+    """(row-major slot from 1, name) of every entry of ``block`` that is a
+    bare parameter named by the slot convention (r6, s5_t)."""
+    k = block.nrows
+    return [
+        (a * k + b + 1, name)
+        for a, row in enumerate(block.rows)
+        for b, x in enumerate(row)
+        if (name := x.as_variable()) is not None and _SLOT_NAME.match(name)
+    ]
+
+
+def _slot_names(stem, k, suffix=""):
+    return [[f"{stem}{a * k + b + 1}{suffix}" for b in range(k)] for a in range(k)]
+
+
+class TestSlotConvention:
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_bare_parameters_sit_at_the_slot_their_name_gives(self, family):
+        seen = 0
+        for flavor, n, c in _GOLDEN_HOMES[family]:
+            rep = build_local_rep(family, make_spec(flavor, n, c))
+            blocks = [] if rep.rho_block is None else [rep.rho_block]
+            for block in blocks + list(rep.sigma_blocks.values()):
+                for slot, name in _bare_slot_parameters(block):
+                    assert int(_SLOT_NAME.match(name).group(1)) == slot, (name, str(block))
+                    seen += 1
+        # burau and f-rep have only t, which names no slot; omega1p has
+        # s2_t/r2 and r2*s3_t, which are not bare
+        assert seen or family in ("burau", "f-rep", "omega1p")
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_every_generic_entry_is_its_own_slot_name(self, k, c):
+        rep = generic_rep(k, make_spec("uv", k + 1, c))
+        assert _entry_strings(rep.rho_block) == _slot_names("r", k)
+        assert sorted(rep.sigma_blocks) == list(range(1, c + 1))
+        for t, block in rep.sigma_blocks.items():
+            assert _entry_strings(block) == _slot_names("s", k, f"_{t}")
+        slots = range(1, k * k + 1)
+        assert rep.ring.vars == tuple(f"r{j}" for j in slots) + tuple(
+            f"s{j}_{t}" for t in range(1, c + 1) for j in slots
+        )
+        assert rep.side_conditions == ()
+
+    def test_generic_antidiagonal_form(self):
+        spec = make_spec("uw", 3, 2)
+        rep = generic_rep(2, spec, "antidiagonal")
+        assert str(rep.rho_block) == "[0, r2; 1/(r2), 0]"
+        assert rep.name == "generic-2-local-antidiagonal"
+        assert rep.ring.vars == generic_rep(2, spec).ring.vars
+        assert _entry_strings(rep.sigma_blocks[2]) == _slot_names("s", 2, "_2")
+        assert rep.side_conditions == ()
+
+    @pytest.mark.parametrize(
+        "k, rho_form, message",
+        [
+            (4, "generic", "block size must be 2 or 3"),
+            (2, "bogus", "unknown rho_form 'bogus'"),
+            (3, "antidiagonal", "the antidiagonal virtual block is a 2x2 form"),
+        ],
+    )
+    def test_generic_rep_refusals(self, k, rho_form, message):
+        with pytest.raises(ValueError, match=message):
+            generic_rep(k, make_spec("uv", 4, 1), rho_form)
+
+    def test_generic_rep_is_one_function_under_every_import_path(self):
+        assert uvbraid.analysis.generic_rep is generic_rep
+        assert uvbraid.generic_rep is generic_rep
+
+
+@pytest.mark.parametrize(
+    "family", [f for f in FAMILY_NAMES if f not in ("burau", "f-rep")]
+)
+def test_type_t_blocks_are_type_1_blocks_renamed(family):
+    """The premise of type-renaming: a family's type-t crossing block and
+    side conditions are its type-1 ones with every _1 parameter renamed _t
+    (checked by substitution, not by string replacement)."""
+    if family.startswith("epsilon"):
+        spec = make_spec("uv", 4, 2)
+    else:
+        spec = make_spec("uw" if family.startswith("omega") else "uv", 3, 3)
+    rep, c = build_local_rep(family, spec), spec.c
+    ring = rep.ring
+    shared = [p for p in rep.params if "_" not in p]
+    per_type, rest = divmod(len(rep.side_conditions) - len(shared), c)
+    assert rest == 0 and per_type > 0
+
+    def conditions(t):
+        start = len(shared) + (t - 1) * per_type
+        return list(rep.side_conditions[start : start + per_type])
+
+    for t in range(2, c + 1):
+        rename = {p: ring.rf(f"{p[:-2]}_{t}" if p.endswith("_1") else p) for p in rep.params}
+
+        def renamed(x):
+            return x.num.substitute(rename, ring) / x.den.substitute(rename, ring)
+
+        block_1, block_t = rep.sigma_blocks[1], rep.sigma_blocks[t]
+        assert [[renamed(x) for x in row] for row in block_1.rows] == [
+            list(row) for row in block_t.rows
+        ]
+        assert [renamed(x) for x in conditions(1)] == conditions(t)
 
 
 class TestEmbeddingAndEvaluation:
