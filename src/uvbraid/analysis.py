@@ -202,9 +202,11 @@ def verify_relations(rep: LocalRep, spec: GroupSpec | None = None) -> Verificati
     when the pass meets its first member, the only member whose words are
     built; a later member takes its verdict.  The residue is zero outside
     the window, so a failing member's full-degree ``residue`` is its
-    class's window residue placed at the member's own start, and its entry
-    is that of the full products.  A skipped member's detail names its own
-    first uncovered letter.
+    class's window residue placed at the member's own start.  Its detail's
+    entry is the window's first nonzero one, found and printed once per
+    class, offset by the member's start - 1: the first nonzero entry of the
+    full products.  A skipped member's detail names its own first
+    uncovered letter.
     """
     spec = spec or rep.spec
     if spec.n != rep.spec.n:
@@ -215,9 +217,9 @@ def verify_relations(rep: LocalRep, spec: GroupSpec | None = None) -> Verificati
     # (row, shape, type values) -> the first shape letter the family has no
     # block for, or None: blocks depend on kind and type, not on strands
     uncovered: dict[tuple, tuple | None] = {}
-    # class key -> (tag of its first member, its window residue or None
-    # when that is zero)
-    verdicts: dict[tuple, tuple[str, Matrix | None]] = {}
+    # class key -> (tag of its first member, its window residue, and the
+    # window's first nonzero entry as (row, column, printed entry) or None)
+    verdicts: dict[tuple, tuple[str, Matrix, tuple | None]] = {}
     outcomes = []
     for p in placements(spec):
         shape_key = p.row, p.shape, p.values
@@ -240,20 +242,19 @@ def verify_relations(rep: LocalRep, spec: GroupSpec | None = None) -> Verificati
         if verdict is None:
             (rel,) = relations(spec, [p])
             w = _residue(rep, rel, start, size)
-            verdict = verdicts[cls] = p.tag, None if w.is_zero() else w
-        first, window_residue = verdict
+            bad = None if w.is_zero() else next(
+                (i, j, str(x)) for i, row in enumerate(w.rows) for j, x in enumerate(row)
+                if not x.is_zero()
+            )
+            verdict = verdicts[cls] = p.tag, w, bad
+        first, window_residue, bad = verdict
         how = "window" if first == p.tag else f"class of {first}"
-        if window_residue is None:
+        if bad is None:
             outcomes.append(RelationOutcome(p.tag, "pass", how=how))
             continue
+        i, j, text = bad
+        detail = f"entry {(start - 1 + i, start - 1 + j)}: {text}"
         residue = place(window_residue, start, zeros)
-        bad = next(
-            (i, j)
-            for i in range(residue.nrows)
-            for j in range(residue.ncols)
-            if not residue.rows[i][j].is_zero()
-        )
-        detail = f"entry {bad}: {residue.rows[bad[0]][bad[1]]}"
         outcomes.append(RelationOutcome(p.tag, "fail", detail, residue, how))
     return VerificationReport(
         rep=rep.describe(),
@@ -315,9 +316,11 @@ def generate_constraints(
     placements of the schema walk (``groups.placements``): a class's
     residue, and the keys of its equations, are made when the pass meets
     its first chosen member, the only member whose words are built.
-    Entries outside a window are zero and contribute nothing.
-    ``relation_tags`` keeps the caller's order for equations and
-    provenance.
+    Entries outside a window are zero and contribute nothing.  The pass
+    keeps one record per equation, in one map from its key to the equation
+    and its tags: ``equations`` and ``provenance`` are read from it at the
+    end, each in the order the pass first met them, so ``relation_tags``
+    keeps the caller's order and a repeated tag counts once.
     """
     rep = generic_rep(block_size, spec, rho_form)
     if relation_tags is None:
@@ -329,10 +332,9 @@ def generate_constraints(
             raise ValueError(f"tags not in {spec.describe()}: {missing}")
         chosen = [by_tag[t] for t in relation_tags]
     classes: dict[tuple, list] = {}  # window key -> its (key, equation) pairs
-    equations: list[MultiPoly] = []
-    provenance: list[list[str]] = []
-    seen: dict = {}  # equation key -> its index
-    tag_sets: list[set[str]] = []  # per equation, its provenance as a set
+    # equation key -> (equation, its tags as the keys of a dict), both in
+    # the order the walk first meets them
+    found: dict = {}
     for p in chosen:
         window = _window(p, block_size)
         if window is None:
@@ -345,15 +347,8 @@ def generate_constraints(
             monic = (e.num.monic() for row in residue.rows for e in row if not e.is_zero())
             eqs = classes[cls] = [(eq.key(), eq) for eq in monic]
         for key, eq in eqs:
-            idx = seen.get(key)
-            if idx is None:
-                seen[key] = len(equations)
-                equations.append(eq)
-                provenance.append([p.tag])
-                tag_sets.append({p.tag})
-            elif p.tag not in tag_sets[idx]:
-                tag_sets[idx].add(p.tag)
-                provenance[idx].append(p.tag)
+            found.setdefault(key, (eq, {}))[1][p.tag] = None
+    equations = [eq for eq, _tags in found.values()]
     appearing: set[str] = set()
     for eq in equations:
         appearing.update(eq.variables())
@@ -371,7 +366,7 @@ def generate_constraints(
         ring=rep.ring,
         unknowns=unknowns,
         equations=equations,
-        provenance=provenance,
+        provenance=[list(tags) for _eq, tags in found.values()],
         invertibility=invertibility,
     )
 

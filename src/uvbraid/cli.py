@@ -122,6 +122,7 @@ def cmd_verify(args) -> int:
 def cmd_constraints(args) -> int:
     spec = _spec_from(args)
     system = generate_constraints(args.k, spec, args.tag or None, args.rho_form)
+    printed = [(str(e), tags) for e, tags in zip(system.equations, system.provenance)]
     payload = {
         "command": "constraints",
         "group": spec.to_dict(),
@@ -129,16 +130,10 @@ def cmd_constraints(args) -> int:
         "rho_form": args.rho_form,
         "unknowns": list(system.unknowns),
         "count": len(system),
-        "equations": [
-            {"poly": str(e), "tags": tags}
-            for e, tags in zip(system.equations, system.provenance)
-        ],
+        "equations": [{"poly": e, "tags": tags} for e, tags in printed],
         "checks": [],
         "lines": [f"{len(system)} equations in {len(system.unknowns)} unknowns"]
-        + [
-            f"  {e} = 0    [{', '.join(tags)}]"
-            for e, tags in zip(system.equations, system.provenance)
-        ],
+        + [f"  {e} = 0    [{', '.join(tags)}]" for e, tags in printed],
     }
     return _emit(payload, args.json)
 

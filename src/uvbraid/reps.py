@@ -28,11 +28,11 @@ block (for 2 x 2 blocks, positions 1..4).  One routine, ``_assemble``,
 builds the named families and :func:`generic_rep`, a row of ``_free``
 blocks.  The side conditions (points excluded from a family) are its
 type-independent parameters r2, r6 or t, then per crossing type: the
-crossing block's determinant for upsilon, upsilon-prime, epsilon1 and
-epsilon2, s5_t for epsilon3 and epsilon4, and every crossing parameter for
-the omegas.  ``burau`` and ``f-rep`` have no virtual block: words
-containing rho letters cannot be evaluated there, and the relation verifier
-reports rho-relations as skipped rather than checked.
+crossing block's determinant (``_det2``) for upsilon, upsilon-prime,
+epsilon1 and epsilon2, s5_t for epsilon3 and epsilon4, and every crossing
+parameter for the omegas.  ``burau`` and ``f-rep`` have no virtual
+block: words containing rho letters cannot be evaluated there, and the
+relation verifier reports rho-relations as skipped rather than checked.
 
 Word images come from :func:`word_fraction`, the one word-product routine.
 Every block here has monomial entry denominators (1, r2 or r6), and the
@@ -87,6 +87,12 @@ def _free(k: int, stem: str):
     return lambda v: [[v(f"{stem}{a * k + b + 1}") for b in range(k)] for a in range(k)]
 
 
+def _det2(a: str, b: str, c: str, d: str):
+    """The side condition of a crossing block whose invertible part is the
+    2 x 2 block [[a, b], [c, d]]: its determinant a*d - b*c."""
+    return lambda v: [v(a) * v(d) - v(b) * v(c)]
+
+
 # Each entry: (block size, type-independent parameters, crossing stems,
 # rho block | None, sigma_t block, sigma_t side conditions).  Blocks and
 # conditions are functions of an accessor v: v("r2") is the parameter r2,
@@ -99,20 +105,20 @@ def _free(k: int, stem: str):
 _FAMILIES = {
     "upsilon": (
         2, ["r2"], ["s1", "s2", "s3", "s4"], _antidiagonal, _free(2, "s"),
-        lambda v: [v("s1") * v("s4") - v("s2") * v("s3")]),
+        _det2("s1", "s2", "s3", "s4")),
     "upsilon-prime": (
         2, [], ["s1", "s2", "s3", "s4"], _swap, _free(2, "s"),
-        lambda v: [v("s1") * v("s4") - v("s2") * v("s3")]),
+        _det2("s1", "s2", "s3", "s4")),
     "epsilon1": (
         3, ["r6"], ["s5", "s6", "s8", "s9"],
         lambda v: [[1, 0, 0], [0, 0, v("r6")], [0, 1 / v("r6"), 0]],
         lambda v: [[1, 0, 0], [0, v("s5"), v("s6")], [0, v("s8"), v("s9")]],
-        lambda v: [v("s5") * v("s9") - v("s6") * v("s8")]),
+        _det2("s5", "s6", "s8", "s9")),
     "epsilon2": (
         3, ["r2"], ["s1", "s2", "s4", "s5"],
         lambda v: [[0, v("r2"), 0], [1 / v("r2"), 0, 0], [0, 0, 1]],
         lambda v: [[v("s1"), v("s2"), 0], [v("s4"), v("s5"), 0], [0, 0, 1]],
-        lambda v: [v("s1") * v("s5") - v("s2") * v("s4")]),
+        _det2("s1", "s2", "s4", "s5")),
     "epsilon3": (
         3, ["r6"], ["s4", "s5"],
         lambda v: [[1, 0, 0], [1 / v("r6"), -1, v("r6")], [0, 0, 1]],
@@ -372,7 +378,10 @@ def generic_rep(
 
 
 def specialize(rep: LocalRep, assignment: dict) -> LocalRep:
-    """Evaluate every block at a full parameter point (side conditions checked)."""
+    """Evaluate every block at a full parameter point (side conditions
+    checked).  A point where a block entry's denominator vanishes is
+    refused with a ValueError as well, side conditions or none
+    (``generic_rep`` has none)."""
     point = {k: _as_gauss(v) for k, v in assignment.items()}
     unknown = set(point) - set(rep.params)
     if unknown:
@@ -385,12 +394,12 @@ def specialize(rep: LocalRep, assignment: dict) -> LocalRep:
             raise ValueError(
                 f"assignment violates side condition {cond} != 0 for {rep.name}"
             )
-    return replace(
-        rep,
-        rho_block=None if rep.rho_block is None else rep.rho_block.evaluate(point),
-        sigma_blocks={t: b.evaluate(point) for t, b in rep.sigma_blocks.items()},
-        assignment=point,
-    )
+    try:
+        rho_block = None if rep.rho_block is None else rep.rho_block.evaluate(point)
+        sigma_blocks = {t: b.evaluate(point) for t, b in rep.sigma_blocks.items()}
+    except VanishingDenominator as exc:
+        raise ValueError(f"a block of {rep.name} is undefined: {exc}") from exc
+    return replace(rep, rho_block=rho_block, sigma_blocks=sigma_blocks, assignment=point)
 
 
 def _as_gauss(v) -> GaussianRational:

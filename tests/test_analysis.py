@@ -601,6 +601,49 @@ class TestGenerateConstraints:
             values = system.substitute(mapping, rep.ring)
             assert all(v.is_zero() for v in values), fam
 
+    def test_provenance_follows_the_callers_tag_order(self):
+        """A repeated tag counts once, and each equation's tags come in the
+        order the caller's list first names them."""
+        uv = make_spec("uv", 3, 1)
+        system = generate_constraints(2, uv, ["PR3[i=2]", "PR3[i=1]", "PR3[i=2]"])
+        alone = generate_constraints(2, uv, ["PR3[i=1]"])
+        assert len(system.equations) == 4
+        assert [str(e) for e in system.equations] == [str(e) for e in alone.equations]
+        assert system.provenance == [["PR3[i=2]", "PR3[i=1]"]] * 4
+
+
+# every flavor at n = 3..5, c in {1, 2} where the flavor leaves it free;
+# k = 2 generic and antidiagonal, k = 3 from n = 4 on
+_ENGINE_CASES = [
+    (k, (flavor, n, c), rho_form)
+    for flavor in FLAVORS
+    for n in (3, 4, 5)
+    for c in ((None,) if flavor in _FIXED_C else (1, 2))
+    for k, rho_form in [(2, "generic"), (2, "antidiagonal"), (3, "generic")]
+    if k == 2 or n >= 4
+]
+
+
+@pytest.mark.parametrize("k,group,rho_form", _ENGINE_CASES, ids=_case_id)
+def test_constraints_are_the_failing_residues_of_verify(k, group, rho_form):
+    """The two engines read the same residues: the equations of the generic
+    system are the monic numerators of the entries that ``verify_relations``
+    reports failing on the same generic rep, and their provenance is the
+    failing tags."""
+    spec = make_spec(*group)
+    system = generate_constraints(k, spec, None, rho_form)
+    report = verify_relations(generic_rep(k, spec, rho_form))
+    assert not report.skipped
+    residues = {
+        x.num.monic().key()
+        for o in report.failed
+        for row in o.residue.rows
+        for x in row
+        if not x.is_zero()
+    }
+    assert {e.key() for e in system.equations} == residues
+    assert set().union(*system.provenance) == {o.tag for o in report.failed}
+
 
 class TestModP:
     def test_seven_solutions_mod_seven(self):

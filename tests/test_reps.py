@@ -405,6 +405,13 @@ class TestSpecialization:
             # singular crossing block: determinant vanishes
             specialize(base, {"r2": 1, "s1_1": 1, "s2_1": 1, "s3_1": 1, "s4_1": 1})
 
+    def test_vanishing_block_denominator_rejected(self):
+        # generic_rep has no side conditions, yet r2 divides its antidiagonal block
+        rep = generic_rep(2, make_spec("uv", 3, 1), "antidiagonal")
+        point = {p: 1 for p in rep.params} | {"r2": 0}
+        with pytest.raises(ValueError, match=r"generic-2-local-antidiagonal .*denominator r2"):
+            specialize(rep, point)
+
     def test_unknown_and_missing_parameters_rejected(self):
         spec = make_spec("uv", 3, 1)
         base = build_local_rep("upsilon", spec)
