@@ -496,18 +496,20 @@ def perm_image(w: Word, spec: GroupSpec, which: str) -> Permutation:
     if which not in ("piP", "piK", "iota_check"):
         raise ValueError(f"unknown map {which!r}; want piP, piK or iota_check")
     n = spec.n
-    acc = Permutation.identity(n)
+    images = list(range(1, n + 1))
     for g, _e in w.letters:
-        if g.kind == "rho":
-            acc = acc * Permutation.transposition(n, g.index)
-        elif which == "piP":
-            acc = acc * Permutation.transposition(n, g.index)
-        elif which == "iota_check":
-            raise ValueError(
-                f"iota_check expects a pure-rho word; found sigma letter {g}"
-            )
-        # piK: sigma maps to the identity
-    return acc
+        if g.kind == "sigma" and which != "piP":
+            if which == "iota_check":
+                raise ValueError(
+                    f"iota_check expects a pure-rho word; found sigma letter {g}"
+                )
+            continue  # piK: sigma maps to the identity
+        # right-multiplying by (i i+1) swaps the images of i and i+1
+        i = g.index
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"transposition index {i} out of range 1..{n - 1}")
+        images[i - 1], images[i] = images[i], images[i - 1]
+    return Permutation(tuple(images))
 
 
 @dataclass(frozen=True)

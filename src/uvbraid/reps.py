@@ -216,8 +216,9 @@ class LocalRep:
         return g.type in self.sigma_blocks
 
     def letter_block(self, g: Generator, exp: int = 1) -> Matrix:
-        """The k x k block of g, or of g^-1 when ``exp`` < 0 (cached);
-        raises if the family omits g's block."""
+        """The k x k block of g, or of g^-1 when ``exp`` < 0; raises if the
+        family omits g's block.  The inverse is computed on every call:
+        ``letter_fraction`` and ``matrix`` cache what they build from it."""
         if not 1 <= g.index <= self.spec.n - 1:
             raise ValueError(f"strand index {g.index} out of range for {self.spec}")
         if g.kind == "rho":
@@ -232,14 +233,7 @@ class LocalRep:
                 raise ValueError(
                     f"family {self.name!r} has no block for crossing type {g.type}"
                 )
-        if exp >= 0:
-            return blk
-        key = ("inv", g.kind, g.type)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = blk.inverse()
-            self._cache[key] = hit
-        return hit
+        return blk if exp >= 0 else blk.inverse()
 
     def letter_fraction(
         self, g: Generator, exp: int = 1

@@ -20,10 +20,16 @@ Algebraic Number Theory*, 4.2).  The form is canonical:
   real value (b = 0) hashes like the int or Fraction a/d it equals.
 
 ``+ - * /``, ``inverse``, ``**`` and the zero tests use int arithmetic
-only, and a sum, difference or product of two values with denominator 1
-computes no gcd.  No Fraction is built on that path: ``re``/``im`` return
-Fractions for readers who want them, and the constructor takes int,
-Fraction or string parts and refuses floats.
+only.  Subtraction is addition of the negation and inversion is the
+quotient of one, so each operation has one code path; a sum, difference or
+product of two values with denominator 1 computes no gcd.  No Fraction is
+built on that path: ``re``/``im`` return Fractions for readers who want
+them, and the constructor takes int, Fraction or string parts and refuses
+floats.
+
+Evaluation and substitution read a variable only where a term uses it: a
+point or mapping may bind other names, and what it holds for a variable
+that occurs in no term is never looked at.
 
 Normalization contract for :class:`RatFunc`, applied by its constructor and
 nowhere else (no multivariate gcd is ever computed; these cheap reductions
@@ -35,6 +41,11 @@ are what keep intermediate growth sane):
   lexicographic order over the ring's declared variable order);
 * a value whose numerator then equals its denominator is 1/1;
 * a pair over 1 is taken as given: no monomial divides 1 and 1 is monic.
+
+A power is num^k/den^k, already normal since each variable's lowest degree
+and the leading coefficient are multiplicative; it is the k-fold product
+term for term, except for -1 or +-i over a non-constant denominator, whose
+k-fold product collapses to 1/1 at each multiple of the root's order.
 
 Rendering is deterministic, not canonical: terms are listed in descending
 graded lexicographic order, so one construction always prints the same, but
@@ -118,14 +129,7 @@ class GaussianRational:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        d, e = self.d, other.d
-        if d == e:
-            a, b = self.a - other.a, self.b - other.b
-            if d == 1:
-                return _make(a, b, 1)
-        else:
-            a, b, d = self.a * e - other.a * d, self.b * e - other.b * d, d * e
-        return _reduced(a, b, d)
+        return self + -other
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -181,12 +185,7 @@ class GaussianRational:
         return _reduced(x, y, dk)
 
     def inverse(self) -> GaussianRational:
-        a, b, d = self.a, self.b, self.d
-        if b:
-            return _reduced(d * a, -d * b, a * a + b * b)
-        if not a:
-            raise ZeroDivisionError("inverse of zero in Q(i)")
-        return _make(d, 0, a) if a > 0 else _make(-d, 0, -a)
+        return _quotient(G_ONE, self)
 
     # -- structure --------------------------------------------------
 
@@ -561,37 +560,34 @@ class MultiPoly:
     # -- evaluation and substitution ---------------------------------
 
     def evaluate(self, point: dict) -> GaussianRational:
-        """Evaluate at a Q(i)-point given as {variable name: scalar}."""
-        vals = _point_vector(self.ring, point, self.variables())
+        """Evaluate at a Q(i)-point given as {variable name: scalar}; only
+        the variables that occur are read, so the point may bind others."""
+        names = self.ring.vars
         total = G_ZERO
         for exp, c in self.terms.items():
-            term = c
             for k, d in enumerate(exp):
                 if d:
-                    term = term * vals[k] ** d
-            total = total + term
+                    c = c * _bound_scalar(point, names[k]) ** d
+            total = total + c
         return total
 
     def substitute(self, mapping: dict, target: PolyRing) -> RatFunc:
         """Substitute rational functions (over ``target``) for the variables.
 
-        Every variable that occurs must be mapped.  Used to plug a concrete
-        parameter family into a generic constraint system.
+        Every variable that occurs must be mapped, and only those are read.
+        Used to plug a concrete parameter family into a generic constraint
+        system.
         """
-        imgs: list[RatFunc | None] = []
-        for v in self.ring.vars:
-            x = mapping.get(v)
-            imgs.append(target.rf(x) if x is not None else None)
+        names = self.ring.vars
         total = target._rf_zero
         for exp, c in self.terms.items():
             term = RatFunc(target.const(c), target._one)
             for k, d in enumerate(exp):
                 if d:
-                    if imgs[k] is None:
-                        raise MissingVariable(
-                            f"substitution does not bind {self.ring.vars[k]!r}"
-                        )
-                    term = term * imgs[k] ** d
+                    x = mapping.get(names[k])
+                    if x is None:
+                        raise MissingVariable(f"substitution does not bind {names[k]!r}")
+                    term = term * target.rf(x) ** d
             total = total + term
         return total
 
@@ -647,19 +643,14 @@ class MultiPoly:
         return f"<MultiPoly {self}>"
 
 
-def _point_vector(ring: PolyRing, point: dict, needed: tuple[str, ...]):
-    vals: list = [G_ZERO] * len(ring.vars)
-    for v in needed:
-        if v not in point:
-            raise MissingVariable(f"no value bound for {v!r}")
-    for v, x in point.items():
-        k = ring._index.get(v)
-        if k is not None:
-            g = _coerce(x)
-            if g is NotImplemented:
-                raise TypeError(f"not a scalar: {x!r}")
-            vals[k] = g
-    return vals
+def _bound_scalar(point: dict, name: str) -> GaussianRational:
+    """The scalar that ``point`` binds to ``name``."""
+    if name not in point:
+        raise MissingVariable(f"no value bound for {name!r}")
+    g = _coerce(point[name])
+    if g is NotImplemented:
+        raise TypeError(f"not a scalar: {point[name]!r}")
+    return g
 
 
 def _render_monomial(ring: PolyRing, exp: tuple[int, ...]) -> str:
@@ -778,10 +769,7 @@ class RatFunc:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.ring._rf_one
-        for _ in range(k):
-            out = out * self
-        return out
+        return RatFunc(self.num ** k, self.den ** k)
 
     def inverse(self) -> RatFunc:
         if self.num.is_zero():

@@ -405,6 +405,22 @@ class TestPermutations:
         for which in ("piP", "piK"):
             assert perm_image(w * v, spec, which) == perm_image(w, spec, which) * perm_image(v, spec, which)
 
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=20)
+    def test_perm_maps_are_the_products_of_their_transpositions(self, seed):
+        spec = make_spec("uv", 200, 2)
+        rng = random.Random(seed)
+        w = random_word(spec, rng, max_len=60)
+        pure = Word(tuple((g, e) for g, e in w.letters if g.kind == "rho"))
+        for which, word_, kept in (
+            ("piP", w, ("rho", "sigma")), ("piK", w, ("rho",)), ("iota_check", pure, ("rho",))
+        ):
+            want = Permutation.identity(spec.n)
+            for g, _e in word_.letters:
+                if g.kind in kept:
+                    want = want * Permutation.transposition(spec.n, g.index)
+            assert perm_image(word_, spec, which) == want, which
+
 
 class TestSplittingMap:
     def test_example(self):

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import uvbraid.scalars
@@ -384,6 +384,27 @@ class TestMultiPoly:
         out = f.substitute({"x": u + 1, "y": u - 1, "z": target.rf(0)}, target)
         assert out == u * u - 1
 
+    @given(polys, st.tuples(*[st.integers(-3, 3)] * 3))
+    @settings(max_examples=60)
+    def test_evaluate_agrees_with_substitution_into_the_constants(self, f, values):
+        point = dict(zip(_XYZ.vars, values))
+        assert f.evaluate(point) == f.substitute(point, PolyRing(())).constant_value()
+
+    def test_only_the_variables_that_occur_are_read(self, ring):
+        f = (ring.rf("x") * ring.rf("x") + 2).num
+        point = {"x": 3, "y": 0.5, "w": 1}
+        assert f.evaluate(point) == GaussianRational(11)
+        assert f.substitute(point, PolyRing(())) == 11
+        with pytest.raises(TypeError, match="not a scalar: 0.5"):
+            f.evaluate({"x": 0.5})
+
+    def test_an_unbound_variable_that_occurs_raises(self, ring):
+        f = (ring.rf("x") * ring.rf("y") + ring.rf("z")).num
+        with pytest.raises(MissingVariable, match="no value bound for 'y'"):
+            f.evaluate({"x": 1, "z": 0.5})
+        with pytest.raises(MissingVariable, match="does not bind 'y'"):
+            f.substitute({"x": 1, "z": 2}, PolyRing(()))
+
     @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(0, 4))
     def test_exact_div_inverts_multiplication(self, a, b, e):
         ring = PolyRing(("x", "y"))
@@ -493,6 +514,29 @@ class TestRatFunc:
         x = ring.rf("x")
         assert (x * x - 1) / (x - 1) == x + 1
         assert str((x * x - 1) / (x - 1)) == "(x^2 - 1)/(x - 1)"
+
+    @given(polys, polys.filter(lambda p: not p.is_zero()))
+    @settings(max_examples=60)
+    def test_powers_are_the_k_fold_products(self, num, den):
+        f = RatFunc(num, den)
+        # -1 and +-i over a non-constant denominator: see the next test
+        assume(f.den.is_one() or not any(f == z for z in (-1, G_I, -G_I)))
+        product = _XYZ.rf(1)
+        for k in range(5):
+            power = f ** k
+            assert (power.num.terms, power.den.terms) == (product.num.terms, product.den.terms)
+            product = product * f
+
+    def test_a_root_of_unity_over_a_nonconstant_denominator(self, ring):
+        """The k-fold product collapses to 1/1 at every multiple of the
+        order and then restarts from f; num^k/den^k collapses only where
+        num^k = den^k.  Both are normal and equal in value."""
+        x = ring.rf("x")
+        f = (-x - 1) / (x + 1)
+        assert str(f ** 2) == "1"
+        assert f ** 3 == f * f * f == -1
+        assert str(f ** 3) == "(-x^3 - 3*x^2 - 3*x - 1)/(x^3 + 3*x^2 + 3*x + 1)"
+        assert str(f * f * f) == "(-x - 1)/(x + 1)"
 
     def test_inverse_roundtrip(self, ring):
         x, y = ring.rf("x"), ring.rf("y")
