@@ -866,12 +866,12 @@ class ReducibilityResult:
 # Each entry: (branches, notes).  A branch is (label, test, witness side,
 # witness entry j of degree m).  ``test`` reads the point through the
 # accessor of ``reps._FAMILIES``, ``reps._typed`` (v("r2") is r2, v("s1")
-# the type's s1_t)
-# and must hold for every crossing type; a branch with no test holds when
-# its witness passes ``invariant_check``, so a family of untested branches
-# is always reducible.  The first branch that holds gives the witness.  The
-# details are the all-types line (tested families, c > 1), each labelled
-# branch as "label: held" joined by "; ", the notes, the re-verified line.
+# the type's s1_t), and must hold for every crossing type; a branch with no
+# test holds when its witness passes ``invariant_check``, so a family of
+# untested branches is always reducible.  The first branch that holds gives
+# the witness.  The details are the all-types line (tested families, c > 1),
+# each labelled branch as "label: held" joined by "; ", the notes, the
+# re-verified line.
 _CRITERIA = {
     "upsilon-prime": (
         [("row sums at 1", lambda v: v("s1") + v("s2") == 1 and v("s3") + v("s4") == 1,

@@ -166,13 +166,7 @@ class Matrix:
         return self.rows[i][j]
 
     def is_identity(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        return all(
-            (a.is_one() if i == j else a.is_zero())
-            for i, r in enumerate(self.rows)
-            for j, a in enumerate(r)
-        )
+        return self.nrows == self.ncols and not self.off_identity()
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for r in self.rows for a in r)

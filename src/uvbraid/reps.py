@@ -39,10 +39,11 @@ Every block here has monomial entry denominators (1, r2 or r6), and the
 schema's relations are positive words, so a window image is a polynomial
 matrix over one denominator: the routine keeps it as ``MultiPoly`` rows N
 and one polynomial D with image N / D.  Each letter's block B is read once
-as N_B / D_B (``LocalRep.letter_fraction``, cached beside the inverses of
-``LocalRep.letter_block``), and right-multiplying by I (+) N_B / D_B (+) I
-rewrites the k columns B covers with N_B and multiplies the other columns
-by D_B, on the whole degree or on a diagonal window of it.
+as N_B / D_B (``LocalRep.letter_fraction``, cached; an inverse letter's
+block is inverted once per rep by ``LocalRep.letter_block``), and
+right-multiplying by I (+) N_B / D_B (+) I rewrites the k columns B covers
+with N_B and multiplies the other columns by D_B, on the whole degree or on
+a diagonal window of it.
 :func:`eval_word` is its ``RatFunc`` view.  Embedded degree-m generator
 matrices (``LocalRep.matrix``) are built only for the engines that take
 them whole.
@@ -217,8 +218,10 @@ class LocalRep:
 
     def letter_block(self, g: Generator, exp: int = 1) -> Matrix:
         """The k x k block of g, or of g^-1 when ``exp`` < 0; raises if the
-        family omits g's block.  The inverse is computed on every call:
-        ``letter_fraction`` and ``matrix`` cache what they build from it."""
+        family omits g's block or g's strand index is out of range.  The
+        inverse is computed once per (kind, type) and cached, since
+        ``letter_fraction`` reads it on every call and ``matrix`` once per
+        strand index."""
         if not 1 <= g.index <= self.spec.n - 1:
             raise ValueError(f"strand index {g.index} out of range for {self.spec}")
         if g.kind == "rho":
@@ -233,7 +236,13 @@ class LocalRep:
                 raise ValueError(
                     f"family {self.name!r} has no block for crossing type {g.type}"
                 )
-        return blk if exp >= 0 else blk.inverse()
+        if exp >= 0:
+            return blk
+        key = ("inv", g.kind, g.type)
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._cache[key] = blk.inverse()
+        return hit
 
     def letter_fraction(
         self, g: Generator, exp: int = 1

@@ -23,9 +23,11 @@ Algebraic Number Theory*, 4.2).  The form is canonical:
 only.  Subtraction is addition of the negation and inversion is the
 quotient of one, so each operation has one code path; a sum, difference or
 product of two values with denominator 1 computes no gcd.  No Fraction is
-built on that path: ``re``/``im`` return Fractions for readers who want
-them, and the constructor takes int, Fraction or string parts and refuses
-floats.
+built on that path.  What Fraction already owns is read from it: the hash
+of a non-integer real value and the printed parts of a value with d > 1
+are those of ``Fraction(a, d)`` and ``Fraction(b, d)``.  ``re``/``im``
+return those Fractions for readers who want them, and the constructor takes
+int, Fraction or string parts and refuses floats.
 
 Evaluation and substitution read a variable only where a term uses it: a
 point or mapping may bind other names, and what it holds for a variable
@@ -55,12 +57,8 @@ equal values may print apart (``x + 1`` and ``(x^2 - 1)/(x - 1)``).
 from __future__ import annotations
 
 import re as _re
-import sys
 from fractions import Fraction
 from math import gcd as _gcd
-
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
 
 
 class VanishingDenominator(ZeroDivisionError):
@@ -208,15 +206,9 @@ class GaussianRational:
             return hash((a, b, d))
         if d == 1:
             return hash(a)
-        # a real value equals the Fraction a/d, so it hashes like one: this
-        # is the documented hash of a rational (Python's "Hashing of numeric
-        # types"), computed without building the Fraction
-        try:
-            h = hash(hash(abs(a)) * pow(d, -1, _HASH_MODULUS))
-        except ValueError:  # d is a multiple of the modulus
-            h = _HASH_INF
-        h = h if a >= 0 else -h
-        return -2 if h == -1 else h
+        # a real value equals the Fraction a/d, and equal numbers must hash
+        # equal, so it hashes as that Fraction does
+        return hash(Fraction(a, d))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -308,10 +300,9 @@ def render_gaussian(g: GaussianRational) -> str:
 
 
 def _ratio(n: int, d: int) -> str:
-    """n/d in lowest terms, as ``str`` of the Fraction would print it."""
-    g = _gcd(n, d)
-    n, d = n // g, d // g
-    return str(n) if d == 1 else f"{n}/{d}"
+    """n/d (d > 0) as ``str`` of the Fraction prints it, which reduces it to
+    lowest terms."""
+    return str(n) if d == 1 else str(Fraction(n, d))
 
 
 _GAUSS_RE = _re.compile(

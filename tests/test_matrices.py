@@ -432,3 +432,28 @@ class TestBlockEmbed:
     def test_identity_outside_block(self, ring):
         b = Matrix.from_rows(ring, [[1, 0], [0, 1]])
         assert block_embed(b, 2, 5).is_identity()
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10 ** 6))
+    def test_is_identity_agrees_with_the_entrywise_reference(self, nr, nc, seed):
+        def reference(m):
+            return m.nrows == m.ncols and all(
+                a.is_one() if i == j else a.is_zero()
+                for i, r in enumerate(m.rows)
+                for j, a in enumerate(r)
+            )
+
+        rnd = random.Random(seed)
+        ring = PolyRing(("a",))
+        # an identity with up to two entries redrawn, so both verdicts occur
+        rows = [[int(i == j) for j in range(nc)] for i in range(nr)]
+        for _ in range(rnd.randint(0, 2)):
+            rows[rnd.randrange(nr)][rnd.randrange(nc)] = rnd.choice([0, 1, 2, ring.rf("a")])
+        m = Matrix.from_rows(ring, rows)
+        views = [m, m.transpose()]
+        if nr == nc:
+            m.off_identity()  # so the transpose and the embedding inherit it
+            t = m.transpose()
+            views += [t, t.transpose()]
+            views += [block_embed(b, pos, nr + 2) for b in (m, t) for pos in (1, 3)]
+        for v in views:
+            assert v.is_identity() == reference(v)

@@ -314,6 +314,43 @@ class TestEmbeddingAndEvaluation:
         with pytest.raises(ValueError):
             rep.matrix(rho(3))
 
+    def test_letter_refusals_are_raised_on_every_call(self):
+        uv = build_local_rep("upsilon", make_spec("uv", 3, 1))
+        burau = build_local_rep("burau", make_spec("mvb", 4, 2))
+        for exp in (1, -1):  # fill the caches of sigma(1, 1) first
+            uv.letter_block(sigma(1, 1), exp)
+            uv.letter_fraction(sigma(1, 1), exp)
+        refusals = [
+            (uv, sigma(3, 1), re.escape(f"strand index 3 out of range for {uv.spec}")),
+            (burau, rho(1), "family 'burau' does not represent virtual generators"),
+            (burau, sigma(1, 1), "family 'burau' has no block for crossing type 1"),
+        ]
+        for rep, g, message in refusals:
+            for read in (rep.letter_block, rep.letter_fraction):
+                for exp in (1, -1, 1, -1):
+                    with pytest.raises(ValueError, match=f"^{message}$"):
+                        read(g, exp)
+
+    def test_each_inverse_block_is_computed_once_per_rep(self, monkeypatch):
+        calls = []
+        inverse = Matrix.inverse
+        monkeypatch.setattr(
+            Matrix, "inverse", lambda self: calls.append(self) or inverse(self)
+        )
+        spec = make_spec("uv", 6, 2)
+        rep = build_local_rep("upsilon", spec)
+        w = parse_word("s1,1^-1 s2,1^-1 s3,2^-1 s1,1^-1 r2^-1 s4,2^-1", spec)
+        images = {str(eval_word(rep, w)) for _ in range(3)}
+        assert len(images) == 1
+        # one inversion each for the rho block and the two sigma types
+        assert len(calls) == 3
+        for i in range(1, 6):
+            rep.matrix(sigma(i, 1), -1)
+        assert len(calls) == 3
+        assert rep.matrix(sigma(2, 1), -1) == block_embed(
+            rep.sigma_blocks[1].inverse(), 2, rep.degree
+        )
+
     def test_eval_word_involution(self):
         spec = make_spec("uv", 3, 1)
         rep = build_local_rep("upsilon", spec)
