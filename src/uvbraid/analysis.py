@@ -41,11 +41,14 @@ from .groups import (  # forbidden_moves is re-exported, not used here
 from .matrices import Echelon, Matrix, gaussian_integer_terms, place
 from .reps import (  # eval_word is re-exported, not used here
     LocalRep,
+    _check_fields,
+    _dot,
     _typed,
+    _unpack,
     build_local_rep,
     eval_word,
     generic_rep,
-    word_fraction,
+    packed_word,
 )
 from .scalars import (
     GaussianRational,
@@ -165,25 +168,27 @@ def _window(p: Placement, k: int) -> tuple | None:
 
 def _residue(rep: LocalRep, rel: Relation, start: int, size: int) -> Matrix:
     """eval(lhs) - eval(rhs) on the window start .. start+size-1, compared
-    as numerators (``word_fraction``): N_L - N_R over a shared denominator,
-    N_L*D_R - N_R*D_L over D_L*D_R otherwise.  An entry where the sides
-    agree is the ring's zero, and only a nonzero one becomes a ``RatFunc``,
-    so a passing relation builds none."""
-    left, d_l = word_fraction(rep, rel.lhs, start, size)
-    right, d_r = word_fraction(rep, rel.rhs, start, size)
+    as packed numerators (``packed_word``): N_L against N_R over a shared
+    denominator, N_L*D_R against N_R*D_L otherwise.  An entry where the
+    sides agree is the ring's zero, and only a differing one is unpacked
+    into a ``RatFunc``, so a passing relation builds none.  Both sides'
+    common scale L cancels when the ``RatFunc`` is normalized."""
+    left, d_l, _l, top_l = packed_word(rep, rel.lhs, start, size)
+    right, d_r, _r, top_r = packed_word(rep, rel.rhs, start, size)
     den = d_l
-    if d_l.terms != d_r.terms:
-        left = [[x * d_r for x in row] for row in left]
-        right = [[x * d_l for x in row] for row in right]
-        den = d_l * d_r
-    zero = rep.ring._rf_zero
-    return Matrix(
-        rep.ring,
-        tuple(
-            tuple(zero if x.terms == y.terms else RatFunc(x - y, den) for x, y in zip(a, b))
-            for a, b in zip(left, right)
-        ),
-    )
+    if d_l != d_r:
+        _check_fields(top_l + top_r)
+        left = [[_dot((x,), (d_r,)) for x in row] for row in left]
+        right = [[_dot((x,), (d_l,)) for x in row] for row in right]
+        den = _dot((d_l,), (d_r,))
+    ring, zero = rep.ring, rep.ring._rf_zero
+
+    def entry(x, y):
+        if x == y:
+            return zero
+        return RatFunc(_unpack(ring, x, 1) - _unpack(ring, y, 1), _unpack(ring, den, 1))
+
+    return Matrix(ring, tuple(tuple(map(entry, a, b)) for a, b in zip(left, right)))
 
 
 def verify_relations(rep: LocalRep, spec: GroupSpec | None = None) -> VerificationReport:

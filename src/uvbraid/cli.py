@@ -12,7 +12,9 @@ Output is a human-readable report, or with ``--json`` a stable JSON
 document (identical invocations produce byte-identical output; nothing is
 timestamped or environment-dependent).  Exit status: 0 when no check
 failed, 1 when at least one did (or, for ``verify``, when every relation
-was skipped), 2 on usage errors.
+was skipped), 2 on usage errors, 141 (128 + SIGPIPE) when standard output
+is closed before the report is written, with nothing printed on standard
+error.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -489,10 +492,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed standard output early: send what Python still
+        # flushes at exit to devnull, so that no second error is printed
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process the pipe killed
 
 
 if __name__ == "__main__":

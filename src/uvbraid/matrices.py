@@ -29,9 +29,9 @@ clarity over asymptotics.  There is one elimination per field:
 I_(i-1) (+) B (+) I_(m-i-k+1): a k x k block acting on strands
 i..i+k-1 of an m-strand space, identity elsewhere.  It builds the
 generator images that the span engines and criteria take.  Word images are
-not products of such matrices: :func:`uvbraid.reps.word_fraction` applies
-each letter as an update of the k columns its block covers, on polynomial
-numerators over one denominator.
+not products of such matrices: :func:`uvbraid.reps.packed_word` applies
+each letter as an update of the k columns its block covers, on numerators
+over one denominator whose monomials are packed into single ints over Z[i].
 """
 
 from __future__ import annotations

@@ -34,19 +34,34 @@ parameter for the omegas.  ``burau`` and ``f-rep`` have no virtual
 block: words containing rho letters cannot be evaluated there, and the
 relation verifier reports rho-relations as skipped rather than checked.
 
-Word images come from :func:`word_fraction`, the one word-product routine.
+Word images come from :func:`packed_word`, the one word-product routine.
 Every block here has monomial entry denominators (1, r2 or r6), and the
 schema's relations are positive words, so a window image is a polynomial
-matrix over one denominator: the routine keeps it as ``MultiPoly`` rows N
-and one polynomial D with image N / D.  Each letter's block B is read once
-as N_B / D_B (``LocalRep.letter_fraction``, cached; an inverse letter's
-block is inverted once per rep by ``LocalRep.letter_block``), and
+matrix over one denominator: the routine keeps it as rows N and one
+polynomial D with image N / D.  Each letter's block B is read once as
+N_B / D_B (``LocalRep.letter_fraction``, cached; an inverse letter's block
+is inverted once per rep by ``LocalRep.letter_block``), and
 right-multiplying by I (+) N_B / D_B (+) I rewrites the k columns B covers
 with N_B and multiplies the other columns by D_B, on the whole degree or on
 a diagonal window of it.
-:func:`eval_word` is its ``RatFunc`` view.  Embedded degree-m generator
-matrices (``LocalRep.matrix``) are built only for the engines that take
-them whole.
+
+The products run on packed polynomials over Z[i] (Monagan and Pearce,
+CASC 2007): a dict from one int per monomial to an int coefficient.
+Variable k's exponent sits in bit field k + 1 of ``_FIELD_BITS`` bits and
+the power of i, 0 or 1, in field 0, so multiplying monomials is one int
+add, and i^2 = -1 is the bit test ``m & 2`` and a sign flip.
+``LocalRep.letter_packed`` packs each letter once, N_B and D_B both
+scaled by the integer L that clears their coefficient denominators, so
+N_B / D_B is unchanged and every coefficient is a Gaussian integer.  A
+field holds exponents up to 2^_FIELD_BITS - 1: a word whose letters'
+largest exponents sum past that limit is refused with a ``ValueError``
+before any product, since a wider sum would carry into the next field.
+:func:`word_fraction` unpacks the result and divides it by the product of
+the letters' L, which gives back N and D exactly, and :func:`eval_word` is
+its ``RatFunc`` view.  ``analysis`` compares the two sides of a relation
+packed and unpacks only the entries where they differ.  Embedded degree-m
+generator matrices (``LocalRep.matrix``) are built only for the engines
+that take them whole.
 
 A :class:`LocalRep` stores its blocks over its ring; its parameters are
 the ring's variables and its degree is n + k - 2, both read, not stored.
@@ -62,6 +77,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
+from math import lcm
 
 from .groups import Generator, GroupSpec, Word, rho as _rho, sigma as _sigma
 from .matrices import Matrix, block_embed
@@ -271,6 +287,22 @@ class LocalRep:
             hit = self._cache[key] = cols, den
         return hit
 
+    def letter_packed(self, g: Generator, exp: int = 1) -> tuple:
+        """``letter_fraction(g, exp)`` packed for :func:`packed_word`: the
+        columns and the denominator, each entry a ``{packed monomial: int}``
+        dict, all scaled by the integer L that clears their coefficient
+        denominators, then L and the largest exponent they hold (cached)."""
+        cols, den = self.letter_fraction(g, exp)
+        key = ("packed", g.kind, g.type, exp >= 0)
+        hit = self._cache.get(key)
+        if hit is None:
+            polys = [den, *(x for col in cols for x in col)]
+            scale = lcm(*(c.d for p in polys for c in p.terms.values()))
+            top = max((max(e, default=0) for p in polys for e in p.terms), default=0)
+            packed = tuple(tuple(_pack(x, scale) for x in col) for col in cols)
+            hit = self._cache[key] = packed, _pack(den, scale), scale, top
+        return hit
+
     def matrix(self, g: Generator, exp: int = 1) -> Matrix:
         """Embedded degree-m image of g or g^-1, cached."""
         key = (g.kind, g.type, g.index, exp >= 0)
@@ -411,20 +443,86 @@ def _as_gauss(v) -> GaussianRational:
     return GaussianRational(v)
 
 
-def word_fraction(
+# the width of one packed-monomial field (see the module docstring)
+_FIELD_BITS = 16
+
+
+def _pack(p: MultiPoly, scale: int) -> dict[int, int]:
+    """``scale * p`` as ``{packed monomial: int}``; ``scale`` must clear
+    every coefficient denominator of p."""
+    out = {}
+    for e, c in p.terms.items():
+        m = 0
+        for x in reversed(e):
+            m = m << _FIELD_BITS | x
+        m <<= _FIELD_BITS
+        f = scale // c.d
+        if c.a:
+            out[m] = c.a * f
+        if c.b:
+            out[m | 1] = c.b * f
+    return out
+
+
+def _unpack(ring: PolyRing, x: dict[int, int], scale: int) -> MultiPoly:
+    """The ``MultiPoly`` x / scale of a packed polynomial x."""
+    if not x:
+        return ring._zero
+    bits, mask = _FIELD_BITS, (1 << _FIELD_BITS) - 1
+    parts: dict = {}
+    for m, c in x.items():
+        e = tuple(m >> bits * k & mask for k in range(1, len(ring.vars) + 1))
+        parts.setdefault(e, [0, 0])[m & 1] += c
+    return MultiPoly(
+        ring, {e: GaussianRational.from_ints(a, b, scale) for e, (a, b) in parts.items()}
+    )
+
+
+def _dot(xs, ys) -> dict[int, int]:
+    """The packed polynomial sum of x * y over the pairs of ``xs`` and
+    ``ys``: an exponent sum is one int add, i^2 = -1 the bit test ``m & 2``
+    and a sign flip, a coefficient one int multiply.  Only where two
+    products meet on one monomial are zero sums dropped."""
+    out: dict[int, int] = {}
+    n = 0
+    for x, y in zip(xs, ys):
+        if x and y:
+            for m1, c1 in x.items():
+                for m2, c2 in y.items():
+                    m, c = m1 + m2, c1 * c2
+                    if m & 2:
+                        m, c = m ^ 2, -c
+                    out[m] = out.get(m, 0) + c
+                    n += 1
+    return out if len(out) == n else {m: c for m, c in out.items() if c}
+
+
+def _check_fields(top: int) -> None:
+    """Refuse a product whose exponents may reach ``top``, the sum of its
+    factors' largest exponents, when that overflows a bit field."""
+    limit = (1 << _FIELD_BITS) - 1
+    if top > limit:
+        raise ValueError(
+            f"exponents up to {top} exceed the packed-monomial field limit {limit}"
+        )
+
+
+def packed_word(
     rep: LocalRep, w: Word, start: int = 1, size: int | None = None
-) -> tuple[list[list[MultiPoly]], MultiPoly]:
+) -> tuple[list[list[dict[int, int]]], dict[int, int], int, int]:
     """Image of a word on the diagonal window of coordinates
-    ``start .. start+size-1`` (default: all ``rep.degree`` of them), as
-    polynomial rows N and one denominator D, the product of the letters'
-    ``letter_fraction`` denominators: the image is N / D.
+    ``start .. start+size-1`` (default: all ``rep.degree`` of them), packed:
+    rows N and one denominator D (``letter_packed`` dicts), the integer L
+    that scales both, and a bound on their exponents.  The image is N / D,
+    and N / L, D / L are the polynomials of :func:`word_fraction`.
 
     Every letter's image is I (+) N_B / D_B (+) I, so right-multiplying by
     it rewrites only the k columns its block covers, each as a combination
     of those same k columns with N_B's entries, and multiplies every other
     nonzero entry by D_B.  A word whose letters all fit in the window maps
     to I (+) W (+) I with W = N / D; a letter that does not fit raises
-    ``ValueError``.
+    ``ValueError``, and so does a word whose letters' largest exponents sum
+    past the field limit, before any product.
     """
     if size is None:
         size = rep.degree - start + 1
@@ -432,35 +530,45 @@ def word_fraction(
         raise ValueError(
             f"window {start}..{start + size - 1} outside degree {rep.degree}"
         )
-    zero, one = rep.ring._zero, rep.ring._one
-    out = [[one if i == j else zero for j in range(size)] for i in range(size)]
-    den = one
+    letters, top = [], 0
     for g, e in w.letters:
-        cols, d = rep.letter_fraction(g, e)
-        k = len(cols)
+        cols, d, d_scale, d_top = rep.letter_packed(g, e)
         p = g.index - start
-        if p < 0 or p + k > size:
+        if p < 0 or p + len(cols) > size:
             raise ValueError(
                 f"{g} does not fit in the window {start}..{start + size - 1}"
             )
-        scaled = not d.is_one()
+        letters.append((p, cols, d, d_scale))
+        top += d_top
+    _check_fields(top)
+    out = [[{0: 1} if i == j else {} for j in range(size)] for i in range(size)]
+    den, scale = {0: 1}, 1
+    for p, cols, d, d_scale in letters:
+        k = len(cols)
+        scaled = d != {0: 1}
         rest = (*range(p), *range(p + k, size)) if scaled else ()
         for row in out:
             for j in rest:
-                if row[j].terms:
-                    row[j] = row[j] * d
+                if row[j]:
+                    row[j] = _dot((row[j],), (d,))
             seg = row[p : p + k]
-            if not any(x.terms for x in seg):
-                continue
-            for b, col in enumerate(cols):
-                acc = zero
-                for x, y in zip(seg, col):
-                    if x.terms and y.terms:
-                        acc = acc + x * y
-                row[p + b] = acc
+            if any(seg):
+                for b, col in enumerate(cols):
+                    row[p + b] = _dot(seg, col)
         if scaled:
-            den = den * d
-    return out, den
+            den, scale = _dot((den,), (d,)), scale * d_scale
+    return out, den, scale, top
+
+
+def word_fraction(
+    rep: LocalRep, w: Word, start: int = 1, size: int | None = None
+) -> tuple[list[list[MultiPoly]], MultiPoly]:
+    """:func:`packed_word` unpacked and divided by its L: polynomial rows N
+    and one denominator D, the product of the letters' ``letter_fraction``
+    denominators, with the image N / D on the same window."""
+    rows, den, scale, _top = packed_word(rep, w, start, size)
+    ring = rep.ring
+    return [[_unpack(ring, x, scale) for x in row] for row in rows], _unpack(ring, den, scale)
 
 
 def eval_word(

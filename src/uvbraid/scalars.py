@@ -59,6 +59,7 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from math import gcd as _gcd
+from operator import add
 
 
 class VanishingDenominator(ZeroDivisionError):
@@ -460,12 +461,22 @@ class MultiPoly:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms or not other.terms:
+        a, b = self.terms, other.terms
+        if not a or not b:
             return self.ring._zero
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # Q(i) has no zero divisors and e -> e + e2 is injective: the
+            # products need no merge and no zero test
+            ((e2, c2),) = b.items()
+            return MultiPoly(
+                self.ring, {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
+            )
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                exp = tuple(map(add, e1, e2))
                 c = c1 * c2
                 s = out.get(exp)
                 s = c if s is None else s + c

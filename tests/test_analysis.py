@@ -54,8 +54,8 @@ from uvbraid.reps import (
     build_local_rep,
     canonical_family,
     eval_word,
+    packed_word,
     specialize,
-    word_fraction,
 )
 from uvbraid.scalars import (
     G_ONE,
@@ -375,14 +375,14 @@ class TestLocalityAgainstFullDegree:
 
         def counting(rep, w, start=1, size=None):
             windows.append((start, size))
-            return word_fraction(rep, w, start, size)
+            return packed_word(rep, w, start, size)
 
         def building(spec, chosen=None):
             rels = relations(spec, chosen)
             built.extend(r.tag for r in rels)
             return rels
 
-        monkeypatch.setattr(uvbraid.analysis, "word_fraction", counting)
+        monkeypatch.setattr(uvbraid.analysis, "packed_word", counting)
         monkeypatch.setattr(uvbraid.analysis, "relations", building)
         words_built = []
         for n in (6, 12):
@@ -464,6 +464,19 @@ class TestLocalityAgainstFullDegree:
         full = _residue(odd, pr3, 1, 3)
         want = eval_word(odd, pr3.lhs) - eval_word(odd, pr3.rhs)
         assert [list(map(str, r)) for r in full.rows] == [list(map(str, r)) for r in want.rows]
+
+    def test_crossed_denominators_within_the_field_limit(self, monkeypatch):
+        # with two-bit fields (exponents up to 3) each side fits, but the
+        # bound for crossing their denominators, 1 and r2, is 2 + 2 = 4
+        monkeypatch.setattr(uvbraid.reps, "_FIELD_BITS", 2)
+        spec = make_spec("uv", 3, 1)
+        rep = build_local_rep("upsilon", spec)
+        fits = Relation("X", parse_word("s1,1 s1,1", spec), parse_word("s1,1", spec))
+        want = eval_word(rep, fits.lhs) - eval_word(rep, fits.rhs)
+        assert _residue(rep, fits, 1, 3) == want
+        crossed = Relation("Y", parse_word("s1,1 s1,1", spec), parse_word("r1", spec))
+        with pytest.raises(ValueError, match="exponents up to 4 exceed .* field limit 3$"):
+            _residue(rep, crossed, 1, 3)
 
 
 def _block_mapping(rep, spec):

@@ -97,6 +97,14 @@ class TestVerifyCommand:
         )
         assert code == 2 and "want name=value" in err
 
+    def test_word_past_the_field_limit_is_usage_error(self, capsys, monkeypatch):
+        # with two-bit fields the first window, PR1's r1 r2 r1, is refused:
+        # each rho letter holds r2^2
+        monkeypatch.setattr(reps, "_FIELD_BITS", 2)
+        code, out, err = run(capsys, "verify", "--family", "upsilon", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: exponents up to 6 exceed the packed-monomial field limit 3\n"
+
     @pytest.mark.parametrize(
         "command,family", [("verify", "upsilon"), ("irreducibility", "upsilon-prime")]
     )
@@ -429,6 +437,35 @@ class TestWordCommand:
     def test_strand_out_of_range(self, capsys):
         code, _, err = run(capsys, "word", "--word", "r5", "--n", "3")
         assert code == 2 and "strand" in err
+
+
+class TestClosedOutput:
+    def test_broken_pipe_exits_141_with_nothing_on_stderr(self, capsys, monkeypatch, tmp_path):
+        # standard output as a pipe whose reader has gone: every write
+        # raises, and its descriptor is a file we can inspect afterwards
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        try:
+            code = main(["constraints", "--group", "uv", "--n", "3", "--k", "2", "--json"])
+            # the descriptor now points at devnull: what Python flushes at
+            # exit goes nowhere
+            os.write(fd, b"late output")
+        finally:
+            os.close(fd)
+        assert code == 141
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "stdout").read_bytes() == b""
 
 
 class TestSuites:

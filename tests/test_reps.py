@@ -4,23 +4,32 @@ word evaluation, and diagonal conjugation equivalences."""
 import dataclasses
 import json
 import re
+from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import uvbraid
-from uvbraid.groups import make_spec, parse_word, rho, sigma
+from uvbraid.groups import Word, make_spec, parse_word, rho, sigma
 from uvbraid.matrices import Matrix, block_embed
 from uvbraid.reps import (
     FAMILY_NAMES,
+    _pack,
+    _unpack,
     build_local_rep,
     canonical_family,
     conjugation_equivalence,
     eval_word,
     generic_rep,
+    packed_word,
     specialize,
+    word_fraction,
 )
-from uvbraid.scalars import GaussianRational
+from uvbraid.scalars import GaussianRational, parse_gaussian
+
+from test_scalars import polys
 
 
 def _entry_strings(mat):
@@ -421,6 +430,84 @@ class TestEmbeddingAndEvaluation:
         assert len(gens) == (spec.n - 1) * (1 + spec.c)
         for _g, m in gens:
             assert m.shape == (rep.degree, rep.degree)
+
+
+def _product(rep, w):
+    """The image of ``w`` as a product of embedded generator matrices."""
+    out = Matrix.identity(rep.ring, rep.degree)
+    for g, e in w.letters:
+        out = out * rep.matrix(g, e)
+    return out
+
+
+# every value has an i part and a denominator other than 1, so packed
+# products meet i^2 = -1 and letters read at these points carry a scale L > 1
+_POINT_VALUES = [
+    parse_gaussian(text) for text in ("1/2+i", "-2/3*i", "3/2-1/2*i", "-5/4+2*i", "1/3+1/3*i")
+]
+
+
+class TestPackedWords:
+    @pytest.mark.parametrize("mode", ["symbolic", "specialized"])
+    @pytest.mark.parametrize(
+        "family, flavor, c", [("upsilon", "uv", 1), ("epsilon3", "uv", 2), ("omega2", "uw", 1)]
+    )
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_packed_images_are_the_matrix_products(self, family, flavor, c, mode, data):
+        rep = build_local_rep(family, make_spec(flavor, 3, c))
+        if mode == "specialized":
+            point = {p: data.draw(st.sampled_from(_POINT_VALUES), label=p) for p in rep.params}
+            try:
+                rep = specialize(rep, point)
+            except ValueError:  # a side condition vanishes there
+                assume(False)
+        letter = st.tuples(st.sampled_from([g for g, _m in rep.generator_images()]),
+                           st.sampled_from([1, -1]))
+        w = Word(tuple(data.draw(st.lists(letter, max_size=4), label="word")))
+        assert eval_word(rep, w) == _product(rep, w)
+
+    def test_specialized_letters_are_scaled_and_square_i(self):
+        spec = make_spec("uv", 3, 1)
+        point = dict(zip(["r2", "s1_1", "s2_1", "s3_1", "s4_1"], _POINT_VALUES))
+        rep = build_local_rep("upsilon", spec, point)
+        cols, den, scale, top = rep.letter_packed(rho(1))
+        # r2 = 1/2 + i and 1/r2 = (2 - 4i)/5 over one denominator 10
+        assert (scale, top, den) == (10, 0, {0: 10})
+        assert any(m & 1 for col in cols for x in col for m in x)
+        # (1/2 + i)(2 - 4i)/5 = 1 goes through i^2 = -1
+        assert eval_word(rep, parse_word("r1 r1", spec)).is_identity()
+        w = parse_word("s1,1 r1 s1,1^-1 r2 s2,1", spec)
+        assert eval_word(rep, w) == _product(rep, w)
+        # word_fraction divides the scale back out: D = 1, as every
+        # specialized letter reads over 1, and N is the product itself
+        rows, den = word_fraction(rep, w)
+        assert den.is_one()
+        assert [[x.constant_value() for x in row] for row in rows] == [
+            [x.constant_value() for x in row] for row in _product(rep, w).rows
+        ]
+
+    @given(polys, st.integers(1, 6))
+    @settings(max_examples=60)
+    def test_pack_unpack_round_trip(self, f, extra):
+        scale = extra * lcm(*(c.d for c in f.terms.values()))
+        assert _unpack(f.ring, _pack(f, scale), scale).terms == f.terms
+
+    def test_words_past_the_field_limit_are_refused(self, monkeypatch):
+        monkeypatch.setattr(uvbraid.reps, "_FIELD_BITS", 2)  # exponents up to 3
+        spec = make_spec("uv", 3, 1)
+        rep = build_local_rep("upsilon", spec)
+        # sigma's entries have degree 1; rho's are r2 and 1/r2, read as r2^2
+        # and 1 over r2
+        assert [rep.letter_packed(g)[3] for g in (sigma(1, 1), rho(1))] == [1, 2]
+        under = parse_word("s1,1 r2", spec)
+        assert eval_word(rep, under) == _product(rep, under)
+        over = parse_word("s1,1 r2 s1,1", spec)
+        refusal = "exponents up to 4 exceed the packed-monomial field limit 3$"
+        with pytest.raises(ValueError, match=refusal):
+            packed_word(rep, over)
+        with pytest.raises(ValueError, match="field limit 3"):
+            eval_word(rep, parse_word("r1 r1", spec), start=1, size=2)
 
 
 class TestSpecialization:
