@@ -8,7 +8,11 @@ against a finite-field scan, and a symbolic verification against two
 partners.  One, ``_block_mapping`` in ``tests/test_analysis.py``, puts a
 family's blocks into the equations of ``generate_constraints(k, spec)``,
 expanded over ``reps.generic_rep``'s unknowns, not the family's ring; it
-shares the schema and window walk with ``verify_relations``.  The other,
+shares the schema and window walk with ``verify_relations``, and the packed
+comparison ``reps.packed_residue`` that finds a window's differing
+entries, but not what is read from them: the verifier unpacks an entry
+into a ``RatFunc``, the generator keys and decodes it as an equation
+without one.  The other,
 the full-degree reference ``_full_degree_outcomes`` there, shares neither:
 it multiplies every relation out at full degree.  The pairs are kept
 separate so that one route can catch a bug in the other.
@@ -41,14 +45,14 @@ from .groups import (  # forbidden_moves is re-exported, not used here
 from .matrices import Echelon, Matrix, gaussian_integer_terms, place
 from .reps import (  # eval_word is re-exported, not used here
     LocalRep,
-    _check_fields,
-    _dot,
     _typed,
-    _unpack,
     build_local_rep,
+    equation_key,
     eval_word,
     generic_rep,
-    packed_word,
+    monic_equations,
+    packed_fraction,
+    packed_residue,
 )
 from .scalars import (
     GaussianRational,
@@ -167,28 +171,16 @@ def _window(p: Placement, k: int) -> tuple | None:
 
 
 def _residue(rep: LocalRep, rel: Relation, start: int, size: int) -> Matrix:
-    """eval(lhs) - eval(rhs) on the window start .. start+size-1, compared
-    as packed numerators (``packed_word``): N_L against N_R over a shared
-    denominator, N_L*D_R against N_R*D_L otherwise.  An entry where the
-    sides agree is the ring's zero, and only a differing one is unpacked
-    into a ``RatFunc``, so a passing relation builds none.  Both sides'
-    common scale L cancels when the ``RatFunc`` is normalized."""
-    left, d_l, _l, top_l = packed_word(rep, rel.lhs, start, size)
-    right, d_r, _r, top_r = packed_word(rep, rel.rhs, start, size)
-    den = d_l
-    if d_l != d_r:
-        _check_fields(top_l + top_r)
-        left = [[_dot((x,), (d_r,)) for x in row] for row in left]
-        right = [[_dot((x,), (d_l,)) for x in row] for row in right]
-        den = _dot((d_l,), (d_r,))
+    """eval(lhs) - eval(rhs) on the window start .. start+size-1, from the
+    packed comparison ``packed_residue``: an entry where the sides agree is
+    the ring's zero, and only a differing one is unpacked into a
+    ``RatFunc``, so a passing relation builds none."""
+    diffs, den = packed_residue(rep, rel.lhs, rel.rhs, start, size)
     ring, zero = rep.ring, rep.ring._rf_zero
-
-    def entry(x, y):
-        if x == y:
-            return zero
-        return RatFunc(_unpack(ring, x, 1) - _unpack(ring, y, 1), _unpack(ring, den, 1))
-
-    return Matrix(ring, tuple(tuple(map(entry, a, b)) for a, b in zip(left, right)))
+    rows = [[zero] * size for _ in range(size)]
+    for (i, j), x in diffs.items():
+        rows[i][j] = packed_fraction(ring, x, den)
+    return Matrix(ring, tuple(map(tuple, rows)))
 
 
 def verify_relations(rep: LocalRep, spec: GroupSpec | None = None) -> VerificationReport:
@@ -316,6 +308,10 @@ def generate_constraints(
     polynomial (denominators are monomials in the invertible entries, so
     clearing them loses no solutions).  Equations are deduplicated up to
     nonzero scalar multiples; provenance keeps every contributing tag.
+    An entry stays packed (``reps.packed_residue``) and is keyed as a Z[i]
+    vector up to Q(i) multiples (``reps.equation_key``), so only distinct
+    equations are decoded, each once and already monic, and the unknowns
+    are read from their packed monomials (``reps.monic_equations``).
     Residues are expanded on windows, once per translation class, exactly
     as ``verify_relations`` checks them, in one pass over the chosen
     placements of the schema walk (``groups.placements``): a class's
@@ -336,9 +332,9 @@ def generate_constraints(
         if missing:
             raise ValueError(f"tags not in {spec.describe()}: {missing}")
         chosen = [by_tag[t] for t in relation_tags]
-    classes: dict[tuple, list] = {}  # window key -> its (key, equation) pairs
-    # equation key -> (equation, its tags as the keys of a dict), both in
-    # the order the walk first meets them
+    classes: dict[tuple, list] = {}  # window key -> its (key, packed equation) pairs
+    # equation key -> (packed equation, its tags as the keys of a dict),
+    # both in the order the walk first meets them
     found: dict = {}
     for p in chosen:
         window = _window(p, block_size)
@@ -348,16 +344,11 @@ def generate_constraints(
         eqs = classes.get(cls)
         if eqs is None:
             (rel,) = relations(spec, [p])
-            residue = _residue(rep, rel, start, size)
-            monic = (e.num.monic() for row in residue.rows for e in row if not e.is_zero())
-            eqs = classes[cls] = [(eq.key(), eq) for eq in monic]
-        for key, eq in eqs:
-            found.setdefault(key, (eq, {}))[1][p.tag] = None
-    equations = [eq for eq, _tags in found.values()]
-    appearing: set[str] = set()
-    for eq in equations:
-        appearing.update(eq.variables())
-    unknowns = tuple(v for v in rep.ring.vars if v in appearing)
+            diffs, den = packed_residue(rep, rel.lhs, rel.rhs, start, size)
+            eqs = classes[cls] = [equation_key(x, den) for x in diffs.values()]
+        for key, x in eqs:
+            found.setdefault(key, (x, {}))[1][p.tag] = None
+    equations, unknowns = monic_equations(rep.ring, [x for x, _tags in found.values()])
     invertibility = []
     for block in [rep.rho_block] + [rep.sigma_blocks[t] for t in sorted(rep.sigma_blocks)]:
         poly = block.det().num

@@ -58,10 +58,13 @@ largest exponents sum past that limit is refused with a ``ValueError``
 before any product, since a wider sum would carry into the next field.
 :func:`word_fraction` unpacks the result and divides it by the product of
 the letters' L, which gives back N and D exactly, and :func:`eval_word` is
-its ``RatFunc`` view.  ``analysis`` compares the two sides of a relation
-packed and unpacks only the entries where they differ.  Embedded degree-m
-generator matrices (``LocalRep.matrix``) are built only for the engines
-that take them whole.
+its ``RatFunc`` view.  :func:`packed_residue`, shared by ``analysis``'s
+verifier and constraint generator, compares a relation's two sides packed
+and returns only the differing entries.  The verifier unpacks them
+(:func:`packed_fraction`); the generator keys them as Z[i] vectors
+(:func:`equation_key`) and decodes each distinct one once, already monic
+(:func:`monic_equations`).  Embedded degree-m generator matrices
+(``LocalRep.matrix``) are built only for the engines that take them whole.
 
 A :class:`LocalRep` stores its blocks over its ring; its parameters are
 the ring's variables and its degree is n + k - 2, both read, not stored.
@@ -77,7 +80,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from math import lcm
+from math import gcd, lcm
 
 from .groups import Generator, GroupSpec, Word, rho as _rho, sigma as _sigma
 from .matrices import Matrix, block_embed
@@ -464,18 +467,33 @@ def _pack(p: MultiPoly, scale: int) -> dict[int, int]:
     return out
 
 
+def _parts(nvars: int, x: dict[int, int]) -> dict[tuple[int, ...], list[int]]:
+    """The exponent tuples of a packed polynomial x, each with its Z[i]
+    coefficient [a, b], in the order x first meets them.  A monomial is
+    read only in the fields it uses: the lowest set bit names the lowest
+    set field, which is copied and cleared until none is left."""
+    bits = _FIELD_BITS
+    mask = (1 << bits) - 1
+    parts: dict = {}
+    for m, c in x.items():
+        e = [0] * nvars
+        rest = m >> bits
+        while rest:
+            k = ((rest & -rest).bit_length() - 1) // bits
+            e[k] = rest >> bits * k & mask
+            rest ^= e[k] << bits * k
+        parts.setdefault(tuple(e), [0, 0])[m & 1] += c
+    return parts
+
+
 def _unpack(ring: PolyRing, x: dict[int, int], scale: int) -> MultiPoly:
     """The ``MultiPoly`` x / scale of a packed polynomial x."""
     if not x:
         return ring._zero
-    bits, mask = _FIELD_BITS, (1 << _FIELD_BITS) - 1
-    parts: dict = {}
-    for m, c in x.items():
-        e = tuple(m >> bits * k & mask for k in range(1, len(ring.vars) + 1))
-        parts.setdefault(e, [0, 0])[m & 1] += c
-    return MultiPoly(
-        ring, {e: GaussianRational.from_ints(a, b, scale) for e, (a, b) in parts.items()}
-    )
+    return MultiPoly(ring, {
+        e: GaussianRational.from_ints(a, b, scale)
+        for e, (a, b) in _parts(len(ring.vars), x).items()
+    })
 
 
 def _dot(xs, ys) -> dict[int, int]:
@@ -558,6 +576,97 @@ def packed_word(
         if scaled:
             den, scale = _dot((den,), (d,)), scale * d_scale
     return out, den, scale, top
+
+
+def packed_residue(
+    rep: LocalRep, lhs: Word, rhs: Word, start: int, size: int
+) -> tuple[dict[tuple[int, int], dict[int, int]], dict[int, int]]:
+    """``lhs`` against ``rhs`` on the window start .. start+size-1, packed
+    (:func:`packed_word`): the entries where the images differ, keyed by
+    (row, column) in row-major order, and one denominator D.  Over a shared
+    denominator D = D_L an entry is N_L - N_R, and one where N_L and N_R
+    agree is one dict compare and is left out.  Otherwise an entry is
+    N_L*D_R - N_R*D_L over D = D_L*D_R, refused past the field limit as a
+    word is.  Both sides' scale L cancels in the quotient by D."""
+    left, d_l, _l, top_l = packed_word(rep, lhs, start, size)
+    right, d_r, _r, top_r = packed_word(rep, rhs, start, size)
+    crossed = d_l != d_r
+    if crossed:
+        _check_fields(top_l + top_r)
+        den, factors = _dot((d_l,), (d_r,)), (d_r, {m: -c for m, c in d_l.items()})
+    else:
+        den, factors = d_l, ({0: 1}, {0: -1})
+    diffs = {}
+    for i, (a, b) in enumerate(zip(left, right)):
+        for j, (x, y) in enumerate(zip(a, b)):
+            if (crossed or x != y) and (diff := _dot((x, y), factors)):
+                diffs[i, j] = diff
+    return diffs, den
+
+
+def packed_fraction(ring: PolyRing, x: dict[int, int], den: dict[int, int]) -> RatFunc:
+    """The ``RatFunc`` x / den of two packed polynomials, normalized."""
+    return RatFunc(_unpack(ring, x, 1), _unpack(ring, den, 1))
+
+
+def equation_key(
+    x: dict[int, int], den: dict[int, int]
+) -> tuple[frozenset, dict[int, int]]:
+    """A nonzero packed residue entry x / den (:func:`packed_residue`) as a
+    primitive Z[i] numerator, and its key: equal for two entries exactly
+    when their ``RatFunc(x, den).num`` are Q(i)-multiples, that is when
+    their :func:`monic_equations` agree.  As ``RatFunc`` normalization
+    does, the monomial x shares with den is divided out; that is all of it
+    only over a monomial den, which every positive word over a family or
+    ``generic_rep`` has (1 or a power of r2, times L), and the schema's
+    relations are positive words, so any other den is refused.  Then, as
+    in ``Echelon.insert``, x is multiplied by the conjugate of its
+    coefficient at the largest packed monomial and divided by the gcd of
+    its parts.  The key is the set of x's (monomial, coefficient) pairs."""
+    if len(den) != 1:
+        raise ValueError(f"an equation key needs a monomial denominator, not {len(den)} terms")
+    bits = _FIELD_BITS
+    mask = (1 << bits) - 1
+    shared, rest = 0, next(iter(den)) >> bits << bits  # field 0 holds a power of i
+    while rest:
+        field = mask << ((rest & -rest).bit_length() - 1) // bits * bits
+        shared |= min(rest & field, *(m & field for m in x))
+        rest &= ~field
+    if shared:
+        x = {m - shared: c for m, c in x.items()}
+    top = max(x) >> 1 << 1
+    p, q = x.get(top, 0), x.get(top | 1, 0)
+    if q or p < 0:
+        x = _dot((x,), ({m: c for m, c in ((0, p), (1, -q)) if c},))
+    g = gcd(*x.values())
+    if g > 1:
+        x = {m: c // g for m, c in x.items()}
+    return frozenset(x.items()), x
+
+
+def monic_equations(
+    ring: PolyRing, xs: list[dict[int, int]]
+) -> tuple[list[MultiPoly], tuple[str, ...]]:
+    """Each packed polynomial of ``xs`` decoded once, already monic, and
+    the ring's variables that occur in any of them, in ring order.  With
+    c = p + qi the graded-lex leading coefficient, the term a + bi becomes
+    ((pa + qb) + (pb - qa)i) / (p^2 + q^2), the coefficient of the monic
+    ``MultiPoly``; a variable occurs exactly where the OR of every packed
+    monomial has a nonzero field."""
+    nvars, used, out = len(ring.vars), 0, []
+    for x in xs:
+        parts = _parts(nvars, x)
+        p, q = parts[max(parts, key=lambda e: (sum(e), e))]  # MultiPoly.leading's order
+        n = p * p + q * q
+        out.append(MultiPoly(ring, {
+            e: GaussianRational.from_ints(p * a + q * b, p * b - q * a, n)
+            for e, (a, b) in parts.items()
+        }))
+        for m in x:
+            used |= m
+    bits = _FIELD_BITS
+    mask = (1 << bits) - 1
+    return out, tuple(v for k, v in enumerate(ring.vars, 1) if used >> bits * k & mask)
 
 
 def word_fraction(

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import uvbraid.analysis
 import uvbraid.matrices
+import uvbraid.reps
 from uvbraid.analysis import (
     ConstraintSystem,
     _residue,
@@ -330,9 +331,13 @@ class TestLocalityAgainstFullDegree:
         "k,flavor,n,c,rho_form",
         [(2, "uv", n, c, "generic") for n in (3, 4, 5) for c in (1, 2)]
         + [
+            (2, "uv", 3, 3, "generic"),
+            (2, "uw", 3, 3, "antidiagonal"),
             (2, "uw", 4, 1, "antidiagonal"),
             (3, "uv", 4, 2, "generic"),
+            (3, "uv", 4, 3, "generic"),
             (3, "uw", 4, 1, "generic"),
+            (3, "uw", 4, 2, "generic"),
         ],
     )
     def test_constraints_agree_with_full_degree_products(
@@ -382,7 +387,7 @@ class TestLocalityAgainstFullDegree:
             built.extend(r.tag for r in rels)
             return rels
 
-        monkeypatch.setattr(uvbraid.analysis, "packed_word", counting)
+        monkeypatch.setattr(uvbraid.reps, "packed_word", counting)
         monkeypatch.setattr(uvbraid.analysis, "relations", building)
         words_built = []
         for n in (6, 12):
@@ -477,6 +482,17 @@ class TestLocalityAgainstFullDegree:
         crossed = Relation("Y", parse_word("s1,1 s1,1", spec), parse_word("r1", spec))
         with pytest.raises(ValueError, match="exponents up to 4 exceed .* field limit 3$"):
             _residue(rep, crossed, 1, 3)
+
+    def test_constraints_past_the_field_limit_are_refused(self, monkeypatch):
+        # generic blocks hold degree-1 entries, so uv(3,1)'s words fit in
+        # two-bit fields and give the same system; the antidiagonal virtual
+        # block reads rho as r2^2 over r2, and PR1's r1 r2 r1 needs 6
+        spec = make_spec("uv", 3, 1)
+        wide = generate_constraints(2, spec).to_dict()
+        monkeypatch.setattr(uvbraid.reps, "_FIELD_BITS", 2)
+        assert generate_constraints(2, spec).to_dict() == wide
+        with pytest.raises(ValueError, match="exponents up to 6 exceed .* field limit 3$"):
+            generate_constraints(2, spec, rho_form="antidiagonal")
 
 
 def _block_mapping(rep, spec):

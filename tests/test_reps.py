@@ -21,13 +21,15 @@ from uvbraid.reps import (
     build_local_rep,
     canonical_family,
     conjugation_equivalence,
+    equation_key,
     eval_word,
     generic_rep,
+    monic_equations,
     packed_word,
     specialize,
     word_fraction,
 )
-from uvbraid.scalars import GaussianRational, parse_gaussian
+from uvbraid.scalars import GaussianRational, MultiPoly, PolyRing, RatFunc, parse_gaussian
 
 from test_scalars import polys
 
@@ -492,6 +494,50 @@ class TestPackedWords:
     def test_pack_unpack_round_trip(self, f, extra):
         scale = extra * lcm(*(c.d for c in f.terms.values()))
         assert _unpack(f.ring, _pack(f, scale), scale).terms == f.terms
+
+    @pytest.mark.parametrize(
+        "names, terms",
+        [
+            # the widest exponent a field holds, in the last variable
+            (("x", "y", "z"), {(1, 0, (1 << 16) - 1): GaussianRational(3)}),
+            # an exponent whose lowest set bit is its field's highest
+            (("x", "y"), {(1 << 15, 1): GaussianRational(1, -2)}),
+            ((), {(): GaussianRational(-5, 0)}),
+            (("x",), {(2,): GaussianRational(0, 7), (0,): GaussianRational(1)}),
+        ],
+        ids=["widest", "top-bit", "no-variables", "imaginary"],
+    )
+    def test_unpack_reads_only_the_fields_in_use(self, names, terms):
+        f = MultiPoly(PolyRing(names), terms)
+        assert _unpack(f.ring, _pack(f, 1), 1).terms == terms
+
+    def test_round_trip_in_two_bit_fields(self, monkeypatch):
+        monkeypatch.setattr(uvbraid.reps, "_FIELD_BITS", 2)  # exponents up to 3
+        ring = PolyRing(("x", "y", "z"))
+        x, y, z = (ring.var(v) for v in ring.vars)
+        # x's exponent sits in bits 2..3 and y's in bits 4..5
+        assert _pack(x ** 3 * y, 1) == {3 << 2 | 1 << 4: 1}
+        i = GaussianRational(0, 1)
+        f = x ** 3 * y ** 2 * z + y ** 3 * (2 - i) + z ** 3 * i + 1
+        assert _unpack(ring, _pack(f, 2), 2).terms == f.terms
+
+    def test_equation_keys_identify_gaussian_multiples(self):
+        # generic blocks have real integer entries only, so the conjugate
+        # scaling of a Gaussian pivot is met here alone
+        ring = PolyRing(("x", "y"))
+        x, y = ring.var("x"), ring.var("y")
+        f = x * y * GaussianRational(1, 2) - y ** 2 * 2 + 3
+        den = _pack(x ** 2, 1)
+        multiples = [f, f * GaussianRational(2, 1), x ** 2 * f * GaussianRational(1, -3)]
+        keys = [equation_key(_pack(g, 1), den) for g in multiples]
+        assert len({key for key, _packed in keys}) == 1
+        eqs, unknowns = monic_equations(ring, [packed for _key, packed in keys])
+        want = RatFunc(f, ring._one).num.monic()
+        assert [e.terms for e in eqs] == [want.terms] * 3 and unknowns == ("x", "y")
+        other, _packed = equation_key(_pack(f * 2 + 1, 1), den)
+        assert other != keys[0][0]
+        with pytest.raises(ValueError, match="monomial denominator, not 2 terms"):
+            equation_key(_pack(f, 1), _pack(x + 1, 1))
 
     def test_words_past_the_field_limit_are_refused(self, monkeypatch):
         monkeypatch.setattr(uvbraid.reps, "_FIELD_BITS", 2)  # exponents up to 3
