@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
 
 from .groups import (  # forbidden_moves is re-exported, not used here
@@ -275,10 +275,23 @@ class ConstraintSystem:
     unknowns: tuple[str, ...]
     equations: list[MultiPoly]
     provenance: list[list[str]]
-    # one polynomial per block (rho, then sigma_t by t), nonzero exactly
-    # where the block is defined and invertible: its determinant's numerator
-    # times its entries' denominators (-r2 for the antidiagonal virtual block)
-    invertibility: list[MultiPoly] = field(default_factory=list)
+    # the generic blocks, rho then sigma_t by t, that ``invertibility`` reads
+    blocks: list[Matrix] = field(default_factory=list, repr=False)
+
+    @cached_property
+    def invertibility(self) -> list[MultiPoly]:
+        """One polynomial per block of ``blocks``, nonzero exactly where the
+        block is defined and invertible: its determinant's numerator times
+        its entries' denominators (-r2 for the antidiagonal virtual block).
+        Made on first read, as only invertible scans read it."""
+        out = []
+        for block in self.blocks:
+            poly = block.det().num
+            for row in block.rows:
+                for entry in row:
+                    poly = poly * entry.den
+            out.append(poly)
+        return out
 
     def __len__(self):
         return len(self.equations)
@@ -349,13 +362,6 @@ def generate_constraints(
         for key, x in eqs:
             found.setdefault(key, (x, {}))[1][p.tag] = None
     equations, unknowns = monic_equations(rep.ring, [x for x, _tags in found.values()])
-    invertibility = []
-    for block in [rep.rho_block] + [rep.sigma_blocks[t] for t in sorted(rep.sigma_blocks)]:
-        poly = block.det().num
-        for row in block.rows:
-            for entry in row:
-                poly = poly * entry.den
-        invertibility.append(poly)
     return ConstraintSystem(
         block_size=block_size,
         spec=spec,
@@ -363,7 +369,7 @@ def generate_constraints(
         unknowns=unknowns,
         equations=equations,
         provenance=[list(tags) for _eq, tags in found.values()],
-        invertibility=invertibility,
+        blocks=[rep.rho_block] + [rep.sigma_blocks[t] for t in sorted(rep.sigma_blocks)],
     )
 
 
@@ -709,39 +715,79 @@ def _left_mul(cols: dict, v: dict, width: int) -> dict:
     return out
 
 
-def _closure(mats: list[Matrix], seeds: list[dict], width: int) -> Echelon:
+def _gmul(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+def _terms(mats: list[Matrix]) -> list[dict]:
+    """Each generator g as the Gaussian-integer terms ``{(i, r): (re, im)}``
+    of L*(g - I): its ``off_identity`` view, which for a k-local g holds
+    only the k^2 entries of the block, scaled by the L that clears its
+    denominators (:func:`~uvbraid.matrices.gaussian_integer_terms`)."""
+    return [gaussian_integer_terms(g.off_identity())[0] for g in mats]
+
+
+def _columns(terms: list[dict], transpose: bool = False) -> list[dict]:
+    """Each nonzero L*(g - I) of ``terms``, or its transpose, as
+    ``{r: [(row, re, im), ...]}`` over its nonzero columns r, the form
+    ``_left_mul`` reads; a generator equal to I drops out."""
+    gens = []
+    for t in terms:
+        cols: dict = {}
+        for (i, r), z in t.items():
+            if transpose:
+                i, r = r, i
+            cols.setdefault(r, []).append((i, *z))
+        if cols:
+            gens.append(cols)
+    return gens
+
+
+def _rank_one(terms: dict) -> tuple[dict, dict] | None:
+    """``(u, v)`` with ``terms`` = u v^T / p as sparse Gaussian-integer
+    vectors, when the terms have rank one, else None.  With p the first
+    term, at (i0, r0), u is column r0 and v row i0; the rank is one exactly
+    when every term t_ir has t_ir * p = u_i * v_r and the terms fill the
+    product of the two supports."""
+    if not terms:
+        return None
+    (i0, r0), p = next(iter(terms.items()))
+    u = {i: z for (i, r), z in terms.items() if r == r0}
+    v = {r: z for (i, r), z in terms.items() if i == i0}
+    if len(terms) != len(u) * len(v):
+        return None
+    for (i, r), z in terms.items():
+        if i not in u or r not in v or _gmul(z, p) != _gmul(u[i], v[r]):
+            return None
+    return u, v
+
+
+def _closure(
+    gens: list[dict], m: int, seeds: list[dict], width: int, ideal: list[dict] = ()
+) -> Echelon:
     """Echelon basis of the smallest space of m x ``width`` matrices
-    (flattened row-major) that contains ``seeds`` and is closed under left
-    multiplication by every matrix of ``mats``, square of one size m (see
-    :func:`_degree`).
+    (flattened row-major) that contains ``ideal`` and ``seeds`` and is
+    closed under left multiplication by every generator of ``gens``, each
+    given by :func:`_columns` as L*g - L*I.
 
     Every vector is sparse (see :class:`~uvbraid.matrices.Echelon`), and
-    the seeds come as such, Gaussian-integer vectors.  A generator g is
-    read from its ``off_identity`` view, the nonzero entries of g - I,
-    scaled to Gaussian integers by the L that clears their denominators
-    (:func:`~uvbraid.matrices.gaussian_integer_terms`), and used as
-    L*g - L*I: a space that holds X holds g X exactly when it holds
-    (L*g - L*I) X = L*g X - L*X, so the closure is the same.  For a k-local
-    g = I (+) B (+) I the view holds only entries of the block, filled by
-    ``block_embed`` with no scan, so a generator costs its k^2 entries; a
-    product reads and writes only those k rows of X, it is not formed when
-    X is zero there, and a generator equal to I drops out.  Each newly
-    reduced row is multiplied by every shifted generator that reads one of
-    its rows, in the order the rows were found (wave by wave); the reduced
-    rows span what the raw products span, and an empty product is not
-    inserted.  It stops when no row is left, or at once when the basis
-    fills all m * ``width`` coordinates.
+    the seeds come as such, Gaussian-integer vectors.  A space that holds X
+    holds g X exactly when it holds (L*g - L*I) X = L*g X - L*X, so the
+    closure is that of the generators themselves; and as a generator's
+    columns are those of g - I, a product reads and writes only the rows of
+    X that a k-local g moves, and it is not formed when X is zero there.
+    The rows of ``ideal`` must span a space the generators already keep
+    (a left ideal of their algebra): they are inserted first and never
+    multiplied.  Each newly reduced row of the seeds' closure is multiplied
+    by every generator that reads one of its rows, in the order the rows
+    were found (wave by wave); the reduced rows span, with the ideal, what
+    the raw products span, and an empty product is not inserted.  It stops
+    when no row is left, or at once when the basis fills all m * ``width``
+    coordinates.
     """
-    m = mats[0].nrows
-    gens = []
-    for g in mats:
-        terms, _ = gaussian_integer_terms(g.off_identity())
-        cols: dict = {}
-        for (i, r), (a, b) in terms.items():
-            cols.setdefault(r, []).append((i, a, b))
-        if cols:  # g = I adds nothing
-            gens.append(cols)
     basis = Echelon(m * width)
+    for row in ideal:
+        basis.insert(row)
     found = [new for new in map(basis.insert, seeds) if new is not None]
     reads: dict = {}  # row r of X -> the generators whose products read it
     for n, cols in enumerate(gens):
@@ -770,18 +816,47 @@ def _degree(mats: list[Matrix]) -> int:
 
 
 def burnside_dim(mats: list[Matrix]) -> int:
-    """Dimension of the unital algebra spanned by all products of ``mats``.
+    """Dimension of the unital algebra A spanned by all products of
+    ``mats``, exact over Q(i).
 
-    The closure of the identity, seeded as the sparse vector
-    ``{i*m + i: 1}``, under left multiplication by the generators, exact
-    over Q(i); each generator is read from its ``off_identity`` view.  The
-    matrices act irreducibly on C^m iff the result is m^2 (Burnside), and
-    since every invertible generator's inverse is a polynomial in the
+    The matrices act irreducibly on C^m iff the result is m^2 (Burnside),
+    and since every invertible generator's inverse is a polynomial in the
     generator (Cayley-Hamilton), positive products suffice.  A generator
     equal to the identity changes nothing.
+
+    A is the closure of the identity, seeded as the sparse vector
+    ``{i*m + i: 1}``, under left multiplication by the generators, each
+    read once as the Gaussian-integer terms of L*(g - I) (:func:`_terms`).
+    Most of that m^2-wide closure is skipped with a singular element, as
+    in the MeatAxe (Holt & Rees, "Testing modules for irreducibility",
+    J. Austral. Math. Soc. A 57, 1994): take the first generator whose
+    L*(g - I) has rank one, u v^T / p (:func:`_rank_one`); a virtual
+    involution with a one-dimensional -1 eigenspace and Burau's sigma are
+    such.  e = g - I lies in A, so A holds the two-sided ideal
+    AeA = span{(a u)(v^T b)} = (Au) (x) (v^T A).  Au is the spin of u under
+    the generators, v^T A that of v under their transposes (read from the
+    same terms), both m wide.  If both are all of C^m, A contains M_m and
+    its dimension is m^2 with no m^2-wide product formed.  Otherwise the
+    d1*d2 outer products x y^T of the two spins' bases span AeA; as an
+    ideal it is closed under left multiplication, so its rows seed the
+    closure of I and are never multiplied.  With no rank-one generator
+    there is no ideal and the closure is the whole computation.  All of it
+    runs over Z[i], with no float and no modular rank, so the dimension is
+    a proof.
     """
     m = _degree(mats)
-    return len(_closure(mats, [{i * m + i: (1, 0) for i in range(m)}], m))
+    terms = _terms(mats)
+    gens, ideal = _columns(terms), []
+    singular = next(filter(None, map(_rank_one, terms)), None)
+    if singular is not None:
+        u, v = singular
+        xs = _closure(gens, m, [u], 1).rows.values()
+        ys = _closure(_columns(terms, transpose=True), m, [v], 1).rows.values()
+        if len(xs) == len(ys) == m:
+            return m * m
+        ideal = [{i * m + j: _gmul(a, b) for i, a in x.items() for j, b in y.items()}
+                 for x in xs for y in ys]
+    return len(_closure(gens, m, [{i * m + i: (1, 0) for i in range(m)}], m, ideal))
 
 
 def spin(mats: list[Matrix], seeds: list[Matrix]) -> list[Matrix]:
@@ -797,7 +872,8 @@ def spin(mats: list[Matrix], seeds: list[Matrix]) -> list[Matrix]:
         if s.shape != (m, 1):
             raise ValueError(f"seed does not have shape {(m, 1)}")
         vecs.append({i: z for (i, _), z in s.integer_terms()[0].items()})
-    rows, ring = sorted(_closure(mats, vecs, 1).rows.items()), mats[0].ring
+    rows = sorted(_closure(_columns(_terms(mats)), m, vecs, 1).rows.items())
+    ring = mats[0].ring
     return [Matrix.column(ring, [GaussianRational.from_ints(*row[k], row[p][0])
                                  if k in row else 0 for k in range(m)])
             for p, row in rows]

@@ -407,11 +407,13 @@ def place(block: Matrix, pos: int, outer: Matrix) -> Matrix:
     return Matrix(outer.ring, rows[:s] + window + rows[s + k :])
 
 
-def block_embed(block: Matrix, pos: int, m: int) -> Matrix:
+def block_embed(block: Matrix, pos: int, m: int, identity: Matrix | None = None) -> Matrix:
     """Embed a k x k block at strand position pos (1-based) in an m x m
     identity.  Its ``off_identity`` view is the block's, shifted to the
-    window: O(k^2), with no scan of the m x m result."""
-    out = place(block, pos, Matrix.identity(block.ring, m))
+    window: O(k^2), with no scan of the m x m result.  A caller that embeds
+    many blocks passes one shared m x m ``identity``: the image then shares
+    its m - k unit rows and builds only the k rows the block covers."""
+    out = place(block, pos, Matrix.identity(block.ring, m) if identity is None else identity)
     s = pos - 1
     out._off = {(s + i, s + j): a for (i, j), a in block.off_identity().items()}
     return out

@@ -307,11 +307,15 @@ class LocalRep:
         return hit
 
     def matrix(self, g: Generator, exp: int = 1) -> Matrix:
-        """Embedded degree-m image of g or g^-1, cached."""
+        """Embedded degree-m image of g or g^-1, cached; every image shares
+        the unit rows of one cached identity."""
         key = (g.kind, g.type, g.index, exp >= 0)
         hit = self._cache.get(key)
         if hit is None:
-            hit = block_embed(self.letter_block(g, exp), g.index, self.degree)
+            ident = self._cache.get("identity")
+            if ident is None:
+                ident = self._cache["identity"] = Matrix.identity(self.ring, self.degree)
+            hit = block_embed(self.letter_block(g, exp), g.index, self.degree, ident)
             self._cache[key] = hit
         return hit
 

@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import uvbraid.analysis
@@ -712,6 +712,18 @@ class TestModP:
             (s["r1"] * s["r4"] - s["r2"] * s["r3"]) % 5 != 0 for s in inv.solutions
         )
 
+    def test_invertibility_is_made_on_first_read(self, monkeypatch):
+        calls = []
+        det = Matrix.det
+        monkeypatch.setattr(Matrix, "det", lambda self: calls.append(1) or det(self))
+        system = generate_constraints(2, make_spec("uv", 3, 2))
+        assert calls == []
+        inv = system.invertibility  # rho, sigma_1, sigma_2: one determinant each
+        assert [str(p) for p in inv] == [
+            "r1*r4 - r2*r3", "s1_1*s4_1 - s2_1*s3_1", "s1_2*s4_2 - s2_2*s3_2",
+        ]
+        assert system.invertibility is inv and len(calls) == 3
+
     def test_imaginary_coefficients_rejected(self):
         ring = PolyRing(("x",))
         from uvbraid.analysis import ConstraintSystem
@@ -1268,8 +1280,123 @@ class TestSpanEnginesAgainstFractionReference:
         monkeypatch.setattr(uvbraid.analysis, "_left_mul", counted_left_mul)
         monkeypatch.setattr(uvbraid.matrices, "_eliminate", counted_eliminate)
         assert burnside_dim(_images(rep)) == dim
-        assert work["products"] >= m * m
+        # the two spins and the closure of I over the ideal they span stay
+        # under the m^2 products a closure from I alone needs at the least
+        assert work["products"] <= m * m
         assert work["written"] <= 2 * k * m * work["products"] < m * m * work["products"]
+
+
+@st.composite
+def rank_one_generator_sets(draw):
+    """1-4 generators of one degree m = 1..5, one of them I + u v^T with
+    Gaussian-rational u, v != 0, the others the identity, dense, block
+    upper triangular, or I + u v^T + u' v'^T with sparse terms, whose
+    g - I may be a cross (a row and a column) or fill the product of its
+    row and column supports without rank one.  With a split s > 0 every
+    generator keeps W = span(e_1..e_s), so the set is reducible: dense
+    ones are drawn triangular, and each u lies in W or its v is zero on
+    W.  Some such sets also keep the complement of W: every generator is
+    block diagonal and each u v^T lies in one block, so the algebra can
+    be far smaller than all that keeps W."""
+    m = draw(st.integers(1, 5))
+    split = draw(st.integers(0, m - 1))
+    diagonal = split > 0 and draw(st.booleans())
+    low, high, every = range(split), range(split, m), range(m)
+    entry = st.one_of(st.just(G_ZERO), qi_entries)
+    nonzero = st.sampled_from(
+        [G_ONE, GaussianRational(Fraction(-1, 2), 1), GaussianRational(0, -2)]
+    )
+
+    def term():
+        u, v = ([draw(entry) for _ in every] for _ in range(2))
+        if not split:  # the coordinates u and v may use
+            keep_u = keep_v = every
+        elif diagonal:
+            keep_u = keep_v = draw(st.sampled_from([low, high]))
+        else:
+            keep_u, keep_v = (low, every) if draw(st.booleans()) else (every, high)
+        for x, keep in ((u, keep_u), (v, keep_v)):
+            x[:] = [a if j in keep else G_ZERO for j, a in enumerate(x)]
+            x[draw(st.sampled_from(keep))] = draw(nonzero)
+        return u, v
+
+    kinds = draw(st.lists(st.sampled_from(["identity", "dense", "triangular", "rank two"]),
+                          max_size=3))
+    kinds.insert(draw(st.integers(0, len(kinds))), "rank one")
+    mats = []
+    for kind in kinds:
+        rows = [[G_ONE if i == j else G_ZERO for j in every] for i in every]
+        if kind.startswith("rank"):
+            for u, v in [term() for _ in range(1 if kind == "rank one" else 2)]:
+                rows = [[rows[i][j] + u[i] * v[j] for j in every] for i in every]
+        elif kind != "identity":
+            cut = split if split or kind == "dense" or m == 1 else draw(st.integers(1, m - 1))
+            rows = [[G_ZERO if i >= cut > j or diagonal and j >= cut > i else draw(entry)
+                     for j in every] for i in every]
+        mats.append(Matrix.from_rows(_QI, rows))
+    return mats
+
+
+def _reference_singular_spins(mats):
+    """Fraction reference for the two spins of ``burnside_dim``: the first
+    generator g with rank(g - I) = 1, and the dimensions of the spins of
+    its column space under ``mats`` and of its row space under their
+    transposes; None when no g - I has rank one."""
+    ident = Matrix.identity(_QI, mats[0].nrows)
+    for g in mats:
+        e = g - ident
+        basis = FractionEchelon()
+        for row in e.rows:
+            basis.insert([a.constant_value() for a in row])
+        if len(basis) == 1:
+            u = next(c for c in zip(*e.rows) if any(not a.is_zero() for a in c))
+            v = next(r for r in e.rows if any(not a.is_zero() for a in r))
+            left = _reference_spin(mats, [Matrix.column(_QI, u)])
+            right = _reference_spin([h.transpose() for h in mats], [Matrix.column(_QI, v)])
+            return len(left), len(right)
+    return None
+
+
+class TestSingularElementBurnside:
+    """``burnside_dim`` seeded with the ideal of a rank-one g - I, against
+    the Fraction closure from I alone."""
+
+    # I + E with E of rank two on span(e_1, e_2), first, and the rank-one
+    # I + e_3 e_3^T: the algebra is 3-dimensional, but reading E as rank
+    # one would seed a 4-dimensional ideal; E fills the product of its row
+    # and column supports in the first case and is a cross in the second
+    @example([Matrix.from_rows(_QI, [[2, 1, 0], [1, 3, 0], [0, 0, 1]]),
+              Matrix.from_rows(_QI, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])])
+    @example([Matrix.from_rows(_QI, [[2, 1, 0], [1, 1, 0], [0, 0, 1]]),
+              Matrix.from_rows(_QI, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])])
+    @settings(max_examples=150, deadline=None)
+    @given(rank_one_generator_sets())
+    def test_planted_rank_one_generator(self, mats):
+        m = mats[0].nrows
+        want = _reference_burnside_dim(mats)
+        left_mul, closure_products = uvbraid.analysis._left_mul, [0]
+
+        def counted(cols, v, width):
+            closure_products[0] += width == m > 1
+            return left_mul(cols, v, width)
+
+        with unittest.mock.patch.object(uvbraid.analysis, "_left_mul", counted):
+            got = burnside_dim(mats)
+        assert got == want
+        assert burnside_dim([g.transpose() for g in mats]) == want
+        # the ideal's d1 * d2 rows are seeded, never multiplied: only the
+        # rows the closure of I adds past them are, each by every generator
+        d1, d2 = _reference_singular_spins(mats)
+        moving = sum(not g.is_identity() for g in mats)
+        assert closure_products[0] <= moving * (want - d1 * d2)
+        assert (want == m * m) == (d1 == d2 == m)
+
+    def test_degree_one_and_identities(self):
+        ident, two = Matrix.identity(_QI, 1), Matrix.from_rows(_QI, [[2]])
+        assert burnside_dim([ident, two]) == burnside_dim([two]) == burnside_dim([ident]) == 1
+        e12 = Matrix.from_rows(_QI, [[1, 1], [0, 1]])
+        assert burnside_dim([Matrix.identity(_QI, 2), e12]) == 2
+        assert burnside_dim([e12, e12.transpose()]) == 4
 
 
 def _invariant_check_all_pairs(mats, vec, side):

@@ -362,6 +362,16 @@ class TestEmbeddingAndEvaluation:
             rep.sigma_blocks[1].inverse(), 2, rep.degree
         )
 
+    def test_images_share_the_unit_rows_of_one_identity(self):
+        rep = build_local_rep("upsilon-prime", make_spec("uv", 6, 1),
+                              {"s1_1": 2, "s2_1": -3, "s3_1": 5, "s4_1": 7})
+        m, images = rep.degree, rep.generator_images()
+        for g, image in images:
+            assert image == block_embed(rep.letter_block(g), g.index, m)
+        # each image builds only the k rows its block covers
+        rows = {id(r) for _g, image in images for r in image.rows}
+        assert len(rows) <= m + rep.block_size * len(images) < m * len(images)
+
     def test_eval_word_involution(self):
         spec = make_spec("uv", 3, 1)
         rep = build_local_rep("upsilon", spec)
