@@ -25,6 +25,7 @@ complex irreducibility with exact arithmetic is sound.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -721,10 +722,10 @@ def _gmul(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
 
 def _terms(mats: list[Matrix]) -> list[dict]:
     """Each generator g as the Gaussian-integer terms ``{(i, r): (re, im)}``
-    of L*(g - I): its ``off_identity`` view, which for a k-local g holds
-    only the k^2 entries of the block, scaled by the L that clears its
-    denominators (:func:`~uvbraid.matrices.gaussian_integer_terms`)."""
-    return [gaussian_integer_terms(g.off_identity())[0] for g in mats]
+    of L*(g - I), read from ``Matrix.off_terms``: for a k-local g, the k^2
+    terms of its block, which ``block_embed`` read from the block once and
+    shifted into g, so no ``RatFunc`` is read here."""
+    return [g.off_terms()[0] for g in mats]
 
 
 def _columns(terms: list[dict], transpose: bool = False) -> list[dict]:
@@ -881,14 +882,20 @@ def spin(mats: list[Matrix], seeds: list[Matrix]) -> list[Matrix]:
 
 def invariant_check(mats: list[Matrix], vec: Matrix, side: str) -> bool:
     """Does ``vec`` span an invariant line?  Column side checks M v || v for
-    every M; row side checks v M || v.  Works symbolically as well.  Each M
-    must be m x m for a witness of length m.
+    every M; row side checks v M || v.  Works symbolically as well.  Every M
+    must be m x m for a witness of length m, over the witness's ring; all
+    are checked before any verdict.
 
     M v || v exactly when u = (M - I) v is (v (M - I) on the row side), and
     u is read from M's ``off_identity`` view, keys swapped on the row side:
     a k-local M costs its k^2 block entries, and no transpose is built.
     When u is not zero, u || v needs u and v to have one support, and over
-    a field u_q v_j = v_q u_j for j in it, q any coordinate of it."""
+    a field u_q v_j = v_q u_j for j in it, q any coordinate of it (see
+    :func:`_parallel`).  There are two scalar routes.  When the witness and
+    M are constant, both are read as Gaussian integers, L_v*v and M's
+    cached ``off_terms`` L*(M - I), and the test cross-multiplies in Z[i]:
+    the scalings do not change which vectors are parallel.  Otherwise it
+    runs on the ``RatFunc`` entries themselves."""
     if side not in ("column", "row"):
         raise ValueError("side must be 'column' or 'row'")
     if side == "column" and vec.ncols != 1:
@@ -900,26 +907,50 @@ def invariant_check(mats: list[Matrix], vec: Matrix, side: str) -> bool:
         raise ValueError("witness vector is zero")
     m = vec.nrows if side == "column" else vec.ncols
     for g in mats:
+        vec._check_ring(g)
         if g.shape != (m, m):
             raise ValueError(
                 f"a {side} witness of shape {vec.shape} needs {m} x {m} matrices, "
                 f"got one of shape {g.shape}"
             )
-        u: dict = {}
-        for (i, j), a in g.off_identity().items():
-            if side == "row":
-                i, j = j, i
-            if j in v:
-                u[i] = u[i] + a * v[j] if i in u else a * v[j]
-        u = {i: x for i, x in u.items() if not x.is_zero()}
-        if not u:
-            continue
-        if u.keys() != v.keys():
-            return False
-        q = next(iter(u))
-        if any(u[q] * v[j] != v[q] * x for j, x in u.items()):
+    row = side == "row"
+    vz = gaussian_integer_terms(v)[0] if all(x.is_constant() for x in v.values()) else None
+    for g in mats:
+        if vz is not None and g.is_constant():
+            ok = _parallel(g.off_terms()[0], vz, row, _gmul, _gadd, any)
+        else:
+            ok = _parallel(g.off_identity(), v, row, operator.mul, operator.add, _rf_nonzero)
+        if not ok:
             return False
     return True
+
+
+def _gadd(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
+    return z[0] + w[0], z[1] + w[1]
+
+
+def _rf_nonzero(x: RatFunc) -> bool:
+    return not x.is_zero()
+
+
+def _parallel(off: dict, v: dict, row: bool, mul, add, nonzero) -> bool:
+    """Is u = (M - I) v, or v (M - I) when ``row``, parallel to the nonzero
+    entries ``v``, with M - I given by its nonzero entries ``off``?  The
+    scalars are ``RatFunc``s or Gaussian integers, read through ``mul``,
+    ``add`` and ``nonzero``."""
+    u: dict = {}
+    for (i, j), a in off.items():
+        if row:
+            i, j = j, i
+        if j in v:
+            u[i] = add(u[i], mul(a, v[j])) if i in u else mul(a, v[j])
+    u = {i: x for i, x in u.items() if nonzero(x)}
+    if not u:
+        return True
+    if u.keys() != v.keys():
+        return False
+    q = next(iter(u))
+    return all(mul(u[q], v[j]) == mul(v[q], x) for j, x in u.items())
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,12 @@ clarity over asymptotics.  There is one elimination per field:
   :func:`gaussian_integer_terms` is the way in: it reads each nonzero
   constant entry's (a, b, d) (see :mod:`uvbraid.scalars`) and scales by
   the lcm of the d's, so no rational number is built on the way.  A
-  generator enters by its ``Matrix.off_identity`` view, the nonzero
-  entries of g - I, which ``block_embed`` fills from the k x k block.
+  generator enters by ``Matrix.off_terms``, those terms of its
+  ``off_identity`` view (the nonzero entries of g - I), cached next to
+  the view.  ``block_embed`` fills both from the k x k block, whose terms
+  are read once and shifted into each image; ``transpose`` passes both
+  on.  So the n - 1 images of one block cost O(k^2) dictionary work each
+  and read no ``RatFunc``.
 
 ``place`` writes a block over a diagonal window of a larger matrix.
 ``block_embed`` uses it to realize the local pattern
@@ -44,7 +48,7 @@ from .scalars import MultiPoly, PolyRing, RatFunc
 class Matrix:
     """An immutable nrows x ncols matrix of rational functions over one ring."""
 
-    __slots__ = ("ring", "nrows", "ncols", "rows", "_off")
+    __slots__ = ("ring", "nrows", "ncols", "rows", "_off", "_off_terms")
 
     def __init__(self, ring: PolyRing, rows: tuple[tuple[RatFunc, ...], ...]):
         self.ring = ring
@@ -52,6 +56,7 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
         self._off = None  # the off_identity view, once known
+        self._off_terms = None  # and its Gaussian-integer terms
 
     # -- constructors -------------------------------------------------
 
@@ -141,11 +146,14 @@ class Matrix:
         return Matrix(self.ring, tuple(tuple(a * c for a in r) for r in self.rows))
 
     def transpose(self) -> Matrix:
-        """The transpose; it inherits a known ``off_identity`` view,
-        transposed, so it is not scanned for one."""
+        """The transpose; it inherits a known ``off_identity`` view and its
+        known ``off_terms``, transposed, so it is not scanned for either."""
         out = Matrix(self.ring, tuple(zip(*self.rows)))
         if self._off is not None:
             out._off = {(j, i): a for (i, j), a in self._off.items()}
+        if self._off_terms is not None:
+            terms, lcm = self._off_terms
+            out._off_terms = {(j, i): z for (i, j), z in terms.items()}, lcm
         return out
 
     def __eq__(self, other):
@@ -189,6 +197,24 @@ class Matrix:
                         off[i, j] = a
             self._off = off
         return self._off
+
+    def off_terms(self) -> tuple[dict[tuple[int, int], tuple[int, int]], int]:
+        """:func:`gaussian_integer_terms` of :meth:`off_identity`: the
+        Gaussian-integer terms ``{(i, j): (re, im)}`` of L*(self - I), and
+        L.  Computed on first use and cached, unless the constructor
+        (``block_embed``, ``transpose``) passed them on; callers must not
+        modify them.  Raises ValueError if an entry is symbolic."""
+        if self._off_terms is None:
+            self._off_terms = gaussian_integer_terms(self.off_identity())
+        return self._off_terms
+
+    def is_constant(self) -> bool:
+        """Is every entry of a square matrix a constant, as at a parameter
+        point?  Reads the ``off_identity`` view, or nothing once
+        ``off_terms`` are known."""
+        return self._off_terms is not None or all(
+            a.is_constant() for a in self.off_identity().values()
+        )
 
     # -- determinant and inverse ----------------------------------------
 
@@ -410,10 +436,15 @@ def place(block: Matrix, pos: int, outer: Matrix) -> Matrix:
 def block_embed(block: Matrix, pos: int, m: int, identity: Matrix | None = None) -> Matrix:
     """Embed a k x k block at strand position pos (1-based) in an m x m
     identity.  Its ``off_identity`` view is the block's, shifted to the
-    window: O(k^2), with no scan of the m x m result.  A caller that embeds
-    many blocks passes one shared m x m ``identity``: the image then shares
-    its m - k unit rows and builds only the k rows the block covers."""
+    window, and so are its ``off_terms`` when the block is constant (read
+    from the block once, then cached there): O(k^2), with no scan of the
+    m x m result.  A caller that embeds many blocks passes one shared m x m
+    ``identity``: the image then shares its m - k unit rows and builds only
+    the k rows the block covers."""
     out = place(block, pos, Matrix.identity(block.ring, m) if identity is None else identity)
     s = pos - 1
     out._off = {(s + i, s + j): a for (i, j), a in block.off_identity().items()}
+    if block.is_constant():
+        terms, lcm = block.off_terms()
+        out._off_terms = {(s + i, s + j): z for (i, j), z in terms.items()}, lcm
     return out

@@ -26,13 +26,18 @@ Parameter names follow the slot convention of ``_free``: a block entry
 named r6 or s5_t sits at the row-major position 6 resp. 5 of the 3 x 3
 block (for 2 x 2 blocks, positions 1..4).  One routine, ``_assemble``,
 builds the named families and :func:`generic_rep`, a row of ``_free``
-blocks.  The side conditions (points excluded from a family) are its
-type-independent parameters r2, r6 or t, then per crossing type: the
-crossing block's determinant (``_det2``) for upsilon, upsilon-prime,
-epsilon1 and epsilon2, s5_t for epsilon3 and epsilon4, and every crossing
-parameter for the omegas.  ``burau`` and ``f-rep`` have no virtual
-block: words containing rho letters cannot be evaluated there, and the
-relation verifier reports rho-relations as skipped rather than checked.
+blocks.  It evaluates a row on symbols, or, for a family built at a
+point, on the point's Q(i) values themselves: the blocks are then
+constant from the start and equal the symbolic ones specialized there
+(:func:`specialize`), with no symbolic block built.  The side conditions
+(points excluded from a family) are its type-independent parameters r2,
+r6 or t, then per crossing type: the crossing block's determinant
+(``_det2``) for upsilon, upsilon-prime, epsilon1 and epsilon2, s5_t for
+epsilon3 and epsilon4, and every crossing parameter for the omegas.  They
+stay symbolic on a rep built at a point, which is checked against them.
+``burau`` and ``f-rep`` have no virtual block: words containing rho
+letters cannot be evaluated there, and the relation verifier reports
+rho-relations as skipped rather than checked.
 
 Word images come from :func:`packed_word`, the one word-product routine.
 Every block here has monomial entry denominators (1, r2 or r6), and the
@@ -340,26 +345,32 @@ def _typed(values: dict, t: int, name: str):
     return values[name] if name in values else values[f"{name}_{t}"]
 
 
-def _assemble(name: str, spec: GroupSpec, row: tuple) -> LocalRep:
-    """The symbolic ``LocalRep`` of one block-table row over ``spec``."""
+def _assemble(name: str, spec: GroupSpec, row: tuple, point: dict | None = None) -> LocalRep:
+    """The ``LocalRep`` of one block-table row over ``spec``: symbolic, or
+    at a full ``point``, where the row is evaluated on the point's Q(i)
+    values themselves, so no symbolic block is built.  The side conditions
+    stay symbolic either way; a point is checked against them, and against
+    the ring's parameters, by :func:`_checked_point` before any block."""
     k, shared, stems, rho_rows, sigma_rows, sigma_conds = row
     names = shared + [f"{nm}_{t}" for t in range(1, spec.c + 1) for nm in stems]
     ring = PolyRing(tuple(names))
-    values = {nm: ring.rf(nm) for nm in names}
-    conds = [values[nm] for nm in shared] if sigma_conds else []
-    sigma_blocks = {}
-    for t in range(1, spec.c + 1) if rho_rows else sorted(spec.braid_types):
-        v = partial(_typed, values, t)
-        sigma_blocks[t] = Matrix.from_rows(ring, sigma_rows(v))
-        conds += sigma_conds(v) if sigma_conds else []
+    symbols = {nm: ring.rf(nm) for nm in names}
+    types = range(1, spec.c + 1) if rho_rows else sorted(spec.braid_types)
+    conds = [symbols[nm] for nm in shared] if sigma_conds else []
+    for t in types if sigma_conds else ():
+        conds += sigma_conds(partial(_typed, symbols, t))
+    values = symbols if point is None else _checked_point(name, ring.vars, conds, point)
     return LocalRep(
         name=name,
         spec=spec,
         block_size=k,
         ring=ring,
         side_conditions=tuple(conds),
-        rho_block=Matrix.from_rows(ring, rho_rows(ring.rf)) if rho_rows else None,
-        sigma_blocks=sigma_blocks,
+        rho_block=Matrix.from_rows(ring, rho_rows(values.__getitem__)) if rho_rows else None,
+        sigma_blocks={
+            t: Matrix.from_rows(ring, sigma_rows(partial(_typed, values, t))) for t in types
+        },
+        assignment=None if point is None else values,
     )
 
 
@@ -372,7 +383,11 @@ def build_local_rep(
 
     ``params`` is either the string ``"symbolic"`` or a dict binding every
     family parameter to a Q(i) scalar; the assignment must keep every side
-    condition nonzero (those points are excluded from the family).
+    condition nonzero (those points are excluded from the family).  At a
+    point the family's blocks are computed from the Q(i) values directly,
+    with no symbolic block and no ``specialize``; the result equals
+    ``specialize(build_local_rep(family, spec), params)`` field by field,
+    and a point is refused with the same message.
     """
     name = canonical_family(family)
     if name.startswith("epsilon") and spec.c != 2:
@@ -384,12 +399,9 @@ def build_local_rep(
             f"{name} represents braided crossing types only; "
             f"{spec.describe()} flags none"
         )
-    rep = _assemble(name, spec, _FAMILIES[name])
-    if params == "symbolic":
-        return rep
-    if not isinstance(params, dict):
+    if params != "symbolic" and not isinstance(params, dict):
         raise TypeError("params must be 'symbolic' or a full assignment dict")
-    return specialize(rep, params)
+    return _assemble(name, spec, _FAMILIES[name], None if params == "symbolic" else params)
 
 
 def generic_rep(
@@ -424,24 +436,30 @@ def specialize(rep: LocalRep, assignment: dict) -> LocalRep:
     checked).  A point where a block entry's denominator vanishes is
     refused with a ValueError as well, side conditions or none
     (``generic_rep`` has none)."""
-    point = {k: _as_gauss(v) for k, v in assignment.items()}
-    unknown = set(point) - set(rep.params)
-    if unknown:
-        raise ValueError(f"unknown parameters {sorted(unknown)} for {rep.name}")
-    missing = [p for p in rep.params if p not in point]
-    if missing:
-        raise ValueError(f"missing parameters {missing} for {rep.name}")
-    for cond in rep.side_conditions:
-        if cond.evaluate(point).is_zero():
-            raise ValueError(
-                f"assignment violates side condition {cond} != 0 for {rep.name}"
-            )
+    point = _checked_point(rep.name, rep.params, rep.side_conditions, assignment)
     try:
         rho_block = None if rep.rho_block is None else rep.rho_block.evaluate(point)
         sigma_blocks = {t: b.evaluate(point) for t, b in rep.sigma_blocks.items()}
     except VanishingDenominator as exc:
         raise ValueError(f"a block of {rep.name} is undefined: {exc}") from exc
     return replace(rep, rho_block=rho_block, sigma_blocks=sigma_blocks, assignment=point)
+
+
+def _checked_point(name: str, params: tuple, conds, assignment: dict) -> dict:
+    """``assignment`` as Q(i) values, refused with a ValueError unless it
+    binds exactly the parameters ``params`` of the rep ``name`` and keeps
+    every side condition of ``conds`` nonzero."""
+    point = {k: _as_gauss(v) for k, v in assignment.items()}
+    unknown = set(point) - set(params)
+    if unknown:
+        raise ValueError(f"unknown parameters {sorted(unknown)} for {name}")
+    missing = [p for p in params if p not in point]
+    if missing:
+        raise ValueError(f"missing parameters {missing} for {name}")
+    for cond in conds:
+        if cond.evaluate(point).is_zero():
+            raise ValueError(f"assignment violates side condition {cond} != 0 for {name}")
+    return point
 
 
 def _as_gauss(v) -> GaussianRational:

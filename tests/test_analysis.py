@@ -49,7 +49,7 @@ from uvbraid.groups import (
     sigma,
     word,
 )
-from uvbraid.matrices import Matrix
+from uvbraid.matrices import Matrix, gaussian_integer_terms
 from uvbraid.reps import (
     FAMILY_NAMES,
     build_local_rep,
@@ -1618,6 +1618,31 @@ class TestSpanEngines:
         with pytest.raises(ValueError, match=shapes):
             invariant_check([m], w, side)
 
+    @pytest.mark.parametrize("symbolic", [False, True])
+    def test_every_shape_is_checked_before_a_verdict(self, symbolic):
+        # [g, bad] once returned False at g, before bad's shape was read
+        ring = PolyRing(("t",))
+        g = Matrix.from_rows(ring, [[1, ring.rf("t") if symbolic else 1], [0, 1]])
+        bad = Matrix.identity(ring, 3)
+        v = Matrix.column(ring, [0, 1])
+        assert not invariant_check([g], v, "column")
+        for mats in ([g, bad], [bad, g]):
+            with pytest.raises(ValueError, match=r"\(2, 1\).*\(3, 3\)"):
+                invariant_check(mats, v, "column")
+
+    @pytest.mark.parametrize("symbolic", [False, True])
+    def test_every_ring_is_checked_before_a_verdict(self, symbolic):
+        # g fixes the witness's line without a product being formed, so a
+        # t-ring g once passed a u-ring witness
+        t_ring, u_ring = PolyRing(("t",)), PolyRing(("u",))
+        e1 = Matrix.column(u_ring, [u_ring.rf("u") if symbolic else 1, 0])
+        g = Matrix.from_rows(t_ring, [[1, 0], [0, 2]])
+        h = Matrix.from_rows(u_ring, [[2, 0], [0, 1]])
+        assert invariant_check([h], e1, "column")
+        for mats in ([g], [g, h], [h, g]):
+            with pytest.raises(ValueError, match="different rings"):
+                invariant_check(mats, e1, "column")
+
     def test_span_engines_refuse_symbolic_images(self):
         rep = build_local_rep("upsilon-prime", make_spec("uv", 3, 1))
         e1 = Matrix.column(rep.ring, [1, 0, 0])
@@ -1697,19 +1722,36 @@ class TestOffIdentityViews:
             assert g.off_identity() == c.off_identity()
             assert g.transpose().off_identity() == {
                 (j, i): a for (i, j), a in c.off_identity().items()}
+        assert all(g._off_terms is None for g in gens)
         e1 = Matrix.column(rep.ring, [1, 0, 0, 0])
-        for mats in (gens, copies):
+        for mats in (gens, copies, [g.transpose() for g in gens]):
             with pytest.raises(ValueError, match="symbolic"):
                 burnside_dim(mats)
             with pytest.raises(ValueError, match="symbolic"):
                 spin(mats, [e1])
+        for mats in (gens, copies):
             assert invariant_check(mats, e1, "column")
         assert not invariant_check(gens, Matrix.column(rep.ring, [0, 1, 0, 0]), "column")
 
+    @pytest.mark.parametrize("fam, flavor, n", _view_cases())
+    def test_cached_terms_are_the_scanned_terms(self, fam, flavor, n):
+        # block_embed shifts its block's Gaussian-integer terms into every
+        # image and transpose passes them on, for a rep specialized or built
+        # at the point
+        spec = make_spec(flavor, n, _FIXED_C.get(flavor, 2))
+        rep = _seeded_rep(fam, flavor, n)
+        for at in (rep, build_local_rep(fam, spec, rep.assignment)):
+            for g in _images(at):
+                for h in (g, g.transpose()):
+                    assert h._off_terms is not None
+                    assert h.off_terms() == gaussian_integer_terms(_scanned(h).off_identity())
+
     def test_reads_follow_the_block(self, monkeypatch):
-        # RatFunc tests and reads per generator in burnside_dim followed by
-        # invariant_check, net of the witness's own scan: the same at both
-        # degrees, bounded by the k^2 block entries
+        # RatFunc tests and reads made by building the generator images,
+        # burnside_dim and invariant_check, net of the witness's own reads:
+        # the same at both degrees, and at most 4 per entry of each block
+        # (its off_identity scan, two constant tests, its Z[i] terms), as
+        # every image reads its block's cached terms
         point = {"s1_1": 2, "s2_1": -1, "s3_1": 3, "s4_1": -2}  # row sums 1
         reads = Counter()
 
@@ -1721,25 +1763,24 @@ class TestOffIdentityViews:
                 return fn(self)
             return wrapper
 
-        per_gen = []
+        totals = []
         for n in (6, 12):
             spec = make_spec("uv", n, 1)
             rep = build_local_rep("upsilon-prime", spec, point)
-            gens, k = _images(rep), rep.block_size
             res = reducibility_criterion("upsilon-prime", spec, point)
             with monkeypatch.context() as mp:
-                for name in ("is_zero", "is_one", "constant_value"):
+                for name in ("is_zero", "is_one", "is_constant", "constant_value"):
                     mp.setattr(RatFunc, name, counted(name))
                 reads.clear()
                 invariant_check([], res.witness, res.witness_side)
                 witness = sum(reads.values())
                 reads.clear()
+                gens = _images(rep)
                 assert burnside_dim(gens) == n * n - n + 1
                 assert invariant_check(gens, res.witness, res.witness_side)
-                total = sum(reads.values()) - witness
-            assert total % len(gens) == 0
-            per_gen.append(total // len(gens))
-        assert per_gen[0] == per_gen[1] <= 4 * k * k
+                totals.append(sum(reads.values()) - witness)
+        blocks, k = 1 + len(rep.sigma_blocks), rep.block_size
+        assert totals[0] == totals[1] <= 4 * k * k * blocks
 
 
 class TestReducibilityCriterion:

@@ -359,14 +359,15 @@ class TestIrreducibilityCommand:
         assert payload["criterion"] is None
         assert payload["burnside_dim"] >= 1
 
-    def test_family_is_built_and_specialized_once(self):
+    def test_family_is_built_once_at_the_point(self):
         counts = count_builds(
             "irreducibility", "--family", "epsilon4", "--group", "uv", "--n", "4",
             "--c", "2", "--param", "r2=2", "--param", "s5_1=3", "--param", "s8_1=1",
             "--param", "s5_2=1", "--param", "s8_2=2",
         )
-        # 9 generator images of degree 5, shared by the oracle and the criterion
-        assert counts == {"build_local_rep": 1, "specialize": 1, "block_embed": 9}
+        # built at the point, so nothing is specialized; 9 generator images
+        # of degree 5, shared by the oracle and the criterion
+        assert counts == {"build_local_rep": 1, "block_embed": 9}
 
     def test_criterion_contradicting_its_table_is_a_failed_check(self, capsys, monkeypatch):
         [(label, _test, side, entry)], notes = analysis._CRITERIA["omega1p"]

@@ -3,7 +3,9 @@ word evaluation, and diagonal conjugation equivalences."""
 
 import dataclasses
 import json
+import random
 import re
+from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
@@ -12,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import uvbraid
-from uvbraid.groups import Word, make_spec, parse_word, rho, sigma
+from uvbraid.groups import _FIXED_C, FLAVORS, Word, make_spec, parse_word, rho, sigma
 from uvbraid.matrices import Matrix, block_embed
 from uvbraid.reps import (
     FAMILY_NAMES,
@@ -624,6 +626,80 @@ class TestSpecialization:
             "upsilon", spec, {"r2": 2, "s1_1": 1, "s2_1": 0, "s3_1": 0, "s4_1": 1}
         )
         assert rep.assignment is not None
+
+
+def _point_cases():
+    """(family, flavor, c) for every family on every flavor it builds on, at
+    c = 1 and c = 2 where the flavor leaves c free."""
+    out = []
+    for fam in FAMILY_NAMES:
+        for flavor in FLAVORS:
+            for c in (None,) if flavor in _FIXED_C else (1, 2):
+                try:
+                    build_local_rep(fam, make_spec(flavor, 4, c))
+                except ValueError:
+                    continue
+                out.append((fam, flavor, c))
+    return out
+
+
+def _nonzero_gauss(rng):
+    """A nonzero Gaussian rational, often with an imaginary part."""
+    re_part = Fraction(rng.choice([x for x in range(-4, 5) if x]), rng.randint(1, 3))
+    return GaussianRational(re_part, rng.choice((0, 0, 1, -2, Fraction(1, 2))))
+
+
+def _refusal(build, *args):
+    with pytest.raises(ValueError) as caught:
+        build(*args)
+    return str(caught.value)
+
+
+class TestBuildAtThePoint:
+    """``build_local_rep`` at a point evaluates the block table there, with
+    no symbolic block; the rep and every refusal equal ``specialize``'s."""
+
+    @pytest.mark.parametrize("fam, flavor, c", _point_cases())
+    def test_equals_the_specialized_rep_field_by_field(self, fam, flavor, c):
+        spec = make_spec(flavor, 4, c)
+        symbolic = build_local_rep(fam, spec)
+        rng = random.Random(f"{fam} {flavor} {c}")
+        for _ in range(3):
+            point = {p: _nonzero_gauss(rng) for p in symbolic.params}
+            try:
+                want = specialize(symbolic, point)
+            except ValueError:  # on a side condition; the test below covers it
+                continue
+            got = build_local_rep(fam, spec, point)
+            for f in dataclasses.fields(want):
+                if f.name != "_cache":
+                    assert getattr(got, f.name) == getattr(want, f.name), f.name
+            assert [str(x) for x in got.side_conditions] == [
+                str(x) for x in want.side_conditions]
+            assert {t: str(b) for t, b in got.sigma_blocks.items()} == {
+                t: str(b) for t, b in want.sigma_blocks.items()}
+            assert str(got.rho_block) == str(want.rho_block)
+
+    @pytest.mark.parametrize("fam, flavor, c", _point_cases())
+    def test_refuses_as_specialize_does(self, fam, flavor, c):
+        spec = make_spec(flavor, 4, c)
+        symbolic = build_local_rep(fam, spec)
+        rng = random.Random(f"{fam} {flavor} {c}")
+        point = {p: _nonzero_gauss(rng) for p in symbolic.params}
+        bad = [point | {"zz": 1}, {p: x for p, x in point.items() if p != symbolic.params[-1]}]
+        for cond in symbolic.side_conditions:
+            # every side condition is linear in each of its variables
+            x = cond.num.variables()[0]
+            b = cond.evaluate(point | {x: 0})
+            a = cond.evaluate(point | {x: 1}) - b
+            assert not a.is_zero()
+            on = point | {x: -b / a}
+            assert cond.evaluate(on).is_zero()
+            bad.append(on)
+        for at in bad:
+            want = _refusal(specialize, symbolic, at)
+            assert _refusal(build_local_rep, fam, spec, at) == want
+            assert re.search("unknown parameters|missing parameters|violates side", want)
 
 
 class TestConjugation:
