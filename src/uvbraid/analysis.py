@@ -384,34 +384,49 @@ class ModPScan:
 
     A cell ``(prefix, f)`` stands for p^f points: the scanned unknowns
     start with the values ``prefix`` and the last ``f`` run over all of
-    F_p, in lexicographic order.  A hole has the same form and lies inside
-    one cell; its points are the cell's points where an invertibility test
-    fails, and they are not solutions.  Cells and holes each come in scan
-    order.  ``tally`` is the one reader that nets the holes out; ``count``
-    and ``solutions`` are read from it.
+    F_p, in lexicographic order.  A line part ``(prefix, f, (a0, inv))``
+    stands for p^f points too: the next ``f`` run over F_p and the last
+    is the root -a0 * inv of a1*x + a0, ``a0`` being terms in those ``f``
+    (as ``_value_mod_p`` reads them) and ``inv`` 1/a1.  A hole has either
+    form and lies inside one cell; its points are the cell's points where an
+    invertibility test fails, and they are not solutions.  Cells and holes
+    each come in scan order.  ``tally`` is the one reader that nets the
+    holes out; ``count`` and ``solutions`` are read from it.
     """
 
     p: int
     unknowns: tuple[str, ...]
     fixed: dict[str, int]
-    cells: list[tuple[tuple[int, ...], int]]
-    holes: list[tuple[tuple[int, ...], int]]
+    cells: list[tuple]
+    holes: list[tuple]
 
     def tally(self, names: tuple[str, ...]) -> Counter:
         """The points at each value of ``names`` (scanned or fixed), keyed by
         their values in ascending order, the scan's order when ``names``
         follow it.  Cells add their points and holes subtract theirs; a part
         is expanded only in the named unknowns it leaves free, and a value
-        whose holes take all its points is dropped."""
+        whose holes take all its points is dropped.  A line part counts as
+        a cell of p^f points over its free unknowns until a name reaches the
+        unknown it solves: then it is expanded point by point."""
         p, where = self.p, {v: i for i, v in enumerate(self.unknowns)}
         if stray := [v for v in names if v not in where and v not in self.fixed]:
             valid = ", ".join([*self.unknowns, *self.fixed])
             raise ValueError(f"{stray[0]!r} is neither scanned nor fixed; valid names: {valid}")
         # parts that agree up to the last named scanned unknown agree on names
         cut = 1 + max((where[v] for v in names if v in where), default=-1)
+        solved = cut == len(self.unknowns)
         weights: Counter = Counter()
         for sign, parts in ((1, self.cells), (-1, self.holes)):
-            for (prefix, f), times in Counter((pre[:cut], f) for pre, f in parts).items():
+            grouped: Counter = Counter()
+            for prefix, f, *line in parts:
+                if not (line and solved):
+                    grouped[prefix[:cut], f] += 1
+                    continue
+                ((a0, inv),) = line
+                for values in product(range(p), repeat=f):
+                    point = (*prefix, *values)
+                    grouped[(*point, -_value_mod_p(a0, point, p) * inv % p), 0] += 1
+            for (prefix, f), times in grouped.items():
                 bound = dict(zip(self.unknowns, prefix)) | self.fixed
                 free = [v for v in names if v not in bound]
                 weight = sign * times * p ** (f - len(free))
@@ -516,7 +531,11 @@ def _plan(tests: list, depth: int, p: int, start: int = 0) -> list:
       none);
     - the tests of stage d, as ``(terms, must be zero?)``;
     - the same tests as ``(a0, a1, must be zero?)``, each test a0 + a1*x in
-      the unknown x of stage d, or None when one has x to a higher power.
+      the unknown x of stage d, or None when one has x to a higher power;
+    - when d is below the last stage and the one test pending at d is an
+      equation a1*x + a0 in the last unknown x, a1 a polynomial in the
+      first d unknowns: a1 and a0's (monomial, coefficient) pairs, split
+      at d; else None.
     """
     plan: list = [None] * start
     for d in range(start, depth + 1):
@@ -539,7 +558,13 @@ def _plan(tests: list, depth: int, p: int, start: int = 0) -> list:
             if any(set(split) - {(), x} for split, _z in splits)
             else [(split.get((), []), split.get(x, []), z) for split, z in splits]
         )
-        plan.append((coeffs, holes, here, linear))
+        line = None
+        if d < depth - 1 and len(pending) == 1 and pending[0][2]:
+            split = _split_at(pending[0][1], d)
+            a1 = split.pop(((depth - 1, 1),), None)
+            if a1 and all(not mono or mono[-1][0] < depth - 1 for mono in split):
+                line = (a1, list(split.items()))
+        plan.append((coeffs, holes, here, linear, line))
     return plan
 
 
@@ -569,7 +594,8 @@ def _linear_values(forms: list, point: list[int], p: int) -> list[int]:
 
 # values a mod-p scan may bind before it is refused, holes' points counted
 # too: 2-3 s of descent on a 2-core x86 host (Python 3.11), and a bound on
-# the cells and holes the scan can hold, since each is a visited point
+# the cells and holes the scan can hold, since each is a visited point; a
+# line part, like a cell, costs only the values bound on its prefix
 _SCAN_BUDGET = 500_000
 
 
@@ -605,12 +631,18 @@ def enumerate_solutions_mod_p(
     point plus the cells and holes, and both come out in lexicographic
     order of the scanned unknowns.
 
+    A partial point whose one pending test is an equation a1*x + a0 in the
+    last scanned unknown x, with a1 read at the bound prefix and nonzero,
+    is not descended either: each completion of the unknowns between has
+    one x = -a0/a1, and it is recorded as one line part (see ``ModPScan``),
+    often a hole (det S = s1*s4 - s2*s3 past s1 != 0).
+
     "Desk scale" is a bound on work, not on the grid: each value the
     descent binds counts, holes' included, a scan that passes
     ``_SCAN_BUDGET`` of them is refused with a ValueError that gives the
-    count, and a cell of p^f points costs what its prefix cost (uv(3,2) at
-    p=5, 1 562 501 points, visits 132; with invertible blocks, 921 601
-    points in 5 cells less their holes).
+    count, and a cell or line part of p^f points costs what its prefix
+    cost (uv(3,2) at p=5, 1 562 501 points, visits 132; with invertible
+    blocks, 921 601 points in 5 cells less 17 700 holes, 60 652 visits).
     """
     if p < 3 or p > 13 or any(p % q == 0 for q in range(2, p)):
         raise ValueError("p must be an odd prime at desk scale (3..13)")
@@ -647,7 +679,12 @@ def enumerate_solutions_mod_p(
 
     def descend(plan: list, stage: int, out: list) -> None:
         nonlocal visited
-        coeffs, hole_plan, here, linear = plan[stage]
+        coeffs, hole_plan, here, linear, line = plan[stage]
+        if line is not None and (a1 := _value_mod_p(line[0], point, p)):
+            # every completion has one last unknown: one line part
+            a0 = [(c, mono) for mono, terms in line[1] if (c := _value_mod_p(terms, point, p))]
+            out.append((tuple(point[:stage]), depth - 1 - stage, (a0, pow(a1, -1, p))))
+            return
         if not any(_value_mod_p(c, point, p) for c in coeffs):
             out.append((tuple(point[:stage]), depth - stage))
             if hole_plan is not None:

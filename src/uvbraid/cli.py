@@ -110,10 +110,12 @@ def _emit(payload: dict, as_json: bool) -> int:
 
 def cmd_verify(args) -> int:
     spec = _spec_from(args)
-    rep = build_local_rep(args.family, spec)
-    params = _bindings(args.param, "--param", parse_gaussian)
-    if params:
-        rep = specialize(rep, params)
+    try:
+        params = _bindings(args.param, "--param", parse_gaussian)
+    except ValueError:
+        build_local_rep(args.family, spec)  # an unknown or refused family is reported first
+        raise
+    rep = build_local_rep(args.family, spec, params or "symbolic")
     report = verify_relations(rep)
     payload = {"command": "verify", "family": rep.name}
     payload.update(report.to_dict())

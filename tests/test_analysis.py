@@ -748,12 +748,12 @@ class TestModP:
 
     def test_a_scan_over_the_work_budget_is_refused(self, monkeypatch):
         system = generate_constraints(2, make_spec("uv", 3, 1))
-        monkeypatch.setattr(uvbraid.analysis, "_SCAN_BUDGET", 1000)
-        # at p=5 the invertible scan visits 1120 partial points, at most 5 at a time
-        with pytest.raises(ValueError, match=r"desk scale: 1001 partial points visited, "
-                           r"over the budget of 1000"):
+        monkeypatch.setattr(uvbraid.analysis, "_SCAN_BUDGET", 200)
+        # at p=5 the invertible scan visits 240 partial points, at most 5 at a time
+        with pytest.raises(ValueError, match=r"^scan of 8 unknowns mod 5 exceeds desk scale: "
+                           r"201 partial points visited, over the budget of 200$"):
             enumerate_solutions_mod_p(system, 5, system.invertibility)
-        # the dense scan is 5 cells and stays well under it
+        # the dense scan is 5 cells after 120 visits and stays under it
         assert enumerate_solutions_mod_p(system, 5).count == 1 + 4 * 5 ** 4
 
     def test_dense_scans_collapse_to_few_cells(self):
@@ -803,9 +803,10 @@ class TestModPCells:
     def test_zero_residue_leaves_the_rest_free(self):
         scan = enumerate_solutions_mod_p(_synthetic_system(_r1_r4), 3)
         assert scan.unknowns == ("r1", "r2", "r3", "r4")
-        # r1 = 0 kills r1*r4 whatever r2..r4 are: one cell of 27 points
-        assert scan.cells[0] == ((0,), 3)
-        assert all(f == 0 and prefix[3] == 0 for prefix, f in scan.cells[1:])
+        # r1 = 0 kills r1*r4 whatever r2..r4 are: one cell of 27 points; for
+        # r1 != 0, r1*r4 is a1*r4 + a0 with a1 = r1, a0 = 0: one line part
+        # of 9 points each, r2 and r3 free and r4 = 0, its inv 1/r1
+        assert scan.cells == [((0,), 3), ((1,), 2, ([], 1)), ((2,), 2, ([], 2))]
         assert scan.count == len(scan.solutions) == 27 + 27 - 9
         assert scan.solutions == [
             dict(zip(scan.unknowns, point))
@@ -824,7 +825,8 @@ class TestModPCells:
     def test_buckets_of_a_partly_fixed_block(self):
         system = _synthetic_system(_r1_r4)
         scan = enumerate_solutions_mod_p(system, 3, fixed={"r2": 2, "r3": 2})
-        assert scan.cells[0] == ((0,), 1)
+        # r4 is the last unknown: a1 = r1 != 0 binds its one value, no line part
+        assert scan.cells == [((0,), 1), ((1, 0), 0), ((2, 0), 0)]
         want = Counter(classify_virtual_point(s, 3) for s in scan.solutions)
         assert classify_virtual_cells(scan) == want == {"antidiagonal": 1, "other": 4}
 
@@ -884,21 +886,30 @@ class TestModPHoles:
             "identity": 1, "antidiagonal": (p - 1) * _gl2(p),
         }
 
-    def test_holes_keep_the_antidiagonal_scan_small(self):
-        """p^4 points less the singular crossing blocks: one cell and
-        p + (p - 1) * p^2 holes, where one cell per point would be 13 200."""
-        p = 11
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+    def test_holes_keep_the_antidiagonal_scan_small(self, p):
+        """p^4 points less the singular crossing blocks: one cell and 2p - 1
+        holes (21 at p = 11, where one cell per point would be 13 200).
+        Where s1 != 0, s1*s4 - s2*s3 is linear in s4 with s2, s3 free: p - 1
+        line parts.  Where s1 = 0, one hole for s2 = 0 and one for each
+        s2 != 0 with s3 = 0."""
         system = generate_constraints(2, make_spec("uv", 3, 1))
         scan = enumerate_solutions_mod_p(system, p, system.invertibility, _antidiagonal(p))
-        assert len(scan.cells) + len(scan.holes) <= 1 + p**3
-        assert len(scan.holes) == p + (p - 1) * p**2
+        assert scan.cells == [((), 4)]
+        assert len(scan.holes) == 2 * p - 1
+        lines = [h for h in scan.holes if len(h) == 3]
+        assert lines == [((s1,), 2, ([(p - 1, ((1, 1), (2, 1)))], pow(s1, -1, p)))
+                         for s1 in range(1, p)]
+        assert [h for h in scan.holes if len(h) == 2] == [((0, 0), 2)] + [
+            ((0, s2, 0), 1) for s2 in range(1, p)
+        ]
 
     def test_every_hole_lies_inside_one_cell(self):
         system = generate_constraints(2, make_spec("uv", 3, 1))
         scan = enumerate_solutions_mod_p(system, 5, system.invertibility)
-        assert scan.holes
-        for hole, _f in scan.holes:
-            inside = [cell for cell, _size in scan.cells if hole[: len(cell)] == cell]
+        assert any(len(hole) == 3 for hole in scan.holes)
+        for hole, *_rest in scan.holes:
+            inside = [cell for cell, *_rest in scan.cells if hole[: len(cell)] == cell]
             assert len(inside) == 1
 
 
@@ -1073,6 +1084,8 @@ class TestModPAgainstBruteForce:
         assert dict(classify_virtual_cells(scan)) == want
         if case in ("antidiagonal", "singular rank 1", "singular zero"):
             assert scan.holes
+            # det S is linear in s4_1: where s1_1 != 0 a hole is a line part
+            assert any(len(hole) == 3 for hole in scan.holes)
         if case == "singular emptied":
             assert scan.cells == scan.holes == [((1, 0), 1)]
             assert want == {}
@@ -1093,6 +1106,51 @@ class TestModPAgainstBruteForce:
         want = dict(Counter(classify_virtual_point(s, p) for s in solutions))
         assert "antidiagonal" not in want
         assert dict(classify_virtual_cells(scan)) == want
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    @pytest.mark.parametrize("equation, solved_at, a1", [
+        # det: linear in r4 past r1, a1 = r1
+        (lambda r1, r2, r3, r4: r1 * r4 - r2 * r3, 1, lambda pre: pre[0]),
+        # r2*r4 holds r4 with r2 unbound at stage 1: linear past r2 only,
+        # a1 = r1 + r2, and a0 is quadratic in the free r3
+        (lambda r1, r2, r3, r4: (r1 + r2) * r4 + r1 * r3 + r2 * r3 * r3 - 1, 2,
+         lambda pre: pre[0] + pre[1]),
+    ], ids=["det", "a1 = r1 + r2"])
+    def test_line_parts_match_reference(self, p, equation, solved_at, a1):
+        """An equation linear in the last unknown r4 becomes a line part
+        where its coefficient a1 is nonzero on the prefix, and is descended
+        as before where a1 vanishes; tallies name r4 or leave it out."""
+        system = _synthetic_system(equation)
+        scan = enumerate_solutions_mod_p(system, p)
+        lines = [part for part in scan.cells if len(part) == 3]
+        assert lines and all(
+            len(pre) == solved_at and f == 3 - solved_at and a1(pre) % p
+            for pre, f, _line in lines
+        )
+        # the a1 = 0 branch: every plain part lies where a1 vanishes
+        plain = [pre for pre, _f, *line in scan.cells if not line]
+        assert plain and all(len(pre) >= solved_at and a1(pre) % p == 0 for pre in plain)
+        _unknowns, _fixed, solutions = _brute_force_mod_p(system, p, [], {})
+        assert scan.solutions == solutions
+        assert scan.count == len(solutions)
+        assert classify_virtual_cells(scan) == Counter(
+            classify_virtual_point(s, p) for s in solutions
+        )
+        for size in range(5):
+            for names in itertools.combinations(scan.unknowns, size):
+                want = Counter(sorted(tuple(s[v] for v in names) for s in solutions))
+                assert list(scan.tally(names).items()) == list(want.items()), names
+
+    def test_line_holes_of_the_invertible_scan_match_reference(self):
+        """Invertible uv(3,1) at p = 3: the holes' one equation, det R * det
+        S, is linear in s4_1 past s1_1 with a1 = det R * s1_1, so it leaves
+        line parts."""
+        system = generate_constraints(2, make_spec("uv", 3, 1))
+        scan = enumerate_solutions_mod_p(system, 3, system.invertibility)
+        assert any(len(hole) == 3 for hole in scan.holes)
+        _unknowns, _fixed, solutions = _brute_force_mod_p(system, 3, system.invertibility, {})
+        assert scan.solutions == solutions
+        _assert_tallies_match(scan, solutions)
 
     def test_dense_p7_system_stays_small_in_memory(self):
         system = generate_constraints(2, make_spec("uv", 3, 1))

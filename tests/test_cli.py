@@ -91,6 +91,25 @@ class TestVerifyCommand:
         assert code == 2
         assert "error:" in err and "zeta" in err
 
+    def test_family_is_built_once_at_the_point(self):
+        counts = count_builds(
+            "verify", "--family", "epsilon1", "--group", "uv", "--n", "4", "--c", "2",
+            "--param", "r6=2", "--param", "s5_1=1", "--param", "s6_1=2",
+            "--param", "s8_1=3", "--param", "s9_1=5", "--param", "s5_2=2",
+            "--param", "s6_2=1", "--param", "s8_2=1", "--param", "s9_2=1",
+        )
+        # built at the point, so nothing is specialized
+        assert counts == {"build_local_rep": 1}
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--family", "zeta", "--n", "3"), "error: unknown family 'zeta'; expected one of ("),
+        (("--family", "epsilon1", "--n", "3", "--c", "1"),
+         "error: epsilon1 is defined over c = 2 groups; got c = 1\n"),
+    ])
+    def test_a_bad_family_is_reported_before_a_bad_param(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv, "--param", "s1_1")
+        assert (code, out) == (2, "") and err.startswith(message)
+
     def test_bad_param_syntax_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "verify", "--family", "upsilon", "--n", "3", "--param", "s1_1"
@@ -298,7 +317,7 @@ class TestEnumerateCommand:
         assert code == 2 and out == ""
         assert err == (
             "error: scan of 12 unknowns mod 7 exceeds desk scale: "
-            "500004 partial points visited, over the budget of 500000\n"
+            "500001 partial points visited, over the budget of 500000\n"
         )
 
     def test_composite_modulus_is_usage_error(self, capsys):
