@@ -10,11 +10,13 @@ family's blocks into the equations of ``generate_constraints(k, spec)``,
 expanded over ``reps.generic_rep``'s unknowns, not the family's ring; it
 shares the schema and window walk with ``verify_relations``, and the packed
 comparison ``reps.packed_residue`` that finds a window's differing
-entries, but not what is read from them: the verifier unpacks an entry
-into a ``RatFunc``, the generator keys and decodes it as an equation
-without one.  The other,
-the full-degree reference ``_full_degree_outcomes`` there, shares neither:
-it multiplies every relation out at full degree.  The pairs are kept
+entries, but not what is read from them.  ``MultiPoly`` and the packed
+kernel share one monomial layout (``scalars``), so neither route converts
+a monomial: the verifier turns an entry's Z[i] coefficients into a
+``RatFunc``, the generator keys the entry as an equation and decodes each
+distinct one once, without a ``RatFunc``.  The other, the full-degree
+reference ``_full_degree_outcomes`` there, shares neither: it multiplies
+every relation out at full degree.  The pairs are kept
 separate so that one route can catch a bug in the other.
 
 Exactness policy: everything symbolic runs over rational functions; the
@@ -359,7 +361,7 @@ def generate_constraints(
         if eqs is None:
             (rel,) = relations(spec, [p])
             diffs, den = packed_residue(rep, rel.lhs, rel.rhs, start, size)
-            eqs = classes[cls] = [equation_key(x, den) for x in diffs.values()]
+            eqs = classes[cls] = [equation_key(rep.ring, x, den) for x in diffs.values()]
         for key, x in eqs:
             found.setdefault(key, (x, {}))[1][p.tag] = None
     equations, unknowns = monic_equations(rep.ring, [x for x, _tags in found.values()])
@@ -407,7 +409,8 @@ class ModPScan:
         is expanded only in the named unknowns it leaves free, and a value
         whose holes take all its points is dropped.  A line part counts as
         a cell of p^f points over its free unknowns until a name reaches the
-        unknown it solves: then it is expanded point by point."""
+        unknown it solves: then it is expanded point by point.  A tally of
+        more than ``_SCAN_BUDGET`` keys is refused before any is built."""
         p, where = self.p, {v: i for i, v in enumerate(self.unknowns)}
         if stray := [v for v in names if v not in where and v not in self.fixed]:
             valid = ", ".join([*self.unknowns, *self.fixed])
@@ -415,6 +418,13 @@ class ModPScan:
         # parts that agree up to the last named scanned unknown agree on names
         cut = 1 + max((where[v] for v in names if v in where), default=-1)
         solved = cut == len(self.unknowns)
+        # free[b]: the names a part bound on b scanned unknowns leaves free
+        free = [sum(where[v] >= b for v in names if v in where) for b in range(cut + 1)]
+        keys = sum(p ** (f if line and solved else free[min(len(prefix), cut)])
+                   for prefix, f, *line in (*self.cells, *self.holes))
+        if keys > _SCAN_BUDGET:
+            raise ValueError(f"tally of {len(names)} names mod {p} exceeds desk scale: "
+                             f"{keys} keys to build, over the budget of {_SCAN_BUDGET}")
         weights: Counter = Counter()
         for sign, parts in ((1, self.cells), (-1, self.holes)):
             grouped: Counter = Counter()
@@ -465,12 +475,12 @@ def _terms_mod_p(
     into the coefficient; ``stage`` is the position of the last scanned
     unknown that occurs, or -1 when the reduced polynomial is a constant.
     """
-    vars_ = poly.ring.vars
+    vars_, exponents = poly.ring.vars, poly.ring.exponents
     reduced: dict[tuple[tuple[int, int], ...], int] = {}
-    for exp, c in poly.terms.items():
+    for m, c in poly.terms.items():
         coeff = _coeff_mod_p(c, p)
         mono = []
-        for k, d in enumerate(exp):
+        for k, d in enumerate(exponents(m)):
             if d:
                 name = vars_[k]
                 if name in fixed:
@@ -595,7 +605,8 @@ def _linear_values(forms: list, point: list[int], p: int) -> list[int]:
 # values a mod-p scan may bind before it is refused, holes' points counted
 # too: 2-3 s of descent on a 2-core x86 host (Python 3.11), and a bound on
 # the cells and holes the scan can hold, since each is a visited point; a
-# line part, like a cell, costs only the values bound on its prefix
+# line part, like a cell, costs only the values bound on its prefix.  It
+# bounds the keys ``ModPScan.tally`` builds as well
 _SCAN_BUDGET = 500_000
 
 

@@ -50,26 +50,26 @@ right-multiplying by I (+) N_B / D_B (+) I rewrites the k columns B covers
 with N_B and multiplies the other columns by D_B, on the whole degree or on
 a diagonal window of it.
 
-The products run on packed polynomials over Z[i] (Monagan and Pearce,
-CASC 2007): a dict from one int per monomial to an int coefficient.
-Variable k's exponent sits in bit field k + 1 of ``_FIELD_BITS`` bits and
-the power of i, 0 or 1, in field 0, so multiplying monomials is one int
-add, and i^2 = -1 is the bit test ``m & 2`` and a sign flip.
-``LocalRep.letter_packed`` packs each letter once, N_B and D_B both
-scaled by the integer L that clears their coefficient denominators, so
-N_B / D_B is unchanged and every coefficient is a Gaussian integer.  A
-field holds exponents up to 2^_FIELD_BITS - 1: a word whose letters'
-largest exponents sum past that limit is refused with a ``ValueError``
-before any product, since a wider sum would carry into the next field.
-:func:`word_fraction` unpacks the result and divides it by the product of
-the letters' L, which gives back N and D exactly, and :func:`eval_word` is
-its ``RatFunc`` view.  :func:`packed_residue`, shared by ``analysis``'s
-verifier and constraint generator, compares a relation's two sides packed
-and returns only the differing entries.  The verifier unpacks them
-(:func:`packed_fraction`); the generator keys them as Z[i] vectors
-(:func:`equation_key`) and decodes each distinct one once, already monic
-(:func:`monic_equations`).  Embedded degree-m generator matrices
-(``LocalRep.matrix``) are built only for the engines that take them whole.
+The products run on packed polynomials over Z[i]: a dict from a
+``MultiPoly`` monomial, in the one layout of ``scalars``, to an int
+coefficient, with the power of i, 0 or 1, in the monomial's field 0.  So
+multiplying monomials is one int add, and i^2 = -1 is the bit test
+``m & 2`` and a sign flip.  ``LocalRep.letter_packed`` packs each letter
+once, N_B and D_B both scaled by the integer L that clears their
+coefficient denominators, so N_B / D_B is unchanged and every coefficient
+is a Gaussian integer; packing and unpacking split and join coefficients
+only.  A word whose letters' largest total degrees sum past the ring's
+field limit is refused with the ``ValueError`` a ``MultiPoly`` product
+gives, before any product.  :func:`word_fraction` unpacks the result and
+divides it by the product of the letters' L, which gives back N and D
+exactly, and :func:`eval_word` is its ``RatFunc`` view.
+:func:`packed_residue`, shared by ``analysis``'s verifier and constraint
+generator, compares a relation's two sides packed and returns only the
+differing entries.  The verifier unpacks them (:func:`packed_fraction`);
+the generator keys them as Z[i] vectors (:func:`equation_key`) and
+decodes each distinct one once, already monic (:func:`monic_equations`).
+Embedded degree-m generator matrices (``LocalRep.matrix``) are built only
+for the engines that take them whole.
 
 A :class:`LocalRep` stores its blocks over its ring; its parameters are
 the ring's variables and its degree is n + k - 2, both read, not stored.
@@ -84,8 +84,9 @@ that binding, equal A's conjugated blocks entry by entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 from math import gcd, lcm
+from operator import or_
 
 from .groups import Generator, GroupSpec, Word, rho as _rho, sigma as _sigma
 from .matrices import Matrix, block_embed
@@ -299,14 +300,14 @@ class LocalRep:
         """``letter_fraction(g, exp)`` packed for :func:`packed_word`: the
         columns and the denominator, each entry a ``{packed monomial: int}``
         dict, all scaled by the integer L that clears their coefficient
-        denominators, then L and the largest exponent they hold (cached)."""
+        denominators, then L and their largest total degree (cached)."""
         cols, den = self.letter_fraction(g, exp)
         key = ("packed", g.kind, g.type, exp >= 0)
         hit = self._cache.get(key)
         if hit is None:
             polys = [den, *(x for col in cols for x in col)]
             scale = lcm(*(c.d for p in polys for c in p.terms.values()))
-            top = max((max(e, default=0) for p in polys for e in p.terms), default=0)
+            top = max(m for p in polys for m in p.terms) >> self.ring._top
             packed = tuple(tuple(_pack(x, scale) for x in col) for col in cols)
             hit = self._cache[key] = packed, _pack(den, scale), scale, top
         return hit
@@ -468,19 +469,11 @@ def _as_gauss(v) -> GaussianRational:
     return GaussianRational(v)
 
 
-# the width of one packed-monomial field (see the module docstring)
-_FIELD_BITS = 16
-
-
 def _pack(p: MultiPoly, scale: int) -> dict[int, int]:
-    """``scale * p`` as ``{packed monomial: int}``; ``scale`` must clear
-    every coefficient denominator of p."""
+    """``scale * p`` as ``{packed monomial: int}``, imaginary parts at field
+    0 set; ``scale`` must clear every coefficient denominator of p."""
     out = {}
-    for e, c in p.terms.items():
-        m = 0
-        for x in reversed(e):
-            m = m << _FIELD_BITS | x
-        m <<= _FIELD_BITS
+    for m, c in p.terms.items():
         f = scale // c.d
         if c.a:
             out[m] = c.a * f
@@ -489,32 +482,12 @@ def _pack(p: MultiPoly, scale: int) -> dict[int, int]:
     return out
 
 
-def _parts(nvars: int, x: dict[int, int]) -> dict[tuple[int, ...], list[int]]:
-    """The exponent tuples of a packed polynomial x, each with its Z[i]
-    coefficient [a, b], in the order x first meets them.  A monomial is
-    read only in the fields it uses: the lowest set bit names the lowest
-    set field, which is copied and cleared until none is left."""
-    bits = _FIELD_BITS
-    mask = (1 << bits) - 1
-    parts: dict = {}
-    for m, c in x.items():
-        e = [0] * nvars
-        rest = m >> bits
-        while rest:
-            k = ((rest & -rest).bit_length() - 1) // bits
-            e[k] = rest >> bits * k & mask
-            rest ^= e[k] << bits * k
-        parts.setdefault(tuple(e), [0, 0])[m & 1] += c
-    return parts
-
-
 def _unpack(ring: PolyRing, x: dict[int, int], scale: int) -> MultiPoly:
-    """The ``MultiPoly`` x / scale of a packed polynomial x."""
-    if not x:
-        return ring._zero
+    """The ``MultiPoly`` x / scale, monomials in the order x first meets them."""
+    get = x.get
     return MultiPoly(ring, {
-        e: GaussianRational.from_ints(a, b, scale)
-        for e, (a, b) in _parts(len(ring.vars), x).items()
+        m: GaussianRational.from_ints(get(m, 0), get(m | 1, 0), scale)
+        for m in dict.fromkeys(m & ~1 for m in x)
     })
 
 
@@ -537,16 +510,6 @@ def _dot(xs, ys) -> dict[int, int]:
     return out if len(out) == n else {m: c for m, c in out.items() if c}
 
 
-def _check_fields(top: int) -> None:
-    """Refuse a product whose exponents may reach ``top``, the sum of its
-    factors' largest exponents, when that overflows a bit field."""
-    limit = (1 << _FIELD_BITS) - 1
-    if top > limit:
-        raise ValueError(
-            f"exponents up to {top} exceed the packed-monomial field limit {limit}"
-        )
-
-
 def packed_word(
     rep: LocalRep, w: Word, start: int = 1, size: int | None = None
 ) -> tuple[list[list[dict[int, int]]], dict[int, int], int, int]:
@@ -561,8 +524,8 @@ def packed_word(
     of those same k columns with N_B's entries, and multiplies every other
     nonzero entry by D_B.  A word whose letters all fit in the window maps
     to I (+) W (+) I with W = N / D; a letter that does not fit raises
-    ``ValueError``, and so does a word whose letters' largest exponents sum
-    past the field limit, before any product.
+    ``ValueError``, and so does a word whose letters' largest total degrees
+    sum past the field limit, before any product.
     """
     if size is None:
         size = rep.degree - start + 1
@@ -580,7 +543,7 @@ def packed_word(
             )
         letters.append((p, cols, d, d_scale))
         top += d_top
-    _check_fields(top)
+    rep.ring._check_degree(top)
     out = [[{0: 1} if i == j else {} for j in range(size)] for i in range(size)]
     den, scale = {0: 1}, 1
     for p, cols, d, d_scale in letters:
@@ -614,7 +577,7 @@ def packed_residue(
     right, d_r, _r, top_r = packed_word(rep, rhs, start, size)
     crossed = d_l != d_r
     if crossed:
-        _check_fields(top_l + top_r)
+        rep.ring._check_degree(top_l + top_r)
         den, factors = _dot((d_l,), (d_r,)), (d_r, {m: -c for m, c in d_l.items()})
     else:
         den, factors = d_l, ({0: 1}, {0: -1})
@@ -632,31 +595,27 @@ def packed_fraction(ring: PolyRing, x: dict[int, int], den: dict[int, int]) -> R
 
 
 def equation_key(
-    x: dict[int, int], den: dict[int, int]
+    ring: PolyRing, x: dict[int, int], den: dict[int, int]
 ) -> tuple[frozenset, dict[int, int]]:
-    """A nonzero packed residue entry x / den (:func:`packed_residue`) as a
-    primitive Z[i] numerator, and its key: equal for two entries exactly
-    when their ``RatFunc(x, den).num`` are Q(i)-multiples, that is when
-    their :func:`monic_equations` agree.  As ``RatFunc`` normalization
-    does, the monomial x shares with den is divided out; that is all of it
-    only over a monomial den, which every positive word over a family or
-    ``generic_rep`` has (1 or a power of r2, times L), and the schema's
-    relations are positive words, so any other den is refused.  Then, as
-    in ``Echelon.insert``, x is multiplied by the conjugate of its
-    coefficient at the largest packed monomial and divided by the gcd of
-    its parts.  The key is the set of x's (monomial, coefficient) pairs."""
+    """A nonzero packed residue entry x / den (:func:`packed_residue`) over
+    ``ring`` as a primitive Z[i] numerator, and its key: equal for two
+    entries exactly when their ``RatFunc(x, den).num`` are Q(i)-multiples,
+    that is when their :func:`monic_equations` agree.  As ``RatFunc``
+    normalization does, the monomial x shares with den is divided out
+    (``PolyRing.common_monomial``); that is all of it only over a monomial
+    den, which every positive word over a family or ``generic_rep`` has (1
+    or a power of r2, times L), and the schema's relations are positive
+    words, so any other den is refused.  Then, as in ``Echelon.insert``, x
+    is multiplied by the conjugate of its leading coefficient, at its
+    largest packed monomial, and divided by the gcd of its parts, which
+    leaves that coefficient a positive integer.  The key is the set of x's
+    (monomial, coefficient) pairs."""
     if len(den) != 1:
         raise ValueError(f"an equation key needs a monomial denominator, not {len(den)} terms")
-    bits = _FIELD_BITS
-    mask = (1 << bits) - 1
-    shared, rest = 0, next(iter(den)) >> bits << bits  # field 0 holds a power of i
-    while rest:
-        field = mask << ((rest & -rest).bit_length() - 1) // bits * bits
-        shared |= min(rest & field, *(m & field for m in x))
-        rest &= ~field
+    shared = ring.common_monomial(x, den)
     if shared:
         x = {m - shared: c for m, c in x.items()}
-    top = max(x) >> 1 << 1
+    top = max(x) & ~1
     p, q = x.get(top, 0), x.get(top | 1, 0)
     if q or p < 0:
         x = _dot((x,), ({m: c for m, c in ((0, p), (1, -q)) if c},))
@@ -669,26 +628,12 @@ def equation_key(
 def monic_equations(
     ring: PolyRing, xs: list[dict[int, int]]
 ) -> tuple[list[MultiPoly], tuple[str, ...]]:
-    """Each packed polynomial of ``xs`` decoded once, already monic, and
-    the ring's variables that occur in any of them, in ring order.  With
-    c = p + qi the graded-lex leading coefficient, the term a + bi becomes
-    ((pa + qb) + (pb - qa)i) / (p^2 + q^2), the coefficient of the monic
-    ``MultiPoly``; a variable occurs exactly where the OR of every packed
-    monomial has a nonzero field."""
-    nvars, used, out = len(ring.vars), 0, []
-    for x in xs:
-        parts = _parts(nvars, x)
-        p, q = parts[max(parts, key=lambda e: (sum(e), e))]  # MultiPoly.leading's order
-        n = p * p + q * q
-        out.append(MultiPoly(ring, {
-            e: GaussianRational.from_ints(p * a + q * b, p * b - q * a, n)
-            for e, (a, b) in parts.items()
-        }))
-        for m in x:
-            used |= m
-    bits = _FIELD_BITS
-    mask = (1 << bits) - 1
-    return out, tuple(v for k, v in enumerate(ring.vars, 1) if used >> bits * k & mask)
+    """Each :func:`equation_key` numerator of ``xs`` decoded once, made monic
+    by the decode's scale, its positive integer leading coefficient; then
+    the ring's variables that occur in any, in ring order."""
+    used = ring.exponents(reduce(or_, (m for x in xs for m in x), 0))
+    unknowns = tuple(v for v, d in zip(ring.vars, used) if d)
+    return [_unpack(ring, x, x[max(x)]) for x in xs], unknowns
 
 
 def word_fraction(

@@ -6,9 +6,21 @@ Every quantity in this package lives somewhere in the tower
 
 where the variables are free parameters of a representation family
 (``r2``, ``s1_1``, ...).  There is no floating point anywhere: polynomials
-are dictionaries from exponent tuples to Gaussian-rational coefficients,
+are dictionaries from packed monomials to Gaussian-rational coefficients,
 and rational functions are numerator/denominator pairs compared by
 cross-multiplication.
+
+A monomial is one int (Monagan and Pearce, CASC 2007), laid out here
+alone: over n variables, n + 2 fields of ``_FIELD_BITS`` bits hold the
+total degree on top, then variables 0 .. n-1, most significant first, and
+field 0 stays empty for ``reps``' power of i.  Int order is then graded
+lexicographic order, and a product of monomials is one int add.
+``PolyRing.monomial`` encodes an exponent tuple and ``PolyRing.exponents``
+decodes one for every reader of exponents.  A field holds up to
+2^_FIELD_BITS - 1, read when a ring is made, and no exponent passes the
+total degree: a monomial, product or power of total degree past that limit
+is refused before any term is made, with the ``ValueError`` "exponents up
+to N exceed the packed-monomial field limit L".
 
 A Gaussian rational is three Python ints ``(a, b, d)`` standing for
 (a + b*i)/d: an integer vector over one common denominator, the usual
@@ -59,7 +71,9 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from math import gcd as _gcd
-from operator import add
+
+# the width of one packed-monomial field (see the module docstring)
+_FIELD_BITS = 16
 
 
 class VanishingDenominator(ZeroDivisionError):
@@ -340,10 +354,13 @@ class PolyRing:
 
     The variable order is part of the ring's identity: it drives the graded
     lexicographic term order used for leading terms and rendering.  Two rings
-    interoperate exactly when their variable tuples agree.
+    interoperate exactly when their variable tuples agree.  ``_shifts`` and
+    ``_top`` place the variable and degree fields of the module docstring;
+    ``_borrow`` has the bit above each variable's field, set by a borrow.
     """
 
-    __slots__ = ("vars", "_index", "_zero_exp", "_zero", "_one", "_rf_zero", "_rf_one")
+    __slots__ = ("vars", "_index", "_bits", "_shifts", "_top", "_limit", "_borrow",
+                 "_zero", "_one", "_rf_zero", "_rf_one")
 
     def __init__(self, variables: tuple[str, ...] | list[str]):
         names = tuple(variables)
@@ -351,9 +368,13 @@ class PolyRing:
             raise ValueError(f"duplicate variable names: {names}")
         self.vars = names
         self._index = {v: k for k, v in enumerate(names)}
-        self._zero_exp = (0,) * len(names)
+        n, bits = len(names), _FIELD_BITS
+        self._bits, self._limit = bits, (1 << bits) - 1
+        self._shifts = tuple(range(bits * n, 0, -bits))
+        self._top = bits * (n + 1)
+        self._borrow = sum(1 << bits * j for j in range(2, n + 2))
         self._zero = MultiPoly(self, {})
-        self._one = MultiPoly(self, {self._zero_exp: G_ONE})
+        self._one = MultiPoly(self, {0: G_ONE})
         self._rf_zero = RatFunc(self._zero, self._one)
         self._rf_one = RatFunc(self._one, self._one)
 
@@ -378,16 +399,49 @@ class PolyRing:
             raise TypeError(f"not a scalar: {c!r}")
         if g.is_zero():
             return self._zero
-        return MultiPoly(self, {self._zero_exp: g})
+        return MultiPoly(self, {0: g})
 
     def var(self, name: str) -> MultiPoly:
         try:
             k = self._index[name]
         except KeyError:
             raise MissingVariable(f"{name!r} is not a variable of {self!r}") from None
-        exp = list(self._zero_exp)
-        exp[k] = 1
-        return MultiPoly(self, {tuple(exp): G_ONE})
+        return MultiPoly(self, {1 << self._top | 1 << self._shifts[k]: G_ONE})
+
+    def monomial(self, exps) -> int:
+        """The packed monomial of an exponent tuple in ring order."""
+        if len(exps) != len(self.vars) or min(exps, default=0) < 0:
+            raise ValueError(f"not an exponent tuple of {self!r}: {exps!r}")
+        self._check_degree(sum(exps))
+        return sum(e << s for e, s in zip(exps, self._shifts)) | sum(exps) << self._top
+
+    def exponents(self, m: int) -> tuple[int, ...]:
+        """The exponent tuple, in ring order, of a packed monomial."""
+        mask = self._limit
+        return tuple([m >> s & mask for s in self._shifts])
+
+    def common_monomial(self, *groups) -> int:
+        """The largest monomial dividing every monomial of ``groups``
+        (nonempty collections), read only in the variable fields set in
+        their lowest monomial."""
+        bits, mask = self._bits, self._limit
+        rest = min(map(min, groups)) & (1 << self._top) - (1 << bits)
+        shared = degree = 0
+        while rest:
+            shift = ((rest & -rest).bit_length() - 1) // bits * bits
+            field = mask << shift
+            least = min(m & field for g in groups for m in g)
+            shared |= least
+            degree += least >> shift
+            rest &= ~field
+        return shared | degree << self._top
+
+    def _check_degree(self, top: int) -> None:
+        """Refuse total degrees up to ``top`` past the field limit."""
+        if top > self._limit:
+            raise ValueError(
+                f"exponents up to {top} exceed the packed-monomial field limit {self._limit}"
+            )
 
     def rf(self, x) -> RatFunc:
         """Lift a constant, variable name, or polynomial to a rational function."""
@@ -400,12 +454,8 @@ class PolyRing:
         return RatFunc(self.const(x), self._one)
 
 
-def _grlex_key(exp: tuple[int, ...]):
-    return (sum(exp), exp)
-
-
 class MultiPoly:
-    """A multivariate polynomial over Q(i), stored as {exponent tuple: coeff}.
+    """A multivariate polynomial over Q(i), stored as {packed monomial: coeff}.
 
     Zero coefficients are never stored; the zero polynomial is the empty dict.
     Instances are immutable by convention (arithmetic always builds new dicts).
@@ -434,13 +484,13 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp)
+        for m, c in other.terms.items():
+            s = out.get(m)
             s = c if s is None else s + c
             if s.is_zero():
-                out.pop(exp, None)
+                out.pop(m, None)
             else:
-                out[exp] = s
+                out[m] = s
         return MultiPoly(self.ring, out)
 
     __radd__ = __add__
@@ -462,36 +512,41 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.terms, other.terms
+        ring = self.ring
         if not a or not b:
-            return self.ring._zero
+            return ring._zero
         if len(a) == 1:
             a, b = b, a
+        # the leading monomials' degrees sum to the product's
+        top = ring._top
+        ring._check_degree((max(a) >> top) + (max(b) >> top))
         if len(b) == 1:
-            # Q(i) has no zero divisors and e -> e + e2 is injective: the
+            # Q(i) has no zero divisors and m -> m + m2 is injective: the
             # products need no merge and no zero test
-            ((e2, c2),) = b.items()
-            return MultiPoly(
-                self.ring, {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
-            )
+            ((m2, c2),) = b.items()
+            return MultiPoly(ring, {m1 + m2: c1 * c2 for m1, c1 in a.items()})
         out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                exp = tuple(map(add, e1, e2))
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = m1 + m2
                 c = c1 * c2
-                s = out.get(exp)
+                s = out.get(m)
                 s = c if s is None else s + c
                 if s.is_zero():
-                    out.pop(exp, None)
+                    out.pop(m, None)
                 else:
-                    out[exp] = s
-        return MultiPoly(self.ring, out)
+                    out[m] = s
+        return MultiPoly(ring, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial; use RatFunc")
-        out = self.ring._one
+        ring = self.ring
+        if self.terms and k:
+            ring._check_degree(k * (max(self.terms) >> ring._top))
+        out = ring._one
         for _ in range(k):
             out = out * self
         return out
@@ -510,23 +565,21 @@ class MultiPoly:
         return self.terms == self.ring._one.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (
-            len(self.terms) == 1 and self.ring._zero_exp in self.terms
-        )
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def constant_value(self) -> GaussianRational:
         if not self.terms:
             return G_ZERO
         if self.is_constant():
-            return self.terms[self.ring._zero_exp]
+            return self.terms[0]
         raise ValueError(f"not a constant polynomial: {self}")
 
-    def leading(self) -> tuple[tuple[int, ...], GaussianRational]:
-        """Leading (exponent, coefficient) in graded lexicographic order."""
+    def leading(self) -> tuple[int, GaussianRational]:
+        """Leading (monomial, coefficient) in graded lex order: int order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        m = max(self.terms)
+        return m, self.terms[m]
 
     def monic(self) -> MultiPoly:
         """Scale so the graded-lex leading coefficient is 1 (canonical rep
@@ -543,13 +596,11 @@ class MultiPoly:
         return tuple(sorted(self.terms.items()))
 
     def variables(self) -> tuple[str, ...]:
-        """Names that actually occur, in ring order."""
-        seen = [False] * len(self.ring.vars)
-        for e in self.terms:
-            for k, d in enumerate(e):
-                if d:
-                    seen[k] = True
-        return tuple(v for v, s in zip(self.ring.vars, seen) if s)
+        """Names that actually occur, in ring order: fields set in the OR."""
+        used = 0
+        for m in self.terms:
+            used |= m
+        return tuple(v for v, d in zip(self.ring.vars, self.ring.exponents(used)) if d)
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
@@ -564,10 +615,10 @@ class MultiPoly:
     def evaluate(self, point: dict) -> GaussianRational:
         """Evaluate at a Q(i)-point given as {variable name: scalar}; only
         the variables that occur are read, so the point may bind others."""
-        names = self.ring.vars
+        names, exponents = self.ring.vars, self.ring.exponents
         total = G_ZERO
-        for exp, c in self.terms.items():
-            for k, d in enumerate(exp):
+        for m, c in self.terms.items():
+            for k, d in enumerate(exponents(m) if m else ()):
                 if d:
                     c = c * _bound_scalar(point, names[k]) ** d
             total = total + c
@@ -580,11 +631,11 @@ class MultiPoly:
         Used to plug a concrete parameter family into a generic constraint
         system.
         """
-        names = self.ring.vars
+        names, exponents = self.ring.vars, self.ring.exponents
         total = target._rf_zero
-        for exp, c in self.terms.items():
+        for m, c in self.terms.items():
             term = RatFunc(target.const(c), target._one)
-            for k, d in enumerate(exp):
+            for k, d in enumerate(exponents(m)):
                 if d:
                     x = mapping.get(names[k])
                     if x is None:
@@ -597,27 +648,30 @@ class MultiPoly:
         """Exact polynomial division (raises if the division leaves a remainder).
 
         Only exact quotients are ever requested here (fraction-free elimination
-        divides by a previous pivot that provably divides the result).
+        divides by a previous pivot that provably divides the result).  A
+        monomial quotient that borrows from a variable's field, a negative
+        exponent, is refused as inexact.
         """
         other = self._lift(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return self
-        div_exp, div_c = other.leading()
+        div_m, div_c = other.leading()
         div_inv = div_c.inverse()
+        borrow = self.ring._borrow
         rem = dict(self.terms)
         out: dict = {}
         while rem:
-            exp = max(rem, key=_grlex_key)
-            q_exp = tuple(a - b for a, b in zip(exp, div_exp))
-            if any(d < 0 for d in q_exp):
+            m = max(rem)
+            q_m = m - div_m
+            if (q_m ^ m ^ div_m) & borrow:
                 raise ValueError("inexact polynomial division")
-            q_c = rem[exp] * div_inv
-            out[q_exp] = q_c
+            q_c = rem[m] * div_inv
+            out[q_m] = q_c
             # rem -= (q term) * other
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(q_exp, e2))
+            for m2, c2 in other.terms.items():
+                e = q_m + m2
                 s = rem.get(e, G_ZERO) - q_c * c2
                 if s.is_zero():
                     rem.pop(e, None)
@@ -631,8 +685,8 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            parts.append(_render_term(self.ring, exp, self.terms[exp]))
+        for m in sorted(self.terms, reverse=True):
+            parts.append(_render_term(self.ring, m, self.terms[m]))
         out = parts[0]
         for p in parts[1:]:
             if p.startswith("-"):
@@ -655,9 +709,9 @@ def _bound_scalar(point: dict, name: str) -> GaussianRational:
     return g
 
 
-def _render_monomial(ring: PolyRing, exp: tuple[int, ...]) -> str:
+def _render_monomial(ring: PolyRing, m: int) -> str:
     factors = []
-    for name, d in zip(ring.vars, exp):
+    for name, d in zip(ring.vars, ring.exponents(m)):
         if d == 1:
             factors.append(name)
         elif d:
@@ -665,8 +719,8 @@ def _render_monomial(ring: PolyRing, exp: tuple[int, ...]) -> str:
     return "*".join(factors)
 
 
-def _render_term(ring: PolyRing, exp: tuple[int, ...], c: GaussianRational) -> str:
-    mono = _render_monomial(ring, exp)
+def _render_term(ring: PolyRing, m: int, c: GaussianRational) -> str:
+    mono = _render_monomial(ring, m)
     if not mono:
         if c.a and c.b:
             return f"({render_gaussian(c)})"
@@ -797,10 +851,11 @@ class RatFunc:
         """The variable name if this is exactly a single bare variable."""
         if not self.den.is_one() or len(self.num.terms) != 1:
             return None
-        (exp, c), = self.num.terms.items()
-        if c != G_ONE or sum(exp) != 1:
+        (m, c), = self.num.terms.items()
+        ring = self.ring
+        if c != G_ONE or m >> ring._top != 1:
             return None
-        return self.ring.vars[exp.index(1)]
+        return ring.vars[ring.exponents(m).index(1)]
 
     def __eq__(self, other):
         other = self._lift(other)
@@ -841,23 +896,10 @@ def _normalize(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     if num.is_zero():
         return ring._zero, ring._one
     # cancel any monomial dividing every term of both num and den
-    nvars = len(ring.vars)
-    if nvars:
-        gmin = None
-        for terms in (num.terms, den.terms):
-            for e in terms:
-                gmin = e if gmin is None else tuple(map(min, gmin, e))
-                if not any(gmin):
-                    break
-        if gmin and any(gmin):
-            num = MultiPoly(
-                ring,
-                {tuple(a - b for a, b in zip(e, gmin)): c for e, c in num.terms.items()},
-            )
-            den = MultiPoly(
-                ring,
-                {tuple(a - b for a, b in zip(e, gmin)): c for e, c in den.terms.items()},
-            )
+    g = ring.common_monomial(num.terms, den.terms)
+    if g:
+        num = MultiPoly(ring, {m - g: c for m, c in num.terms.items()})
+        den = MultiPoly(ring, {m - g: c for m, c in den.terms.items()})
     # make the denominator monic
     _, lc = den.leading()
     if lc != G_ONE:

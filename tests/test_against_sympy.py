@@ -31,7 +31,7 @@ parts = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 coefficients = st.builds(GaussianRational, parts, st.one_of(st.just(0), parts))
 exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
 polynomials = st.dictionaries(exponents, coefficients, max_size=3).map(
-    lambda terms: MultiPoly(RING, {e: c for e, c in terms.items() if c})
+    lambda terms: MultiPoly(RING, {RING.monomial(e): c for e, c in terms.items() if c})
 )
 nonzero_polynomials = polynomials.filter(lambda p: not p.is_zero())
 ratfuncs = st.builds(RatFunc, polynomials, nonzero_polynomials)
@@ -43,7 +43,8 @@ def to_sympy(f, symbols=SYMBOLS) -> "sympy.Expr":
     if isinstance(f, RatFunc):
         return to_sympy(f.num, symbols) / to_sympy(f.den, symbols)
     total = sympy.Integer(0)
-    for exp, c in f.terms.items():
+    for m, c in f.terms.items():
+        exp = f.ring.exponents(m)
         total += coefficient(c) * sympy.Mul(*(s ** e for s, e in zip(symbols, exp)))
     return total
 
@@ -55,7 +56,9 @@ def coefficient(c: GaussianRational) -> "sympy.Expr":
 def to_polys(p: MultiPoly):
     """A MultiPoly as an element of sympy's QQ(i)[x, y], built term by term."""
     qqi = sympy.QQ_I.from_sympy
-    return POLYS.ring.from_dict({e: qqi(coefficient(c)) for e, c in p.terms.items()})
+    return POLYS.ring.from_dict(
+        {p.ring.exponents(m): qqi(coefficient(c)) for m, c in p.terms.items()}
+    )
 
 
 def same(ours, expr) -> bool:

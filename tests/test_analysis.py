@@ -6,6 +6,7 @@ import functools
 import itertools
 import random
 import re
+import time
 import tracemalloc
 import unittest.mock
 from collections import Counter
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import uvbraid.analysis
 import uvbraid.matrices
 import uvbraid.reps
+import uvbraid.scalars
 from uvbraid.analysis import (
     ConstraintSystem,
     _residue,
@@ -473,7 +475,7 @@ class TestLocalityAgainstFullDegree:
     def test_crossed_denominators_within_the_field_limit(self, monkeypatch):
         # with two-bit fields (exponents up to 3) each side fits, but the
         # bound for crossing their denominators, 1 and r2, is 2 + 2 = 4
-        monkeypatch.setattr(uvbraid.reps, "_FIELD_BITS", 2)
+        monkeypatch.setattr(uvbraid.scalars, "_FIELD_BITS", 2)
         spec = make_spec("uv", 3, 1)
         rep = build_local_rep("upsilon", spec)
         fits = Relation("X", parse_word("s1,1 s1,1", spec), parse_word("s1,1", spec))
@@ -489,7 +491,7 @@ class TestLocalityAgainstFullDegree:
         # block reads rho as r2^2 over r2, and PR1's r1 r2 r1 needs 6
         spec = make_spec("uv", 3, 1)
         wide = generate_constraints(2, spec).to_dict()
-        monkeypatch.setattr(uvbraid.reps, "_FIELD_BITS", 2)
+        monkeypatch.setattr(uvbraid.scalars, "_FIELD_BITS", 2)
         assert generate_constraints(2, spec).to_dict() == wide
         with pytest.raises(ValueError, match="exponents up to 6 exceed .* field limit 3$"):
             generate_constraints(2, spec, rho_form="antidiagonal")
@@ -755,6 +757,18 @@ class TestModP:
             enumerate_solutions_mod_p(system, 5, system.invertibility)
         # the dense scan is 5 cells after 120 visits and stays under it
         assert enumerate_solutions_mod_p(system, 5).count == 1 + 4 * 5 ** 4
+
+    def test_a_tally_over_the_budget_is_refused_before_any_key(self):
+        # the dense uv(3,2) scan mod 7 is 7 cells, found in milliseconds, but
+        # listing its points would build 34 588 807 keys
+        scan = enumerate_solutions_mod_p(generate_constraints(2, make_spec("uv", 3, 2)), 7)
+        assert scan.count == 1 + 6 * 7 ** 8 == 34_588_807
+        assert scan.tally(uvbraid.analysis._VIRTUAL)[0, 1, 1, 0] == 7 ** 8
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^tally of 12 names mod 7 exceeds desk scale: "
+                           r"34588807 keys to build, over the budget of 500000$"):
+            scan.solutions
+        assert time.perf_counter() - start < 1
 
     def test_dense_scans_collapse_to_few_cells(self):
         """An antidiagonal virtual block leaves every crossing block free,

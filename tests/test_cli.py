@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 
 import uvbraid
-from uvbraid import analysis, cli, matrices, reps
+from uvbraid import analysis, cli, matrices, reps, scalars
 from uvbraid.cli import main
 
 
@@ -119,7 +119,7 @@ class TestVerifyCommand:
     def test_word_past_the_field_limit_is_usage_error(self, capsys, monkeypatch):
         # with two-bit fields the first window, PR1's r1 r2 r1, is refused:
         # each rho letter holds r2^2
-        monkeypatch.setattr(reps, "_FIELD_BITS", 2)
+        monkeypatch.setattr(scalars, "_FIELD_BITS", 2)
         code, out, err = run(capsys, "verify", "--family", "upsilon", "--n", "3")
         assert (code, out) == (2, "")
         assert err == "error: exponents up to 6 exceed the packed-monomial field limit 3\n"

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import uvbraid
+import uvbraid.scalars
 from uvbraid.groups import _FIXED_C, FLAVORS, Word, make_spec, parse_word, rho, sigma
 from uvbraid.matrices import Matrix, block_embed
 from uvbraid.reps import (
@@ -510,8 +511,10 @@ class TestPackedWords:
     @pytest.mark.parametrize(
         "names, terms",
         [
-            # the widest exponent a field holds, in the last variable
-            (("x", "y", "z"), {(1, 0, (1 << 16) - 1): GaussianRational(3)}),
+            # the widest degree a monomial holds, nearly all in the last
+            # variable, and the widest exponent, alone
+            (("x", "y", "z"), {(1, 0, (1 << 16) - 2): GaussianRational(3),
+                               (0, (1 << 16) - 1, 0): GaussianRational(-1)}),
             # an exponent whose lowest set bit is its field's highest
             (("x", "y"), {(1 << 15, 1): GaussianRational(1, -2)}),
             ((), {(): GaussianRational(-5, 0)}),
@@ -519,19 +522,32 @@ class TestPackedWords:
         ],
         ids=["widest", "top-bit", "no-variables", "imaginary"],
     )
-    def test_unpack_reads_only_the_fields_in_use(self, names, terms):
-        f = MultiPoly(PolyRing(names), terms)
-        assert _unpack(f.ring, _pack(f, 1), 1).terms == terms
+    def test_monomials_round_trip_at_the_widest_degree(self, names, terms):
+        ring = PolyRing(names)
+        f = MultiPoly(ring, {ring.monomial(e): c for e, c in terms.items()})
+        assert {ring.exponents(m): c for m, c in f.terms.items()} == terms
+        assert _unpack(ring, _pack(f, 1), 1).terms == f.terms
+        if names:  # one more in the last field would carry into the next
+            with pytest.raises(ValueError, match="exponents up to 65536 exceed .* limit 65535$"):
+                ring.monomial((*[0] * (len(names) - 1), 1 << 16))
 
     def test_round_trip_in_two_bit_fields(self, monkeypatch):
-        monkeypatch.setattr(uvbraid.reps, "_FIELD_BITS", 2)  # exponents up to 3
+        monkeypatch.setattr(uvbraid.scalars, "_FIELD_BITS", 2)  # degrees up to 3
         ring = PolyRing(("x", "y", "z"))
         x, y, z = (ring.var(v) for v in ring.vars)
-        # x's exponent sits in bits 2..3 and y's in bits 4..5
-        assert _pack(x ** 3 * y, 1) == {3 << 2 | 1 << 4: 1}
+        # z's exponent sits in bits 2..3, y's in bits 4..5, x's in bits 6..7
+        # and the total degree from bit 8 up
+        assert _pack(x ** 2 * y, 1) == {3 << 8 | 2 << 6 | 1 << 4: 1}
+        assert ring.monomial((2, 1, 0)) == 3 << 8 | 2 << 6 | 1 << 4
         i = GaussianRational(0, 1)
-        f = x ** 3 * y ** 2 * z + y ** 3 * (2 - i) + z ** 3 * i + 1
+        f = x * y * z + y ** 3 * (2 - i) + z ** 3 * i + x ** 2 + 1
         assert _unpack(ring, _pack(f, 2), 2).terms == f.terms
+        assert {ring.exponents(m) for m in f.terms} == {
+            (1, 1, 1), (0, 3, 0), (0, 0, 3), (2, 0, 0), (0, 0, 0)
+        }
+        assert [ring.exponents(m) for m in sorted(f.terms, reverse=True)] == sorted(
+            map(ring.exponents, f.terms), key=lambda e: (sum(e), e), reverse=True
+        )
 
     def test_equation_keys_identify_gaussian_multiples(self):
         # generic blocks have real integer entries only, so the conjugate
@@ -541,18 +557,18 @@ class TestPackedWords:
         f = x * y * GaussianRational(1, 2) - y ** 2 * 2 + 3
         den = _pack(x ** 2, 1)
         multiples = [f, f * GaussianRational(2, 1), x ** 2 * f * GaussianRational(1, -3)]
-        keys = [equation_key(_pack(g, 1), den) for g in multiples]
+        keys = [equation_key(ring, _pack(g, 1), den) for g in multiples]
         assert len({key for key, _packed in keys}) == 1
         eqs, unknowns = monic_equations(ring, [packed for _key, packed in keys])
         want = RatFunc(f, ring._one).num.monic()
         assert [e.terms for e in eqs] == [want.terms] * 3 and unknowns == ("x", "y")
-        other, _packed = equation_key(_pack(f * 2 + 1, 1), den)
+        other, _packed = equation_key(ring, _pack(f * 2 + 1, 1), den)
         assert other != keys[0][0]
         with pytest.raises(ValueError, match="monomial denominator, not 2 terms"):
-            equation_key(_pack(f, 1), _pack(x + 1, 1))
+            equation_key(ring, _pack(f, 1), _pack(x + 1, 1))
 
     def test_words_past_the_field_limit_are_refused(self, monkeypatch):
-        monkeypatch.setattr(uvbraid.reps, "_FIELD_BITS", 2)  # exponents up to 3
+        monkeypatch.setattr(uvbraid.scalars, "_FIELD_BITS", 2)  # exponents up to 3
         spec = make_spec("uv", 3, 1)
         rep = build_local_rep("upsilon", spec)
         # sigma's entries have degree 1; rho's are r2 and 1/r2, read as r2^2

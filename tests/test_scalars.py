@@ -42,7 +42,7 @@ mixed_scalars = st.one_of(
 _XYZ = PolyRing(("x", "y", "z"))
 polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), gaussians, max_size=4
-).map(lambda terms: MultiPoly(_XYZ, {e: c for e, c in terms.items() if c}))
+).map(lambda terms: MultiPoly(_XYZ, {_XYZ.monomial(e): c for e, c in terms.items() if c}))
 
 
 class TestGaussianRational:
@@ -418,6 +418,46 @@ class TestMultiPoly:
         with pytest.raises(ValueError, match="inexact"):
             (x * x + y).num.exact_div((x + y).num)
 
+    def test_exact_div_refuses_a_quotient_that_borrows_across_fields(self, ring):
+        x, y, z = (ring.var(v) for v in ring.vars)
+        # x*z - y as ints is a positive monomial with a negative y exponent;
+        # y / z borrows from the lowest variable field, y / x from the top one
+        for num, den in [(x * z, y), (x ** 2, x * y), (z, y), (x * y ** 2, x ** 2),
+                         (y, z), (y, x)]:
+            with pytest.raises(ValueError, match="inexact"):
+                num.exact_div(den)
+        assert (x * z * y).exact_div(x * y) == z
+
+    @given(st.dictionaries(st.tuples(*[st.integers(0, 4)] * 6), gaussians, max_size=8))
+    @settings(max_examples=80)
+    def test_int_order_is_graded_lex_order(self, terms):
+        ring = PolyRing(("a", "b", "c", "d", "e", "f"))
+        p = MultiPoly(ring, {ring.monomial(e): c for e, c in terms.items() if c})
+        decoded = [ring.exponents(m) for m in sorted(p.terms, reverse=True)]
+        assert decoded == sorted(decoded, key=lambda e: (sum(e), e), reverse=True)
+        assert set(decoded) == {e for e, c in terms.items() if c}
+        if p.terms:
+            assert ring.exponents(p.leading()[0]) == decoded[0]
+
+    def test_products_and_powers_past_the_degree_limit_are_refused(self, monkeypatch):
+        monkeypatch.setattr(uvbraid.scalars, "_FIELD_BITS", 2)  # degrees up to 3
+        ring = PolyRing(("x", "y"))
+        x, y = ring.var("x"), ring.var("y")
+        square = x * x + y
+        assert str(square * y) == "x^2*y + y^2"
+        with pytest.raises(ValueError, match="^exponents up to 4 exceed the "
+                           "packed-monomial field limit 3$"):
+            square * square
+        with pytest.raises(ValueError, match="^exponents up to 4 exceed .* limit 3$"):
+            (x * y) * (x * x + 1)
+        assert str((x + y) ** 3) == "x^3 + 3*x^2*y + 3*x*y^2 + y^3"
+        with pytest.raises(ValueError, match="^exponents up to 6 exceed .* limit 3$"):
+            square ** 3
+        with pytest.raises(ValueError, match="^exponents up to 4 exceed .* limit 3$"):
+            ring.monomial((4, 0))
+        with pytest.raises(ValueError, match="exponents up to 4 exceed .* limit 3"):
+            ring.rf("x") ** 4
+
     def test_monic_scales_leading_coefficient(self, ring):
         x = ring.rf("x")
         f = (3 * x * x + 6).num
@@ -498,7 +538,7 @@ class TestRatFunc:
     def test_constructor_brings_every_pair_to_the_normal_form(self, num, den):
         f = RatFunc(num, den)
         assert f.den.leading()[1] == G_ONE
-        terms = [*f.num.terms, *f.den.terms]
+        terms = [_XYZ.exponents(m) for m in [*f.num.terms, *f.den.terms]]
         assert [min(e[v] for e in terms) for v in range(3)] == [0, 0, 0]
         assert (f.num * den).terms == (num * f.den).terms
         if f.num.terms == f.den.terms:
